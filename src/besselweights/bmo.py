@@ -15,6 +15,15 @@ both defining half-mass inequalities hold exactly and fixes determinism.
 
 Superlevel sets of family functions are exact interval unions (sign
 splitting), so all set measures below are closed-form, not sampled.
+
+The median oscillation has two exact scans.  For a symbol that is one
+monotone piece on B, {|b - c| <= t} ∩ B is a window [x1, x2], so the
+quantity is half the smallest spread |b(x2) - b(x1)| over windows of
+w-mass (1 - s) w(B): a scalar minimisation over x1, with x2 from the
+closed-form mass.  For a piecewise-constant symbol, B is cut once into a
+table of (value, w-mass) cells, and every candidate centre c is scanned
+against that table; the rearrangement and the local mean oscillation of
+step symbols use the same table.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConstructionError, ZeroMassError
+from .errors import ConstructionError, PostconditionError, ZeroMassError
 from .measure import BesselMeasure, FuncExpr, Interval, dmu
 from .weights import IntervalFamily, Weight
 
@@ -199,8 +208,11 @@ def median(b: FuncExpr, B: Interval, ref: RefMeasure) -> float:
     above = superlevel_measure(b, alpha, B, ref)
     below = superlevel_measure(-b, -alpha, B, ref)  # mass of {b < alpha}
     slack = 1e-9 * total
-    assert above <= half + slack, "median post-condition (upper) violated"
-    assert below <= half + slack, "median post-condition (lower) violated"
+    if above > half + slack or below > half + slack:
+        raise PostconditionError(
+            f"median {alpha:g} on ({B.a:g}, {B.b:g}) leaves masses "
+            f"{above:g} above and {below:g} below, over half of {total:g}"
+        )
     return alpha
 
 
@@ -216,6 +228,8 @@ def quantile_threshold(
     """inf{ t >= 0 : w({x in B : |b - c| > t}) <= s * w(B) }."""
     total = mass_of(w, B)
     target = s * total
+    if b.restrict(B).is_piecewise_constant():
+        return _step_threshold(_cell_table(b, B, w), c, target * (1 + 1e-12))
     g = b - c
     fast_tail = _monotone_two_sided_tail(g, B, 0.0, w)
     if fast_tail is not None:
@@ -232,16 +246,6 @@ def quantile_threshold(
                 break
         return hi_t
     dev = g.restrict(B).abs()
-    if dev.is_piecewise_constant():
-        # the tail mass t -> w({dev > t}) is a right-continuous step function
-        # with jumps exactly at the cell values, so the infimum is attained at
-        # 0 or at a cell value (cells where dev is absent contribute 0 <= t)
-        cells = _pcw_cells(dev, B, w)
-        for cand in [0.0] + sorted({v for v, _ in cells}):
-            tail = sum(mass for v, mass in cells if v > cand)
-            if tail <= target * (1 + 1e-12):
-                return cand
-        return max(v for v, _ in cells)
     lo, hi = 0.0, max(_value_range(dev, B)[1], 1e-300)
     if superlevel_measure(dev, lo, B, w) <= target:
         return 0.0
@@ -256,12 +260,45 @@ def quantile_threshold(
     return hi
 
 
-def _pcw_cells(dev: FuncExpr, B: Interval, w: RefMeasure) -> list[tuple[float, float]]:
-    cells = []
-    for p in dev.restrict(B).pieces:
-        iv = Interval(max(p.lo, B.a), min(p.hi, B.b))
-        cells.append((p.atoms[0][0], mass_of(w, iv)))
+# -- piecewise-constant cell table -------------------------------------------------
+
+
+def _cell_table(b: FuncExpr, B: Interval, w: RefMeasure) -> list[tuple[float, float]]:
+    """(value, w-mass) of the cells of B cut at the breakpoints of a
+    piecewise-constant b, left to right; gaps where b has no piece carry 0."""
+    cells, x = [], B.a
+    for p in b.restrict(B).pieces:
+        if p.lo > x:
+            cells.append((0.0, mass_of(w, Interval(x, p.lo))))
+        cells.append((p.atoms[0][0], mass_of(w, Interval(p.lo, p.hi))))
+        x = p.hi
+    if x < B.b:
+        cells.append((0.0, mass_of(w, Interval(x, B.b))))
     return cells
+
+
+def _step_threshold(
+    cells: list[tuple[float, float]], c: float, limit: float, strict: bool = False
+) -> float:
+    """Smallest t in {0} ∪ {|v - c|} with w({|b - c| > t}) <= limit (< limit
+    when strict), summing the cell masses left to right.
+
+    The tail t -> w({|b - c| > t}) is a right-continuous step function with
+    jumps exactly at the cell values, so its infimum is one of these t.
+    """
+    devs = [(abs(v - c), mass) for v, mass in cells]
+    for cand in [0.0] + sorted({d for d, _ in devs}):
+        tail = sum(mass for d, mass in devs if d > cand)
+        if (tail < limit) if strict else (tail <= limit):
+            return cand
+    return max(d for d, _ in devs)
+
+
+def _step_centres(cells: list[tuple[float, float]]) -> set[float]:
+    """Cell values and their pairwise midpoints: the centres c at which
+    inf_c of a step-symbol tail threshold is attained."""
+    vals = sorted({v for v, _ in cells})
+    return {0.5 * (v1 + v2) for v1 in vals for v2 in vals}
 
 
 # -- reports -------------------------------------------------------------------
@@ -332,27 +369,24 @@ def median_oscillation(
 ) -> float:
     """inf over c of the s-quantile threshold of |b - c| on B.
 
-    Exact candidate scan for piecewise-constant symbols (values and
-    midpoints); coarse grid plus golden-section refinement otherwise.
+    Piecewise-constant symbols: one (value, w-mass) cell table of B, scanned
+    for every cell value and midpoint of two values as the centre c.
+    One monotone piece on B: the window scan `_window_oscillation`.
+    Otherwise: a coarse grid over c plus golden-section refinement.
     """
     if not (0.0 < s <= 0.5):
         raise ValueError("s must lie in (0, 1/2]")
     if b.restrict(B).is_piecewise_constant():
-        vals = sorted({p.atoms[0][0] for p in b.restrict(B).pieces})
-        if _has_gap(b, B):
-            vals.append(0.0)
-        cands = set(vals)
-        for v1 in vals:
-            for v2 in vals:
-                cands.add(0.5 * (v1 + v2))
-        return min(quantile_threshold(b, c, B, w, s) for c in cands)
+        cells = _cell_table(b, B, w)
+        limit = s * mass_of(w, B) * (1 + 1e-12)
+        return min(_step_threshold(cells, c, limit) for c in _step_centres(cells))
+    mono = _monotone_piece(b, B)
+    if mono is not None:
+        return _window_oscillation(mono[0], B, w, s)
     lo, hi = _value_range(b, B)
     if hi - lo <= 1e-14 * max(1.0, abs(hi)):
         return 0.0
     objective = lambda c: quantile_threshold(b, float(c), B, w, s)
-    if _monotone_piece(b, B) is not None:
-        # unimodal objective: golden-section without the coarse sweep
-        return _golden_min(objective, lo, hi, 55)
     grid = np.linspace(lo, hi, c_samples)
     coarse = [objective(c) for c in grid]
     i_best = int(np.argmin(coarse))
@@ -376,25 +410,47 @@ def median_oscillation(
     return min(coarse[i_best], f1, f2)
 
 
-def _golden_min(objective, a: float, b: float, iters: int) -> float:
-    phi_ratio = (math.sqrt(5) - 1) / 2
-    x1 = b - phi_ratio * (b - a)
-    x2 = a + phi_ratio * (b - a)
-    f1, f2 = objective(x1), objective(x2)
-    best = min(f1, f2)
-    for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi_ratio * (b - a)
-            f1 = objective(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi_ratio * (b - a)
-            f2 = objective(x2)
-        best = min(best, f1, f2)
-        if b - a <= 1e-10 * max(1.0, abs(b)):
-            break
-    return best
+def _window_oscillation(p, B: Interval, w: RefMeasure, s: float) -> float:
+    """Half the smallest spread |p(x2) - p(x1)| of the monotone piece p over
+    windows [x1, x2] in B of w-mass (1 - s) w(B), x1 in [a_eff, x1max].
+
+    Unimodality in x1 is not proven, so both ends and a coarse scan are
+    evaluated, the best bracket is refined by a bounded minimiser, and the
+    minimum over all of them is returned.
+    """
+    from scipy.optimize import brentq, minimize_scalar
+
+    a_eff = B.a if B.a > 0.0 else B.b * 1e-15
+    lo, hi = sorted((p.eval(a_eff), p.eval(B.b)))
+    if hi - lo <= 1e-14 * max(1.0, abs(hi)):
+        return 0.0
+    total = mass_of(w, B)
+    need = (1.0 - s) * total
+    cum = lambda x: mass_of(w, Interval(B.a, x)) if x > B.a else 0.0
+
+    def level_point(level: float, x_lo: float) -> float:
+        """x in [x_lo, B.b] with w((B.a, x)) = level, clipped to the ends."""
+        if cum(x_lo) >= level:
+            return x_lo
+        if total <= level:
+            return B.b
+        # relative tolerance only: an absolute one would swamp small x
+        return brentq(lambda x: cum(x) - level, x_lo, B.b, xtol=1e-300)
+
+    def spread(x1: float) -> float:
+        return abs(p.eval(level_point(cum(x1) + need, x1)) - p.eval(x1))
+
+    x1max = level_point(total - need, a_eff)
+    if x1max <= a_eff:
+        return 0.5 * spread(a_eff)
+    xs = np.linspace(a_eff, x1max, 17)
+    coarse = [spread(float(x)) for x in xs]
+    i = int(np.argmin(coarse))
+    bracket = (float(xs[max(0, i - 1)]), float(xs[min(len(xs) - 1, i + 1)]))
+    refined = minimize_scalar(
+        spread, bounds=bracket, method="bounded", options={"xatol": 1e-12 * x1max}
+    )
+    return 0.5 * min(min(coarse), float(refined.fun))
 
 
 def bmo_median_norm(
@@ -423,12 +479,7 @@ def rearrangement(b: FuncExpr, w: RefMeasure, t: float, hull: Interval | None = 
         dist = lambda g: _monotone_two_sided_tail(b, H, g, w)
         hi = max(abs(v) for v in _value_range(b, H)) + 1e-300
     elif b.restrict(H).is_piecewise_constant():
-        # the tail is a step function: scan the exact candidate levels
-        cells = _pcw_cells(b.restrict(H).abs(), H, w)
-        for cand in [0.0] + sorted({v for v, _ in cells}):
-            if sum(mass for v, mass in cells if v > cand) < t * (1 - 1e-14):
-                return cand
-        return max(v for v, _ in cells)
+        return _step_threshold(_cell_table(b, H, w), 0.0, t * (1 - 1e-14), strict=True)
     else:
         dev = b.restrict(H).abs()
         dist = lambda g: superlevel_measure(dev, g, H, w)
@@ -460,20 +511,17 @@ def local_mean_oscillation(
     if not (0.0 < lambda_frac < 1.0):
         raise ValueError("lambda_frac must lie in (0,1)")
     t_arg = lambda_frac * mass_of(w, B)
-    reference = lambda c: rearrangement((b - c).restrict(B), w, t_arg, hull=B)
     alpha = median(b, B, w)
-    a_median = reference(alpha)
     if b.restrict(B).is_piecewise_constant():
-        vals = sorted({p.atoms[0][0] for p in b.restrict(B).pieces})
-        if _has_gap(b, B):
-            vals.append(0.0)
-        cands = set(vals) | {0.5 * (v1 + v2) for v1 in vals for v2 in vals} | {alpha}
-        a_check = min(reference(c) for c in cands)
-    else:
-        lo, hi = _value_range(b, B)
-        grid = list(np.linspace(lo, hi, c_samples)) + [alpha]
-        a_check = min(reference(float(c)) for c in grid)
-    return a_check, a_median
+        cells = _cell_table(b, B, w)
+        reference = lambda c: _step_threshold(cells, c, t_arg * (1 - 1e-14), strict=True)
+        a_check = min(reference(c) for c in _step_centres(cells) | {alpha})
+        return a_check, reference(alpha)
+    reference = lambda c: rearrangement((b - c).restrict(B), w, t_arg, hull=B)
+    lo, hi = _value_range(b, B)
+    grid = list(np.linspace(lo, hi, c_samples)) + [alpha]
+    a_check = min(reference(float(c)) for c in grid)
+    return a_check, reference(alpha)
 
 
 def median_stability_check(

@@ -33,6 +33,10 @@ class ZeroMassError(BesselWeightsError):
     """A weight or measure vanishes where a positive mass is required."""
 
 
+class PostconditionError(BesselWeightsError):
+    """A computed result fails the condition that defines it."""
+
+
 class PreconditionError(BesselWeightsError):
     """A documented mathematical precondition fails; carries a witness."""
 

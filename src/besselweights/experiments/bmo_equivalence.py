@@ -72,6 +72,7 @@ def run_bmo_equivalence(cfg: ScenarioConfig) -> Verdict:
     )
 
     rows = []
+    norms = []
     worst_band = 0.0
     for name, b in test_symbols(lam):
         flavors = {
@@ -86,6 +87,7 @@ def run_bmo_equivalence(cfg: ScenarioConfig) -> Verdict:
         ratio = max(vals) / min(vals)
         worst_band = max(worst_band, ratio)
         rows.append((name, *flavors.values(), ratio))
+        norms.append(flavors)
     verdict.add(
         "six-flavor ratio band",
         worst_band,
@@ -97,11 +99,11 @@ def run_bmo_equivalence(cfg: ScenarioConfig) -> Verdict:
 
     # norm-level one-sided bound: s^{1/p} median <= weighted-Lp, both flavors
     ok_norm_level = True
-    for name, b in test_symbols(lam):
-        lhsw = s ** (1.0 / p) * bmo_median_norm(b, w, s, fam).norm_estimate
-        rhsw = weighted_bmo_norm(b, w, p, m, fam).norm_estimate
-        lhs1 = s ** (1.0 / p) * bmo_median_norm(b, one, s, fam).norm_estimate
-        rhs1 = weighted_bmo_norm(b, one, p, m, fam).norm_estimate
+    for flavors in norms:
+        lhsw = s ** (1.0 / p) * flavors[f"median(w,s={s:g})"]
+        rhsw = flavors[f"weighted-L{p:g}(w)"]
+        lhs1 = s ** (1.0 / p) * flavors[f"median(dx,s={s:g})"]
+        rhs1 = flavors[f"L{p:g}(dx)"]
         ok_norm_level &= lhsw <= rhsw * (1 + 1e-9) and lhs1 <= rhs1 * (1 + 1e-9)
     verdict.add(
         "norm-level quantile bound",

@@ -43,7 +43,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .bmo import median
-from .errors import ConstructionError, SupportError
+from .errors import ConstructionError, PostconditionError, SupportError
 from .measure import BesselMeasure, FuncExpr, Interval, dmu, integrate_callable
 
 __all__ = [
@@ -328,8 +328,13 @@ def median_split(b: FuncExpr, pair: SeparatedBallPair, m: BesselMeasure) -> Medi
     Eminus = _complement_in(pair.B, Eplus)
     half = 0.5 * m.mu(pair.Btilde)
     slack = 1e-9 * m.mu(pair.Btilde)
-    assert sum(m.mu(iv) for iv in Fplus) >= half - slack
-    assert sum(m.mu(iv) for iv in Fminus) >= half - slack
+    plus = sum(m.mu(iv) for iv in Fplus)
+    minus = sum(m.mu(iv) for iv in Fminus)
+    if plus < half - slack or minus < half - slack:
+        raise PostconditionError(
+            f"median split at {alpha:g} gives F+ mass {plus:g} and F- mass "
+            f"{minus:g}, below half of mu(Btilde) = {2.0 * half:g}"
+        )
     return MedianSplit(alpha, Fplus, Fminus, Eplus, Eminus)
 
 

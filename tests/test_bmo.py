@@ -1,16 +1,23 @@
 """Tests for BMO flavors, medians, rearrangements, and oscillation machinery."""
 
 import math
+import os
+import subprocess
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+import besselweights
+from besselweights import bmo
 from besselweights.bmo import (
     bmo_median_norm,
     bmo_triangle_norm,
     john_nirenberg_profile,
     local_mean_oscillation,
     log_mu_oscillation_endpoint_form,
+    mass_of,
     median,
     median_oscillation,
     median_stability_check,
@@ -23,6 +30,7 @@ from besselweights.bmo import (
     vmo_defect,
     weighted_bmo_norm,
 )
+from besselweights.errors import PostconditionError
 from besselweights.measure import BesselMeasure, FuncExpr, Interval
 from besselweights.weights import IntervalFamily, TildeAp, Weight, weight_constant
 
@@ -75,8 +83,37 @@ class TestMedian:
             vals = list(rng.uniform(-2, 2, size=4))
             b = FuncExpr.piecewise_constant([0.1, 0.5, 1.0, 2.0, 3.0], vals)
             B = Interval(0.1, 3.0)
-            alpha = median(b, B, M1)  # asserts its own post-conditions
+            alpha = median(b, B, M1)  # checks its own post-conditions
             assert math.isfinite(alpha)
+
+    def test_postcondition_raises_package_error(self, monkeypatch):
+        monkeypatch.setattr(bmo, "superlevel_measure", lambda *args: math.inf)
+        with pytest.raises(PostconditionError):
+            median(LOGB, Interval(1, 3), M1)
+
+    def test_postcondition_survives_optimize_flag(self):
+        code = (
+            "import math\n"
+            "from besselweights import bmo\n"
+            "from besselweights.errors import PostconditionError\n"
+            "from besselweights.measure import BesselMeasure, FuncExpr, Interval\n"
+            "print(__debug__)\n"
+            "bmo.superlevel_measure = lambda *args: math.inf\n"
+            "try:\n"
+            "    bmo.median(FuncExpr.log_of_mu_density(1.0), Interval(1, 3), BesselMeasure(1.0))\n"
+            "except PostconditionError:\n"
+            "    print('raised')\n"
+        )
+        src = os.path.dirname(os.path.dirname(besselweights.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.stdout.split() == ["False", "raised"], out.stderr
 
 
 class TestTriangleNorm:
@@ -192,6 +229,114 @@ class TestMedianNorm:
         rep = bmo_median_norm(LOGB, Weight.one(), 0.25, IntervalFamily.random(20, seed=5))
         assert "median" in rep.flavor
         assert math.isfinite(rep.norm_estimate)
+
+
+def _window_closed_form_x1max(B, alpha, s):
+    """x1max with w((x1max, B.b)) = (1 - s) w(B) for w = t^alpha, in mpmath."""
+    e = mp.mpf(alpha) + 1
+    a, b = mp.mpf(B.a), mp.mpf(B.b)
+    return (b**e - (1 - mp.mpf(s)) * (b**e - a**e)) ** (1 / e)
+
+
+class TestWindowScan:
+    """median_oscillation of one monotone piece: half the smallest spread of
+    b over windows of w-mass (1 - s) w(B), against mpmath closed forms."""
+
+    INTERVALS = [Interval(0.0, 2.0), Interval(0.01, 0.03), Interval(0.3, 2.5),
+                 Interval(0.125, 2.0), Interval(1.0, 1.01), Interval(3.0, 40.0)]
+
+    def test_log_symbol_closed_form(self):
+        # |b(x2) - b(x1)| = 2 lam log(x2/x1) decreases in x1: optimum x1 = x1max
+        mp.mp.dps = 40
+        for lam in (0.5, 1.0, 2.5):
+            b = FuncExpr.log_of_mu_density(lam)
+            for w, alpha in ((Weight.power(1.0), 1.0), (Weight.one(), 0.0)):
+                for B in self.INTERVALS:
+                    for s in (0.1, 0.25, 0.5):
+                        exact = lam * mp.log(B.b / _window_closed_form_x1max(B, alpha, s))
+                        val = median_oscillation(b, w, s, B)
+                        assert val == pytest.approx(float(exact), rel=1e-12)
+
+    def test_interior_optimum_log_cubed(self):
+        # (log x)^3 is flat at x = 1, so the best window is interior
+        mp.mp.dps = 40
+        B, s = Interval(0.1, 10.0), 0.25
+        need = (1 - mp.mpf(s)) * (mp.mpf(B.b) - mp.mpf(B.a))
+        spread = lambda x: mp.log(x + need) ** 3 - mp.log(x) ** 3
+        x_star = mp.findroot(lambda x: mp.diff(spread, x), (0.5, 1.0), solver="anderson")
+        x1max = mp.mpf(B.b) - need
+        assert mp.mpf(B.a) < x_star < x1max
+        assert spread(x_star) < min(spread(mp.mpf(B.a)), spread(x1max))
+        val = median_oscillation(FuncExpr.log_power(1.0, 0.0, 3), Weight.one(), s, B)
+        assert val == pytest.approx(float(spread(x_star) / 2), rel=1e-12)
+
+    def test_decreasing_symbol(self):
+        # b = 1/x: the spread 1/x1 - 1/x2 also decreases in x1
+        mp.mp.dps = 40
+        b = FuncExpr.power(1.0, -1.0)
+        for w, alpha in ((Weight.power(1.0), 1.0), (Weight.one(), 0.0)):
+            for B in self.INTERVALS[1:]:
+                exact = (1 / _window_closed_form_x1max(B, alpha, 0.25) - 1 / mp.mpf(B.b)) / 2
+                val = median_oscillation(b, w, 0.25, B)
+                assert val == pytest.approx(float(exact), rel=1e-12)
+
+
+def _per_candidate_threshold(b, c, B, w, limit, strict):
+    """Reference step scan: |b - c| on B built as a FuncExpr for this c."""
+    dev = (b - c).restrict(B).abs()
+    cells = [(p.atoms[0][0], mass_of(w, Interval(max(p.lo, B.a), min(p.hi, B.b))))
+             for p in dev.pieces]
+    for cand in [0.0] + sorted({v for v, _ in cells}):
+        tail = sum(mass for v, mass in cells if v > cand)
+        if (tail < limit) if strict else (tail <= limit):
+            return cand
+    return max(v for v, _ in cells)
+
+
+class TestCellTable:
+    """The one-table scans of step symbols agree bit for bit with the
+    per-candidate construction, with gaps and with B wider than the support."""
+
+    @staticmethod
+    def _cases(n, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            k = int(rng.integers(2, 6))
+            pts = list(np.sort(rng.uniform(0.1, 3.0, size=k + 1)))
+            vals = [0.0 if rng.uniform() < 0.3 else float(v) for v in rng.uniform(-2, 2, k)]
+            if not any(vals):
+                vals[0] = 1.0
+            b = FuncExpr.piecewise_constant(pts, vals)
+            lo = float(rng.uniform(0.0, pts[0] * 1.5))
+            B = Interval(lo, float(max(lo + 0.05, rng.uniform(pts[1], pts[-1] * 1.5))))
+            w = Weight.power(1.0) if rng.uniform() < 0.5 else Weight.one()
+            yield rng, b, B, w
+
+    def test_matches_per_candidate_scan(self):
+        for rng, b, B, w in self._cases(150, seed=8):
+            s = float(rng.uniform(0.05, 0.5))
+            frac = float(rng.uniform(0.05, 0.5))
+            limit = s * mass_of(w, B) * (1 + 1e-12)
+            t_arg = frac * mass_of(w, B)
+            vals = sorted({p.atoms[0][0] for p in b.restrict(B).pieces})
+            covered = sum(p.hi - p.lo for p in b.restrict(B).pieces)
+            if covered < B.length * (1 - 1e-12):
+                vals.append(0.0)
+            cands = {0.5 * (v1 + v2) for v1 in vals for v2 in vals}
+            for c in cands | {float(rng.uniform(-2, 2))}:
+                assert quantile_threshold(b, c, B, w, s) == _per_candidate_threshold(
+                    b, c, B, w, limit, False)
+                assert rearrangement((b - c).restrict(B), w, t_arg, hull=B) == (
+                    _per_candidate_threshold(b, c, B, w, t_arg * (1 - 1e-14), True))
+            assert median_oscillation(b, w, s, B) == min(
+                _per_candidate_threshold(b, c, B, w, limit, False) for c in cands)
+            alpha = median(b, B, w)
+            ref = lambda c: _per_candidate_threshold(b, c, B, w, t_arg * (1 - 1e-14), True)
+            assert local_mean_oscillation(b, B, frac, w) == (
+                min(ref(c) for c in cands | {alpha}), ref(alpha))
+            H = b.support_bounds()
+            assert rearrangement(b, w, t_arg) == _per_candidate_threshold(
+                b, 0.0, H, w, t_arg * (1 - 1e-14), True)
 
 
 class TestRearrangement:

@@ -1,11 +1,16 @@
 """Tests for the Riesz kernel, separated-ball geometry, and the tail profile."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from besselweights.errors import ConstructionError, SupportError
+import besselweights
+from besselweights import riesz
+from besselweights.errors import ConstructionError, PostconditionError, SupportError
 from besselweights.measure import BesselMeasure, FuncExpr, Interval
 from besselweights.riesz import (
     MedianSplit,
@@ -225,6 +230,36 @@ class TestMedianSplit:
         pair = SeparatedBallPair(Interval(1.0, 2.0), Interval(7.0, 8.0), 3.0, 12.0)
         split = median_split(b, pair, M1)
         assert split.verify_sign_grid(b, samples=64)
+
+    def test_postcondition_raises_package_error(self, monkeypatch):
+        monkeypatch.setattr(riesz, "_closed_superlevel", lambda *args: ())
+        pair = SeparatedBallPair(Interval(1.0, 2.0), Interval(7.0, 8.0), 3.0, 12.0)
+        with pytest.raises(PostconditionError):
+            median_split(FuncExpr.log_of_mu_density(1.0), pair, M1)
+
+    def test_postcondition_survives_optimize_flag(self):
+        code = (
+            "from besselweights import riesz\n"
+            "from besselweights.errors import PostconditionError\n"
+            "from besselweights.measure import BesselMeasure, FuncExpr, Interval\n"
+            "print(__debug__)\n"
+            "riesz._closed_superlevel = lambda *args: ()\n"
+            "pair = riesz.SeparatedBallPair(Interval(1, 2), Interval(7, 8), 3.0, 12.0)\n"
+            "try:\n"
+            "    riesz.median_split(FuncExpr.log_of_mu_density(1.0), pair, BesselMeasure(1.0))\n"
+            "except PostconditionError:\n"
+            "    print('raised')\n"
+        )
+        src = os.path.dirname(os.path.dirname(besselweights.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.stdout.split() == ["False", "raised"], out.stderr
 
     def test_partition_of_B(self):
         b = FuncExpr.log_of_mu_density(1.0)
