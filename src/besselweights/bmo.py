@@ -16,14 +16,17 @@ both defining half-mass inequalities hold exactly and fixes determinism.
 Superlevel sets of family functions are exact interval unions (sign
 splitting), so all set measures below are closed-form, not sampled.
 
-The median oscillation has two exact scans.  For a symbol that is one
-monotone piece on B, {|b - c| <= t} ∩ B is a window [x1, x2], so the
-quantity is half the smallest spread |b(x2) - b(x1)| over windows of
-w-mass (1 - s) w(B): a scalar minimisation over x1, with x2 from the
-closed-form mass.  For a piecewise-constant symbol, B is cut once into a
-table of (value, w-mass) cells, and every candidate centre c is scanned
-against that table; the rearrangement and the local mean oscillation of
-step symbols use the same table.
+Three kinds of symbol take three exact routes.  A piecewise-constant symbol
+cuts B once into a table of (value, w-mass) cells: its median, tail
+thresholds, rearrangement, median oscillation and local mean oscillation
+are all scans of that table.  A symbol that is one monotone piece on B has
+level sets [x1, x2] found by `measure.monotone_inverse`, the one scalar
+inverse: a level cut of the piece, a point of given mass, or a tail
+threshold (the tail is continuous in t).  Its median oscillation is half the
+smallest spread |b(x2) - b(x1)| over windows of w-mass (1 - s) w(B), a
+scalar minimisation over x1.  Any other symbol falls back to sign splitting,
+and its infima over the centre c to `_scan_minimum`, a value-range scan
+refined by a bounded minimiser.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConstructionError, PostconditionError, ZeroMassError
-from .measure import BesselMeasure, FuncExpr, Interval, dmu
+from .measure import BesselMeasure, FuncExpr, Interval, monotone_inverse
 from .weights import IntervalFamily, Weight
 
 __all__ = [
@@ -60,6 +63,8 @@ __all__ = [
 
 RefMeasure = BesselMeasure | Weight
 
+_C_SAMPLES = 64  # centres scanned for a symbol that is neither step nor monotone
+
 
 def mass_of(ref: RefMeasure, iv: Interval) -> float:
     """Mass of an interval under mu (BesselMeasure) or w dx (Weight)."""
@@ -68,8 +73,23 @@ def mass_of(ref: RefMeasure, iv: Interval) -> float:
     return ref.mass(iv)
 
 
+def _mass(ref: RefMeasure, lo: float, hi: float) -> float:
+    """Mass of (lo, hi), 0 when it is empty."""
+    return mass_of(ref, Interval(lo, hi)) if hi > lo else 0.0
+
+
 def superlevel_set(f: FuncExpr, gamma: float, B: Interval) -> tuple[Interval, ...]:
-    """{x in B : f(x) > gamma} as a disjoint interval union (strict >)."""
+    """{x in B : f(x) > gamma} as a disjoint interval union (strict >).
+
+    One monotone piece on B is cut where it crosses gamma, however close to
+    0 that is; other functions are split at their sampled sign changes.
+    """
+    mono = _monotone_piece(f, B)
+    if mono is not None:
+        p, inc = mono
+        cut = monotone_inverse(p.eval, gamma, B.a, B.b, inc)
+        lo, hi = (cut, B.b) if inc else (B.a, cut)
+        return (Interval(lo, hi),) if lo < hi else ()
     regions = (f - gamma).sign_regions(B)
     return tuple(iv for iv, sgn in regions if sgn > 0)
 
@@ -113,84 +133,35 @@ def _monotone_piece(g: FuncExpr, B: Interval, samples: int = 33):
     return None
 
 
-def _monotone_level_cut(p, B: Interval, y: float, increasing: bool) -> float:
-    """x in [B.a, B.b] where the monotone piece crosses level y (clipped)."""
-    from scipy.optimize import brentq
-
-    lo = B.a if B.a > 0.0 else B.b * 1e-15
-    va, vb = p.eval(lo), p.eval(B.b)
-    lo_val, hi_val = (va, vb) if increasing else (vb, va)
-    if y <= lo_val:
-        return lo if increasing else B.b
-    if y >= hi_val:
-        return B.b if increasing else lo
-    return float(brentq(lambda x: p.eval(x) - y, lo, B.b, rtol=1e-14))
-
-
-def _monotone_two_sided_tail(
-    g: FuncExpr, B: Interval, gamma: float, ref: RefMeasure
-) -> float | None:
-    """ref({x in B : |g(x)| > gamma}) when g is single-piece monotone on B."""
-    mono = _monotone_piece(g, B)
-    if mono is None:
-        return None
-    p, inc = mono
-    if gamma < 0.0:
-        return mass_of(ref, B)
-    a_eff = B.a if B.a > 0.0 else B.b * 1e-15
-    hi_cut = _monotone_level_cut(p, B, gamma, inc)     # crossing of g = +gamma
-    lo_cut = _monotone_level_cut(p, B, -gamma, inc)    # crossing of g = -gamma
-    total = 0.0
-    if inc:
-        # {g > gamma} = (hi_cut, b); {g < -gamma} = (a, lo_cut)
-        if hi_cut < B.b * (1 - 1e-15):
-            total += mass_of(ref, Interval(hi_cut, B.b))
-        if lo_cut > a_eff * (1 + 1e-12):
-            total += mass_of(ref, Interval(B.a, lo_cut))
-    else:
-        # {g > gamma} = (a, hi_cut); {g < -gamma} = (lo_cut, b)
-        if hi_cut > a_eff * (1 + 1e-12):
-            total += mass_of(ref, Interval(B.a, hi_cut))
-        if lo_cut < B.b * (1 - 1e-15):
-            total += mass_of(ref, Interval(lo_cut, B.b))
-    return total
+def _monotone_tail(p, inc: bool, B: Interval, ref: RefMeasure, c: float, t: float) -> float:
+    """ref({x in B : |p(x) - c| > t}) for a piece p monotone on B."""
+    cut = lambda y: monotone_inverse(p.eval, y, B.a, B.b, inc)
+    up, down = cut(c + t), cut(c - t)  # crossings of p = c + t and p = c - t
+    if inc:  # {p > c + t} = (up, b), {p < c - t} = (a, down)
+        return _mass(ref, up, B.b) + _mass(ref, B.a, down)
+    return _mass(ref, B.a, up) + _mass(ref, down, B.b)
 
 
 def median(b: FuncExpr, B: Interval, ref: RefMeasure) -> float:
     """Infimum median of b on B: inf{ g : ref({b > g} ∩ B) <= ref(B)/2 }.
 
     Both defining half-mass inequalities are re-verified exactly after the
-    computation (with a bisection-width slack for analytic symbols).
+    computation (with a root-width slack for analytic symbols).
     """
     total = mass_of(ref, B)
     half = 0.5 * total
     mono = _monotone_piece(b, B)
     if mono is not None:
-        # measure-bisection: alpha = b at the point splitting B into ref-halves
-        p, inc = mono
-        lo_x, hi_x = (B.a if B.a > 0.0 else B.b * 1e-15), B.b
-        for _ in range(200):
-            mid = math.sqrt(lo_x * hi_x) if lo_x > 0 else 0.5 * (lo_x + hi_x)
-            if mass_of(ref, Interval(B.a, mid)) < half:
-                lo_x = mid
-            else:
-                hi_x = mid
-            if hi_x - lo_x <= 1e-14 * hi_x:
-                break
-        cut = 0.5 * (lo_x + hi_x)
-        alpha = p.eval(cut)
+        # alpha = b at the point splitting B into two ref-halves
+        cut = monotone_inverse(lambda x: _mass(ref, B.a, x), half, B.a, B.b)
+        alpha = mono[0].eval(cut)
     elif b.restrict(B).is_piecewise_constant():
-        vals = sorted(
-            {p.atoms[0][0] for p in b.restrict(B).pieces}
-            | ({0.0} if _has_gap(b, B) else set())
+        # ref({b > g}) is a step function of g with jumps at the cell values
+        cells = _cell_table(b, B, ref)
+        alpha = next(
+            v for v in sorted({v for v, _ in cells})
+            if sum(mass for u, mass in cells if u > v) <= half * (1 + 1e-12)
         )
-        alpha = None
-        for v in vals:
-            if superlevel_measure(b, v, B, ref) <= half * (1 + 1e-12):
-                alpha = v
-                break
-        if alpha is None:  # pragma: no cover - max value always qualifies
-            alpha = vals[-1]
     else:
         lo, hi = _value_range(b, B)
         if superlevel_measure(b, lo, B, ref) <= half:
@@ -216,48 +187,32 @@ def median(b: FuncExpr, B: Interval, ref: RefMeasure) -> float:
     return alpha
 
 
-def _has_gap(f: FuncExpr, B: Interval) -> bool:
-    """True when the restriction leaves uncovered gaps (where f = 0)."""
-    covered = sum(min(p.hi, B.b) - max(p.lo, B.a) for p in f.restrict(B).pieces)
-    return covered < B.length * (1 - 1e-12)
-
-
 def quantile_threshold(
     b: FuncExpr, c: float, B: Interval, w: RefMeasure, s: float
 ) -> float:
     """inf{ t >= 0 : w({x in B : |b - c| > t}) <= s * w(B) }."""
-    total = mass_of(w, B)
-    target = s * total
+    return _threshold(b, c, B, w, s * mass_of(w, B), strict=False)
+
+
+def _threshold(
+    b: FuncExpr, c: float, B: Interval, w: RefMeasure, level: float, strict: bool
+) -> float:
+    """inf{ t >= 0 : w({x in B : |b - c| > t}) <= level } (< level when strict).
+
+    A step symbol scans its cell table, with the relative slack 1e-12 (or
+    -1e-14 when strict) against ties.  Otherwise the tail is continuous in
+    t, so the infimum is where it crosses level.
+    """
     if b.restrict(B).is_piecewise_constant():
-        return _step_threshold(_cell_table(b, B, w), c, target * (1 + 1e-12))
-    g = b - c
-    fast_tail = _monotone_two_sided_tail(g, B, 0.0, w)
-    if fast_tail is not None:
-        if fast_tail <= target * (1 + 1e-12):
-            return 0.0
-        lo_t, hi_t = 0.0, max(abs(v) for v in _value_range(g, B)) + 1e-300
-        for _ in range(80):
-            mid = 0.5 * (lo_t + hi_t)
-            if _monotone_two_sided_tail(g, B, mid, w) <= target * (1 + 1e-12):
-                hi_t = mid
-            else:
-                lo_t = mid
-            if hi_t - lo_t <= 1e-11 * max(1.0, hi_t):
-                break
-        return hi_t
-    dev = g.restrict(B).abs()
-    lo, hi = 0.0, max(_value_range(dev, B)[1], 1e-300)
-    if superlevel_measure(dev, lo, B, w) <= target:
-        return 0.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if superlevel_measure(dev, mid, B, w) <= target * (1 + 1e-12):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-    return hi
+        limit = level * (1 - 1e-14) if strict else level * (1 + 1e-12)
+        return _step_threshold(_cell_table(b, B, w), c, limit, strict)
+    mono = _monotone_piece(b, B)
+    if mono is not None:
+        tail = lambda t: _monotone_tail(*mono, B, w, c, t)
+    else:
+        dev = (b - c).restrict(B).abs()
+        tail = lambda t: superlevel_measure(dev, t, B, w)
+    return monotone_inverse(tail, level, 0.0, math.inf, increasing=False)
 
 
 # -- piecewise-constant cell table -------------------------------------------------
@@ -364,15 +319,13 @@ def weighted_bmo_norm(
     return _report(vals, family, f"weighted-L{p:g}({w.description})")
 
 
-def median_oscillation(
-    b: FuncExpr, w: RefMeasure, s: float, B: Interval, c_samples: int = 64
-) -> float:
+def median_oscillation(b: FuncExpr, w: RefMeasure, s: float, B: Interval) -> float:
     """inf over c of the s-quantile threshold of |b - c| on B.
 
     Piecewise-constant symbols: one (value, w-mass) cell table of B, scanned
     for every cell value and midpoint of two values as the centre c.
     One monotone piece on B: the window scan `_window_oscillation`.
-    Otherwise: a coarse grid over c plus golden-section refinement.
+    Otherwise: `_scan_minimum` over c in the sampled value range of b.
     """
     if not (0.0 < s <= 0.5):
         raise ValueError("s must lie in (0, 1/2]")
@@ -386,71 +339,47 @@ def median_oscillation(
     lo, hi = _value_range(b, B)
     if hi - lo <= 1e-14 * max(1.0, abs(hi)):
         return 0.0
-    objective = lambda c: quantile_threshold(b, float(c), B, w, s)
-    grid = np.linspace(lo, hi, c_samples)
-    coarse = [objective(c) for c in grid]
-    i_best = int(np.argmin(coarse))
-    a = grid[max(0, i_best - 1)]
-    bb = grid[min(len(grid) - 1, i_best + 1)]
-    phi_ratio = (math.sqrt(5) - 1) / 2
-    x1 = bb - phi_ratio * (bb - a)
-    x2 = a + phi_ratio * (bb - a)
-    f1, f2 = objective(x1), objective(x2)
-    for _ in range(60):
-        if f1 <= f2:
-            bb, x2, f2 = x2, x1, f1
-            x1 = bb - phi_ratio * (bb - a)
-            f1 = objective(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi_ratio * (bb - a)
-            f2 = objective(x2)
-        if bb - a <= 1e-9 * max(1.0, abs(bb)):
-            break
-    return min(coarse[i_best], f1, f2)
+    return _scan_minimum(lambda c: quantile_threshold(b, c, B, w, s), lo, hi, _C_SAMPLES)
+
+
+def _scan_minimum(f, lo: float, hi: float, samples: int) -> float:
+    """Smallest value of f found on [lo, hi].
+
+    Unimodality is not assumed: a scan of `samples` points including both
+    ends, then a bounded minimiser on the bracket around the best of them,
+    and the minimum over all of these.  The minimiser works in the offset
+    from the best point, because its built-in tolerance sqrt(eps) |x| would
+    stop it 1e-8 short of a kinked minimum.
+    """
+    from scipy.optimize import minimize_scalar
+
+    xs = np.linspace(lo, hi, samples)
+    coarse = [f(float(x)) for x in xs]
+    i = int(np.argmin(coarse))
+    x0 = float(xs[i])
+    bracket = (float(xs[max(0, i - 1)]) - x0, float(xs[min(samples - 1, i + 1)]) - x0)
+    refined = minimize_scalar(
+        lambda v: f(x0 + v), bounds=bracket, method="bounded",
+        options={"xatol": 1e-12 * max(abs(lo), abs(hi))},
+    )
+    return min(min(coarse), float(refined.fun))
 
 
 def _window_oscillation(p, B: Interval, w: RefMeasure, s: float) -> float:
     """Half the smallest spread |p(x2) - p(x1)| of the monotone piece p over
-    windows [x1, x2] in B of w-mass (1 - s) w(B), x1 in [a_eff, x1max].
-
-    Unimodality in x1 is not proven, so both ends and a coarse scan are
-    evaluated, the best bracket is refined by a bounded minimiser, and the
-    minimum over all of them is returned.
-    """
-    from scipy.optimize import brentq, minimize_scalar
-
-    a_eff = B.a if B.a > 0.0 else B.b * 1e-15
-    lo, hi = sorted((p.eval(a_eff), p.eval(B.b)))
-    if hi - lo <= 1e-14 * max(1.0, abs(hi)):
-        return 0.0
+    windows [x1, x2] in B of w-mass (1 - s) w(B), x1 in [B.a, x1max]."""
     total = mass_of(w, B)
     need = (1.0 - s) * total
-    cum = lambda x: mass_of(w, Interval(B.a, x)) if x > B.a else 0.0
-
-    def level_point(level: float, x_lo: float) -> float:
-        """x in [x_lo, B.b] with w((B.a, x)) = level, clipped to the ends."""
-        if cum(x_lo) >= level:
-            return x_lo
-        if total <= level:
-            return B.b
-        # relative tolerance only: an absolute one would swamp small x
-        return brentq(lambda x: cum(x) - level, x_lo, B.b, xtol=1e-300)
+    cum = lambda x: _mass(w, B.a, x)
 
     def spread(x1: float) -> float:
-        return abs(p.eval(level_point(cum(x1) + need, x1)) - p.eval(x1))
+        if x1 == 0.0:  # p(0+) may be infinite; the minimiser nears 0 from inside
+            return math.inf
+        x2 = monotone_inverse(cum, cum(x1) + need, x1, B.b)
+        return abs(p.eval(x2) - p.eval(x1))
 
-    x1max = level_point(total - need, a_eff)
-    if x1max <= a_eff:
-        return 0.5 * spread(a_eff)
-    xs = np.linspace(a_eff, x1max, 17)
-    coarse = [spread(float(x)) for x in xs]
-    i = int(np.argmin(coarse))
-    bracket = (float(xs[max(0, i - 1)]), float(xs[min(len(xs) - 1, i + 1)]))
-    refined = minimize_scalar(
-        spread, bounds=bracket, method="bounded", options={"xatol": 1e-12 * x1max}
-    )
-    return 0.5 * min(min(coarse), float(refined.fun))
+    x1max = monotone_inverse(cum, total - need, B.a, B.b)
+    return 0.5 * _scan_minimum(spread, B.a, x1max, 17)
 
 
 def bmo_median_norm(
@@ -475,38 +404,18 @@ def rearrangement(b: FuncExpr, w: RefMeasure, t: float, hull: Interval | None = 
     H = hull or b.support_bounds()
     if H is None:
         return 0.0
-    if _monotone_piece(b, H) is not None:
-        dist = lambda g: _monotone_two_sided_tail(b, H, g, w)
-        hi = max(abs(v) for v in _value_range(b, H)) + 1e-300
-    elif b.restrict(H).is_piecewise_constant():
-        return _step_threshold(_cell_table(b, H, w), 0.0, t * (1 - 1e-14), strict=True)
-    else:
-        dev = b.restrict(H).abs()
-        dist = lambda g: superlevel_measure(dev, g, H, w)
-        hi = max(_value_range(dev, H)[1], 1e-300)
-    if dist(0.0) < t * (1 - 1e-14):
-        return 0.0
-    if dist(hi) >= t:
-        return hi
-    lo = 0.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if dist(mid) < t * (1 - 1e-14):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-    return hi
+    return _threshold(b, 0.0, H, w, t, strict=True)
 
 
 def local_mean_oscillation(
-    b: FuncExpr, B: Interval, lambda_frac: float, w: RefMeasure, c_samples: int = 64
+    b: FuncExpr, B: Interval, lambda_frac: float, w: RefMeasure
 ) -> tuple[float, float]:
     """(inf over c of ((b-c) chi_B)*(lambda_frac w(B)),
         the same with c = the infimum median).
 
-    The first is at most the second, which is at most twice the first.
+    The first is at most the second, which is at most twice the first.  For
+    one monotone piece the tail is continuous, so the infimum is the window
+    form of the median oscillation at s = lambda_frac.
     """
     if not (0.0 < lambda_frac < 1.0):
         raise ValueError("lambda_frac must lie in (0,1)")
@@ -518,10 +427,13 @@ def local_mean_oscillation(
         a_check = min(reference(c) for c in _step_centres(cells) | {alpha})
         return a_check, reference(alpha)
     reference = lambda c: rearrangement((b - c).restrict(B), w, t_arg, hull=B)
-    lo, hi = _value_range(b, B)
-    grid = list(np.linspace(lo, hi, c_samples)) + [alpha]
-    a_check = min(reference(float(c)) for c in grid)
-    return a_check, reference(alpha)
+    a_med = reference(alpha)
+    mono = _monotone_piece(b, B)
+    if mono is not None:
+        a_check = _window_oscillation(mono[0], B, w, lambda_frac)
+    else:
+        a_check = _scan_minimum(reference, *_value_range(b, B), _C_SAMPLES)
+    return min(a_check, a_med), a_med
 
 
 def median_stability_check(
@@ -542,31 +454,10 @@ def median_stability_check(
 
 
 def _resize_to_mass(B: Interval, target: float, w: RefMeasure) -> Interval:
-    current = mass_of(w, B)
-    if target >= current:
-        hi = B.b
-        for _ in range(200):
-            hi = B.a + (hi - B.a) * 2.0
-            if mass_of(w, Interval(B.a, hi)) >= target:
-                break
-        else:
-            raise ConstructionError("cannot reach the enlarged mass target")
-        lo = B.b
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if mass_of(w, Interval(B.a, mid)) >= target:
-                hi = mid
-            else:
-                lo = mid
-        return Interval(B.a, hi)
-    lo, hi = B.a, B.b
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if mass_of(w, Interval(B.a, mid)) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return Interval(B.a, hi)
+    x = monotone_inverse(lambda x: _mass(w, B.a, x), target, B.a, math.inf)
+    if math.isinf(x):
+        raise ConstructionError("cannot reach the enlarged mass target")
+    return Interval(B.a, x)
 
 
 # -- VMO defect -----------------------------------------------------------------

@@ -9,7 +9,6 @@ directory.  Exit status: 0 when every check passes, 2 when any check fails,
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 
@@ -45,7 +44,6 @@ def _common_options(fn):
     fn = click.option("--out", "out_dir", type=click.Path(), default="results",
                       help="output directory for CSV artifacts")(fn)
     fn = click.option("--seed", type=int, default=None, help="override the config seed")(fn)
-    fn = click.option("--jobs", type=int, default=1, help="parallel scenarios (for `all`)")(fn)
     return fn
 
 
@@ -68,7 +66,7 @@ def main(ctx, list_scenarios):
 def _make_command(scenario_name: str):
     @main.command(name=scenario_name, help=SCENARIOS[scenario_name][1])
     @_common_options
-    def _cmd(config_path, out_dir, seed, jobs):  # noqa: ARG001 (jobs unused here)
+    def _cmd(config_path, out_dir, seed):
         try:
             verdict = _run_one(scenario_name, config_path, out_dir, seed)
         except ConfigError as exc:
@@ -88,20 +86,13 @@ for _name in SCENARIOS:
 
 @main.command(name="all", help="run every scenario")
 @_common_options
-def run_all(config_path, out_dir, seed, jobs):
+def run_all(config_path, out_dir, seed):
     if config_path:
         click.echo("`all` uses the shipped per-scenario configs; --config is "
                    "only valid for single scenarios", err=True)
         sys.exit(EXIT_ERROR)
-    names = list(SCENARIOS)
     try:
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                verdicts = list(
-                    pool.map(lambda n: _run_one(n, None, out_dir, seed), names)
-                )
-        else:
-            verdicts = [_run_one(n, None, out_dir, seed) for n in names]
+        verdicts = [_run_one(n, None, out_dir, seed) for n in SCENARIOS]
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_ERROR)

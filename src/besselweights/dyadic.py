@@ -80,26 +80,22 @@ class DyadicCube:
         iv = self.interval
         return iv.a <= x < iv.b
 
-    def ancestor(self, level: int) -> "DyadicCube":
-        if level > self.level:
-            raise ValueError("ancestor level must not exceed cube level")
-        return DyadicCube(level, self.index >> (self.level - level))
-
 
 def build_grid(domain: Interval, min_level: int, max_level: int) -> list[DyadicCube]:
     """All cubes of levels min_level..max_level meeting the domain."""
     if min_level > max_level:
         raise ValueError("min_level must not exceed max_level")
-    out: list[DyadicCube] = []
+    ranges = []  # (level, k_lo, k_hi): the index range scanned on each level
     for j in range(min_level, max_level + 1):
         side = 2.0**-j
         k_lo = max(0, int(math.floor(domain.a / side)))
         if k_lo * side + side <= domain.a:  # guard float floor
             k_lo += 1
-        k_hi = int(math.ceil(domain.b / side))
-        count = max(0, k_hi - k_lo)
-        if len(out) + count > _MAX_CUBES:
-            raise ValueError("grid would exceed the cube-count guard (1e7)")
+        ranges.append((j, k_lo, int(math.ceil(domain.b / side))))
+    if sum(max(0, k_hi - k_lo) for _, k_lo, k_hi in ranges) > _MAX_CUBES:
+        raise ValueError("grid would exceed the cube-count guard (1e7)")
+    out: list[DyadicCube] = []
+    for j, k_lo, k_hi in ranges:
         for k in range(k_lo, k_hi):
             cube = DyadicCube(j, k)
             iv = cube.interval

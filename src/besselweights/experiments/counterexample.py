@@ -28,7 +28,12 @@ import numpy as np
 
 from ..bmo import bmo_triangle_norm, log_mu_oscillation_endpoint_form
 from ..measure import BesselMeasure, FuncExpr, Interval, dmu
-from ..riesz import RieszKernelEvaluator, counterexample_g, counterexample_profile
+from ..riesz import (
+    RieszKernelEvaluator,
+    counterexample_g,
+    counterexample_inverse,
+    counterexample_profile,
+)
 from ..weights import IntervalFamily
 from .config import ScenarioConfig
 from .csvio import write_csv
@@ -80,22 +85,9 @@ def run_counterexample(cfg: ScenarioConfig) -> Verdict:
         )
         # analytic slope anchor: t * X_t^{2 lam + 1} gains eps^{2 lam} per e-fold
         g, x0 = counterexample_g(lam, eps)
-        m = BesselMeasure(lam)
         anchors = []
         for t in (1e-7, 1e-9, 1e-11):
-            hi = x0
-            while g(hi) > t:
-                hi *= 2.0
-            lo = hi / 2.0
-            for _ in range(200):
-                mid = math.sqrt(lo * hi)
-                if g(mid) > t:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo <= 1e-14 * hi:
-                    break
-            X = 0.5 * (lo + hi)
+            X = counterexample_inverse(g, x0, t)
             anchors.append((t * X ** (2 * lam + 1), math.log(X)))
         slopes = [
             (p2 - p1) / (l2 - l1)

@@ -44,10 +44,8 @@ __all__ = [
     "dmu",
     "dnu",
     "FuncExpr",
-    "integrate",
     "integrate_callable",
-    "mu_interval",
-    "nu_interval",
+    "monotone_inverse",
     "power_log_integral",
 ]
 
@@ -188,9 +186,6 @@ class BesselMeasure:
     def nu(self, class_lambda: float, B: Interval) -> float:
         """nu_c(B) = integral of x^{2c+1} dx over B (closed form)."""
         return power_log_integral(2.0 * class_lambda + 1.0, 0, B.a, B.b)
-
-    def mu_density(self, x: float) -> float:
-        return x ** (2.0 * self.lam)
 
     def doubling_ratio(self, center: float, r: float) -> float:
         """mu((c-2r, c+2r) ∩ R_+) / mu((c-r, c+r) ∩ R_+)."""
@@ -335,9 +330,6 @@ class FuncExpr:
             return 0.0
         p = self.pieces[i]
         return p.eval(x) if x < p.hi else 0.0
-
-    def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        return np.array([self(float(x)) for x in xs])
 
     @staticmethod
     def _piece_eval_grid(p: Piece, xs: np.ndarray) -> np.ndarray:
@@ -611,23 +603,59 @@ def _zero_cell_lp_quad(
 
 
 # ---------------------------------------------------------------------------
-# Free-function forms of the basic operations.
+# The scalar inverse of monotone functions.
 # ---------------------------------------------------------------------------
 
-
-def mu_interval(m: BesselMeasure, B: Interval) -> float:
-    """mu(B); always positive for nondegenerate intervals."""
-    return m.mu(B)
+_LOG_X_RANGE = 700.0  # exp(+-700) stays inside the double range
 
 
-def nu_interval(m: BesselMeasure, class_lambda: float, B: Interval) -> float:
-    """nu_c(B); divergence at 0 is detected symbolically."""
-    return m.nu(class_lambda, B)
+def monotone_inverse(
+    f: Callable[[float], float],
+    level: float,
+    lo: float,
+    hi: float,
+    increasing: bool = True,
+) -> float:
+    """x in [lo, hi] where the monotone f reaches level, clipped to the ends:
+    lo when f is already past level there, hi when f never gets there.
 
+    The search runs in u = log x to the tolerance 1e-15, which is relative
+    in x only: no absolute floor swamps a crossing at 1e-50.  lo = 0 and
+    hi = inf are allowed: an open end is walked out from the other end (or
+    from x = 1) in doubling steps of u, no further than exp(+-700).  f is
+    called at x > 0 only, and never outside [lo, hi].
+    """
+    sign = 1.0 if increasing else -1.0
+    if lo > 0.0 and sign * (f(lo) - level) >= 0.0:
+        return lo
+    if hi < math.inf and sign * (f(hi) - level) <= 0.0:
+        return hi
+    log_lo = math.log(lo) if lo > 0.0 else -math.inf
+    log_hi = math.log(hi) if hi < math.inf else math.inf
 
-def integrate(f: FuncExpr, B: Interval, kind: MeasureKind) -> float:
-    """Exact integral of a family member against x^e dx over B."""
-    return f.integrate(B, kind)
+    def x_of(u: float) -> float:
+        return lo if u <= log_lo else hi if u >= log_hi else min(max(math.exp(u), lo), hi)
+
+    def g(u: float) -> float:  # nondecreasing in u, negative below the crossing
+        return sign * (f(x_of(u)) - level)
+
+    a, b = log_lo, log_hi
+    if math.isinf(a) or math.isinf(b):
+        if math.isinf(a) and math.isinf(b):
+            anchor, up = 0.0, g(0.0) < 0.0
+        else:
+            anchor, up = (a, True) if math.isinf(b) else (b, False)
+        reach = _LOG_X_RANGE - anchor if up else _LOG_X_RANGE + anchor
+        near, step = anchor, 1.0
+        while True:
+            u = anchor + step if up else anchor - step
+            if (g(u) >= 0.0) == up:
+                break
+            if step >= reach:
+                return hi if up else lo
+            near, step = u, min(2.0 * step, reach)
+        a, b = (near, u) if up else (u, near)
+    return x_of(brentq(g, a, b, xtol=1e-15))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,14 @@ from scipy.integrate import IntegrationWarning, quad
 
 from .bmo import median
 from .errors import ConstructionError, PostconditionError, SupportError
-from .measure import BesselMeasure, FuncExpr, Interval, dmu, integrate_callable
+from .measure import (
+    BesselMeasure,
+    FuncExpr,
+    Interval,
+    dmu,
+    integrate_callable,
+    monotone_inverse,
+)
 
 __all__ = [
     "RieszKernelEvaluator",
@@ -54,6 +61,7 @@ __all__ = [
     "median_split",
     "lower_bound_check",
     "counterexample_g",
+    "counterexample_inverse",
     "counterexample_profile",
 ]
 
@@ -373,15 +381,21 @@ def counterexample_g(lam: float, epsilon: float):
     return g, x0
 
 
+def counterexample_inverse(g, x0: float, t: float) -> float:
+    """X_t with g(X_t) = t on the decreasing tail, so that {x > x0 : g(x) > t}
+    = (x0, X_t); X_t = x0 when t >= g(x0)."""
+    return monotone_inverse(g, t, x0, math.inf, increasing=False)
+
+
 def counterexample_profile(
     lam: float, epsilon: float, t_grid: Sequence[float]
 ) -> list[tuple[float, float]]:
     """(t, t * mu({x > x0 : g(x) > t})) rows.
 
-    On the decreasing tail the superlevel set is (x0, g^{-1}(t)); the inverse
-    is found by bisection.  Thresholds above g(x0) give the empty set and a
-    zero product (legal).  The product grows like eps^{2 lam} log(1/t), i.e.
-    without bound but only logarithmically.
+    On the decreasing tail the superlevel set is (x0, g^{-1}(t)), with the
+    inverse from `counterexample_inverse`.  Thresholds above g(x0) give the
+    empty set and a zero product (legal).  The product grows like
+    eps^{2 lam} log(1/t), i.e. without bound but only logarithmically.
     """
     if any(t <= 0 for t in t_grid):
         raise ValueError("thresholds must be positive")
@@ -392,18 +406,6 @@ def counterexample_profile(
         if t >= g(x0):
             rows.append((t, 0.0))
             continue
-        hi = x0
-        while g(hi) > t:
-            hi *= 2.0
-        lo = hi / 2.0
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
-            if g(mid) > t:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-14 * hi:
-                break
-        X = 0.5 * (lo + hi)
+        X = counterexample_inverse(g, x0, t)
         rows.append((t, t * m.mu(Interval(x0, X))))
     return rows

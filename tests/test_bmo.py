@@ -281,6 +281,63 @@ class TestWindowScan:
                 assert val == pytest.approx(float(exact), rel=1e-12)
 
 
+class TestMassNearZero:
+    """b = 2 log x under w = x^-0.99 on (0, 1): w((0, x)) = 100 x^0.01, so
+    the cuts that matter sit at 1e-30 to 1e-61, far below 1e-15 |B|."""
+
+    B = Interval(0.0, 1.0)
+    W = Weight.power(-0.99)
+
+    def test_median(self):
+        # w((0, x)) = 50 at x = 2^-100
+        assert median(LOGB, self.B, self.W) == pytest.approx(200 * math.log(0.5), rel=1e-12)
+
+    def test_quantile_threshold(self):
+        # in v = x^0.01 the tail at c = 200 ln(1/2) is 100 (1 - sinh(t/200)),
+        # which is 50 at exp(t/200) = (1 + sqrt 5)/2
+        val = quantile_threshold(LOGB, 200 * math.log(0.5), self.B, self.W, 0.5)
+        assert val == pytest.approx(200 * math.log((1 + math.sqrt(5)) / 2), rel=1e-12)
+
+    def test_median_oscillation(self):
+        # the best window is [4^-100, 1], of spread 200 ln 4
+        val = median_oscillation(LOGB, self.W, 0.25, self.B)
+        assert val == pytest.approx(100 * math.log(4), rel=1e-12)
+
+
+class TestGenericSymbol:
+    """(log x)^2 on (1/e, e) under dx is neither a step nor monotone.  With
+    u = log x in (-1, 1) and dx = e^u du, {b > g} has mass
+    2 (sinh 1 - sinh sqrt(g)), which gives every oracle below."""
+
+    B = Interval(math.exp(-1.0), math.exp(1.0))
+    b = FuncExpr.log_power(1.0, 0.0, 2)
+
+    def test_against_mpmath(self):
+        mp.mp.dps = 40
+        w, sh1 = Weight.one(), mp.sinh(1)
+        assert median(self.b, self.B, w) == pytest.approx(
+            float(mp.asinh(sh1 / 2) ** 2), rel=1e-11)
+        # c = 0.2, s = 0.25: {|b - c| > t} = {u^2 > c + t} + {u^2 < c - t}
+        c, s = mp.mpf("0.2"), mp.mpf("0.25")
+        tail = lambda t: 2 * (sh1 - mp.sinh(mp.sqrt(c + t))) + (
+            2 * mp.sinh(mp.sqrt(c - t)) if t < c else 0)
+        exact = mp.findroot(lambda t: tail(t) - 2 * s * sh1, (mp.mpf("0.21"), mp.mpf("0.7")),
+                            solver="anderson")
+        assert quantile_threshold(self.b, 0.2, self.B, w, 0.25) == pytest.approx(
+            float(exact), rel=1e-11)
+        # the best value window is [0, r^2] with 2 sinh r = (1 - s) 2 sinh 1
+        best = mp.asinh((1 - s) * sh1) ** 2 / 2
+        assert median_oscillation(self.b, w, 0.25, self.B) == pytest.approx(
+            float(best), rel=1e-9)
+        # {|b| > g} has mass 1 at sinh sqrt(g) = sinh 1 - 1/2
+        assert rearrangement(self.b.restrict(self.B), w, 1.0, hull=self.B) == pytest.approx(
+            float(mp.asinh(sh1 - mp.mpf(1) / 2) ** 2), rel=1e-11)
+        # the tail is continuous, so the local mean oscillation at 1/4 has
+        # the median oscillation at s = 1/4 as its infimum
+        a_check, a_med = local_mean_oscillation(self.b, self.B, 0.25, w)
+        assert float(best) * (1 - 1e-9) <= a_check <= a_med
+
+
 def _per_candidate_threshold(b, c, B, w, limit, strict):
     """Reference step scan: |b - c| on B built as a FuncExpr for this c."""
     dev = (b - c).restrict(B).abs()
@@ -331,6 +388,11 @@ class TestCellTable:
             assert median_oscillation(b, w, s, B) == min(
                 _per_candidate_threshold(b, c, B, w, limit, False) for c in cands)
             alpha = median(b, B, w)
+            # reference median: the first candidate value whose superlevel set,
+            # built by sign splitting, holds at most half the mass
+            half = 0.5 * mass_of(w, B)
+            assert alpha == next(v for v in sorted(set(vals))
+                                 if superlevel_measure(b, v, B, w) <= half * (1 + 1e-12))
             ref = lambda c: _per_candidate_threshold(b, c, B, w, t_arg * (1 - 1e-14), True)
             assert local_mean_oscillation(b, B, frac, w) == (
                 min(ref(c) for c in cands | {alpha}), ref(alpha))
@@ -423,12 +485,23 @@ class TestMedianStability:
     def test_continuous_symbol_at_half(self):
         # for continuous monotone symbols the bound holds even at fraction 1/2
         rng = np.random.default_rng(41)
+        w = Weight.one()
         for _ in range(50):
             a = float(10.0 ** rng.uniform(-2, 1))
             B = Interval(a, a * float(rng.uniform(1.5, 6.0)))
             eps = float(rng.uniform(0.01, 0.3))
-            lhs, rhs = median_stability_check(LOGB, B, eps, 0.5, Weight.one())
+            lhs, rhs = median_stability_check(LOGB, B, eps, 0.5, w)
             assert lhs <= rhs * (1 + 1e-9) + 1e-12
+            # the exact infimum over c is at most the minimum over the
+            # 64-point value grid plus the median that it replaced
+            a_check, a_med = local_mean_oscillation(LOGB, B, 0.5, w)
+            xs = np.geomspace(B.a, B.b * (1 - 1e-12), 65)
+            grid = list(np.linspace(LOGB(B.a), LOGB(float(xs[-1])), 64)) + [median(LOGB, B, w)]
+            t_arg = 0.5 * w.mass(B)
+            a_grid = min(rearrangement((LOGB - float(c)).restrict(B), w, t_arg, hull=B)
+                         for c in grid)
+            assert a_check <= a_grid
+            assert a_check <= a_med == rhs
 
     def test_inequality_seeded(self):
         rng = np.random.default_rng(31)

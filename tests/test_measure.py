@@ -15,6 +15,7 @@ from besselweights.measure import (
     Interval,
     dmu,
     integrate_callable,
+    monotone_inverse,
     power_log_integral,
 )
 
@@ -188,6 +189,24 @@ class TestFuncExpr:
         f = FuncExpr.piecewise_constant([0.1, 1.0, 2.0], [c0, c1])
         m = BesselMeasure(lam)
         assert f.integrate(Interval(0.1, 2.0), dmu(m)) >= 0.0
+
+
+class TestMonotoneInverse:
+    def test_relative_precision_from_zero(self):
+        # the lower end 0 is walked out in log x; no absolute floor swamps 1e-51
+        x = monotone_inverse(math.log, math.log(1e-51), 0.0, 1.0)
+        assert x == pytest.approx(1e-51, rel=1e-13)
+
+    def test_open_upper_end_decreasing(self):
+        x = monotone_inverse(lambda x: 1.0 / x, 1e-3, 1.0, math.inf, increasing=False)
+        assert x == pytest.approx(1e3, rel=1e-14)
+
+    def test_clipped_to_the_ends(self):
+        f = lambda x: x
+        assert monotone_inverse(f, 0.5, 1.0, 2.0) == 1.0
+        assert monotone_inverse(f, 5.0, 1.0, 2.0) == 2.0
+        assert monotone_inverse(f, 1e-320, 0.0, 1.0) == 0.0
+        assert monotone_inverse(f, 1e306, 1.0, math.inf) == math.inf
 
 
 class TestQuadratureFallback:
