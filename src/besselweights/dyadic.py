@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 _MAX_CUBES = 10**7
+# stopping threshold, in units of the parent/child measure-ratio bound 2^{2 lam + 1}
+_STOP_FACTOR = 2.0
 
 
 @dataclass(frozen=True, order=True)
@@ -302,36 +304,50 @@ def zero_chain(levels: Sequence[int]) -> list[DyadicCube]:
 
 
 def stopping_cubes(
-    f: FuncExpr,
+    f: FuncExpr, root: DyadicCube, m: BesselMeasure, max_level: int
+) -> list[DyadicCube]:
+    """Stopping-time family: starting from root, children-maximal cubes whose
+    |f| mu-average exceeds twice the parent/child measure-ratio bound
+    2^{2 lam + 1} times the parent's, recursively.
+
+    That threshold exceeds the ratio bound, so the selected children of each
+    stopping cube occupy at most half its measure, and the family is
+    1/2-sparse via canonical_major_subsets.
+    """
+    f_abs = f.restrict(root.interval).abs()
+    return _stopping_walk(root, m, max_level, lambda R: lambda P: m.average(f_abs, P.interval))
+
+
+def _stopping_walk(
     root: DyadicCube,
     m: BesselMeasure,
     max_level: int,
-    threshold_factor: float | None = None,
+    score_under: Callable[[DyadicCube], Callable[[DyadicCube], float]],
 ) -> list[DyadicCube]:
-    """Stopping-time family: starting from root, children-maximal cubes whose
-    |f| mu-average exceeds threshold_factor times the parent's, recursively.
+    """root and every stopping cube below it, sorted.
 
-    With threshold_factor >= the parent/child measure ratio bound the selected
-    children of each stopping cube occupy at most half its measure, so the
-    family is 1/2-sparse via canonical_major_subsets.
+    score_under(R) scores the cubes under the stopping ancestor R.  A
+    descendant P of R, at most max_level deep, stops when its score exceeds
+    _STOP_FACTOR * 2^{2 lam + 1} times R's own; stopping cubes re-anchor the
+    walk, the others are expanded.  An anchor scoring 0 selects nothing.
     """
-    if threshold_factor is None:
-        threshold_factor = 2.0 * 2.0 ** (2.0 * m.lam + 1.0)
-    f_abs = f.restrict(root.interval).abs()
+    threshold = _STOP_FACTOR * 2.0 ** (2.0 * m.lam + 1.0)
     out = [root]
     stack = [root]
     while stack:
-        Q = stack.pop()
-        base = m.average(f_abs, Q.interval)
-        frontier = list(Q.children())
+        R = stack.pop()
+        score = score_under(R)
+        base = score(R)
+        if base <= 0.0:
+            continue
+        frontier = list(R.children())
         while frontier:
-            child = frontier.pop()
-            if child.level > max_level:
+            P = frontier.pop()
+            if P.level > max_level:
                 continue
-            avg = m.average(f_abs, child.interval)
-            if avg > threshold_factor * base and base > 0.0:
-                out.append(child)
-                stack.append(child)
-            else:
-                frontier.extend(child.children() if child.level < max_level else ())
+            if score(P) > threshold * base:
+                out.append(P)
+                stack.append(P)
+            elif P.level < max_level:
+                frontier.extend(P.children())
     return sorted(set(out))

@@ -663,13 +663,15 @@ def monotone_inverse(
 # ---------------------------------------------------------------------------
 
 
+_QUAD_ABS_FLOOR = 1e-300  # absolute accuracy asked of quad next to rel_tol
+
+
 def integrate_callable(
     g: Callable[[float], float],
     B: Interval,
     kind: MeasureKind = DX,
     points: Sequence[float] | None = None,
     rel_tol: float = 1e-10,
-    abs_floor: float = 1e-300,
 ) -> float:
     """integral of g(x) * x^e dx over B by adaptive quadrature.
 
@@ -689,7 +691,7 @@ def integrate_callable(
             B.b,
             points=interior or None,
             limit=200,
-            epsabs=abs_floor,
+            epsabs=_QUAD_ABS_FLOOR,
             epsrel=rel_tol,
         )
     if not math.isfinite(val):

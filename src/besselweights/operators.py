@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .dyadic import DyadicCube, SparseFamily
+from .dyadic import DyadicCube, SparseFamily, _stopping_walk
 from .errors import PreconditionError, ZeroMassError
 from .measure import DX, BesselMeasure, FuncExpr, Interval, dmu
 from .orlicz import (
@@ -286,44 +286,22 @@ def _apply_young_piecewise(psi: YoungFunction, f_abs: FuncExpr, scale: float) ->
 
 
 def oscillation_stopping_tree(
-    b: FuncExpr,
-    root: DyadicCube,
-    m: BesselMeasure,
-    max_level: int,
-    factor: float = 2.0,
+    b: FuncExpr, root: DyadicCube, m: BesselMeasure, max_level: int
 ) -> list[DyadicCube]:
     """Stopping cubes for the oscillation of b under root.
 
     Starting from the root, a descendant P stops when the mu-average of
-    |b - b_R| over P exceeds factor * C0 times its average over the current
+    |b - b_R| over P exceeds 2 * C0 times its average over the current
     stopping ancestor R (C0 the parent/child measure-ratio bound); stopping
     cubes re-anchor the recursion.  Every chain from the root into the tree is
     included implicitly by expanding non-stopping children.
     """
-    c0 = 2.0 ** (2.0 * m.lam + 1.0)
-    out = [root]
-    stack = [root]
-    while stack:
-        R = stack.pop()
-        bR = cube_average(b, R, m)
-        oscR = m.average((b - FuncExpr.constant(bR)).restrict(R.interval).abs(), R.interval)
-        if oscR <= 0.0:
-            continue
-        frontier = list(R.children())
-        while frontier:
-            P = frontier.pop()
-            if P.level > max_level:
-                continue
-            oscP = m.average(
-                (b - FuncExpr.constant(bR)).restrict(P.interval).abs(), P.interval
-            )
-            if oscP > factor * c0 * oscR:
-                out.append(P)
-                stack.append(P)
-            else:
-                if P.level < max_level:
-                    frontier.extend(P.children())
-    return sorted(set(out))
+
+    def score_under(R: DyadicCube) -> Callable[[DyadicCube], float]:
+        g = b - FuncExpr.constant(cube_average(b, R, m))
+        return lambda P: m.average(g.restrict(P.interval).abs(), P.interval)
+
+    return _stopping_walk(root, m, max_level, score_under)
 
 
 def oscillation_expansion_sides(

@@ -5,10 +5,13 @@ Young function phi and an interval B is the Luxemburg gauge
 
     ||f||_{phi,B} = inf { s > 0 : (1/mu(B)) int_B phi(|f|/s) dmu <= 1 },
 
-computed here by bisection in s (the inner average is decreasing in s).  The
+computed here as the s where the inner average, decreasing in s, falls to 1.
+That level crossing and the inverses phi^{-1} both go through
+measure.monotone_inverse, which searches in log s with a relative tolerance
+only, so gauges and inverses stay accurate down to exp(-700).  The
 complementary function phibar(s) = sup_t (s*t - phi(t)) is evaluated by
-ternary search on the concave inner function; inverses are guarded bisections.
-No closed forms are assumed anywhere.
+ternary search on the concave inner function.  No closed forms are assumed
+anywhere.
 
 Two scalar constants drive the endpoint estimates:
 
@@ -41,6 +44,7 @@ from .measure import (
     Interval,
     dmu,
     integrate_callable,
+    monotone_inverse,
 )
 
 __all__ = [
@@ -116,24 +120,13 @@ class YoungFunction:
         return _guarded(self.fn, t)
 
     def inverse(self, y: float) -> float:
-        """phi^{-1}(y) by guarded bisection on [0, 1e300]."""
+        """phi^{-1}(y): the t >= 0 where phi reaches y, by monotone_inverse."""
         if y <= 0.0:
             return 0.0
-        hi = 1.0
-        while self(hi) < y:
-            hi *= 4.0
-            if hi > _HUGE:
-                raise ValueError(f"{self.name}: inverse bracket overflow at y={y:g}")
-        lo = hi / 4.0 if hi > 1.0 else 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self(mid) < y:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-14 * hi:
-                break
-        return 0.5 * (lo + hi)
+        t = monotone_inverse(self, y, 0.0, math.inf)
+        if math.isinf(t):
+            raise ValueError(f"{self.name}: phi stays below y={y:g} up to exp(700)")
+        return t
 
     def is_superlinear(self) -> bool:
         """phi(t)/t -> inf; required for a finite complementary function."""
@@ -169,7 +162,7 @@ def power_young(p: float) -> YoungFunction:
 
 def exp_m1(rate: float = 1.0) -> YoungFunction:
     """exp(rate * t) - 1; exponential integrability scale."""
-    return YoungFunction(lambda t: math.exp(rate * t) - 1.0, f"ExpM1({rate:g})")
+    return YoungFunction(lambda t: math.expm1(rate * t), f"ExpM1({rate:g})")
 
 
 def compose_young(outer: YoungFunction, inner: YoungFunction) -> YoungFunction:
@@ -249,52 +242,18 @@ def _mean_of_phi(
     return val / muB
 
 
-def luxemburg_norm(
-    f: FuncExpr, phi: YoungFunction, B: Interval, m: BesselMeasure, rel_tol: float = 1e-9
-) -> float:
-    """Luxemburg gauge of f on B with respect to dmu, by bisection in s."""
+def luxemburg_norm(f: FuncExpr, phi: YoungFunction, B: Interval, m: BesselMeasure) -> float:
+    """Luxemburg gauge of f on B with respect to dmu: the s where the
+    decreasing mean of phi(|f|/s) falls to 1, by monotone_inverse."""
     g_abs = f.restrict(B).abs()
     if g_abs.is_zero():
         return 0.0
-    # initial scale from the largest cell coefficient magnitude
-    peak = max(
-        abs(g_abs(_cell_probe(p.lo, p.hi, B))) for p in g_abs.pieces
+    s = monotone_inverse(
+        lambda sv: _mean_of_phi(g_abs, phi, B, m, sv), 1.0, 0.0, math.inf, increasing=False
     )
-    peak = max(peak, 1e-280)
-    s = peak / max(phi.inverse(1.0), 1e-280)
-    s = max(s, 1e-280)
-    mean = lambda sv: _mean_of_phi(g_abs, phi, B, m, sv)
-    hi = s
-    steps = 0
-    while mean(hi) > 1.0:
-        hi *= 4.0
-        steps += 1
-        if steps > 200:
-            raise PreconditionError("Luxemburg bisection: no upper bracket")
-    lo = hi / 4.0
-    steps = 0
-    while mean(lo) <= 1.0 and lo > 1e-280:
-        hi = lo
-        lo /= 4.0
-        steps += 1
-        if steps > 200:
-            return 0.0
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if mean(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rel_tol * hi:
-            break
-    return hi
-
-
-def _cell_probe(lo: float, hi: float, B: Interval) -> float:
-    lo, hi = max(lo, B.a), min(hi, B.b)
-    if lo <= 0.0:
-        lo = hi * 1e-12
-    return math.sqrt(lo * hi)
+    if math.isinf(s):
+        raise PreconditionError("Luxemburg gauge: the mean stays above 1 up to s = exp(700)")
+    return s
 
 
 # -- generalized Holder ---------------------------------------------------------

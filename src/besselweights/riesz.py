@@ -37,7 +37,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -64,6 +64,10 @@ __all__ = [
     "counterexample_inverse",
     "counterexample_profile",
 ]
+
+
+_KERNEL_REL_TOL = 1e-11  # relative accuracy of each angular quadrature in `kernel`
+_APPLY_REL_TOL = 1e-9  # relative accuracy of each piece in riesz_apply / commutator_apply
 
 
 def kernel_lambda1_closed_form(x: float, y: float) -> float:
@@ -103,7 +107,7 @@ class RieszKernelEvaluator:
 
     # -- scalar adaptive route -----------------------------------------------
 
-    def kernel(self, x: float, y: float, rel_tol: float = 1e-11) -> float:
+    def kernel(self, x: float, y: float) -> float:
         """K(x, y) by adaptive quadrature in log-angle coordinates.
 
         The angular mass concentrates near theta* = |x-y|/sqrt(xy); the
@@ -141,7 +145,7 @@ class RieszKernelEvaluator:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IntegrationWarning)
             val1, _ = quad(
-                front_logw, w_lo, w_hi, limit=400, epsabs=1e-300, epsrel=rel_tol,
+                front_logw, w_lo, w_hi, limit=400, epsabs=1e-300, epsrel=_KERNEL_REL_TOL,
                 points=hint,
             )
             # tails below the w-windows contribute (theta_min/scale)^{2 lam} <= 1e-24
@@ -149,7 +153,7 @@ class RieszKernelEvaluator:
                 math.log(math.pi / 2.0) + math.log(1e-24) / (2.0 * lam), -640.0
             )
             val2, _ = quad(
-                back_logw, back_lo, w_hi, limit=300, epsabs=1e-300, epsrel=rel_tol,
+                back_logw, back_lo, w_hi, limit=300, epsabs=1e-300, epsrel=_KERNEL_REL_TOL,
             )
         return -(2.0 * lam / math.pi) * (val1 + val2)
 
@@ -189,44 +193,26 @@ class RieszKernelEvaluator:
 
     # -- off-support applications --------------------------------------------------
 
-    def riesz_apply(self, f: FuncExpr, x: float, rel_tol: float = 1e-9) -> float:
+    def riesz_apply(self, f: FuncExpr, x: float) -> float:
         """int K(x, y) f(y) dmu(y) over the support of f, x off the closure."""
-        support = f.support_bounds()
-        if support is None:
-            return 0.0
-        if support.a <= x <= support.b and any(
-            p.lo <= x <= p.hi for p in f.pieces
-        ):
-            raise SupportError(f"evaluation point x={x:g} touches the support")
-        total = 0.0
-        m = BesselMeasure(self.lam)
-        for p in f.pieces:
-            total += integrate_callable(
-                lambda y: self.kernel(x, y) * f(y),
-                Interval(p.lo, p.hi),
-                dmu(m),
-                rel_tol=rel_tol,
-            )
-        return total
+        return self._off_support(lambda y: self.kernel(x, y), f, x)
 
-    def commutator_apply(
-        self, b: FuncExpr, f: FuncExpr, x: float, rel_tol: float = 1e-9
-    ) -> float:
+    def commutator_apply(self, b: FuncExpr, f: FuncExpr, x: float) -> float:
         """int (b(x) - b(y)) K(x, y) f(y) dmu(y), x off the support of f."""
-        support = f.support_bounds()
-        if support is None:
+        bx = b(x)
+        return self._off_support(lambda y: (bx - b(y)) * self.kernel(x, y), f, x)
+
+    def _off_support(self, k: Callable[[float], float], f: FuncExpr, x: float) -> float:
+        """int k(y) f(y) dmu(y), piece by piece of f, with x off every piece."""
+        if f.support_bounds() is None:
             return 0.0
         if any(p.lo <= x <= p.hi for p in f.pieces):
             raise SupportError(f"evaluation point x={x:g} touches the support")
-        bx = b(x)
         m = BesselMeasure(self.lam)
         total = 0.0
         for p in f.pieces:
             total += integrate_callable(
-                lambda y: (bx - b(y)) * self.kernel(x, y) * f(y),
-                Interval(p.lo, p.hi),
-                dmu(m),
-                rel_tol=rel_tol,
+                lambda y: k(y) * f(y), Interval(p.lo, p.hi), dmu(m), rel_tol=_APPLY_REL_TOL
             )
         return total
 

@@ -50,6 +50,8 @@ __all__ = [
     "DichotomyResult",
 ]
 
+_A1_SAMPLES = 1024  # geometric grid of the sampled supremum in tilde_a1_quantity
+
 
 @dataclass(frozen=True)
 class Weight:
@@ -200,9 +202,7 @@ def ap_mu_quantity(w: Weight, p: float, m: BesselMeasure, B: Interval) -> float:
     return first * second ** (p - 1.0)
 
 
-def tilde_a1_quantity(
-    w: Weight, class_lambda: float, B: Interval, sample_points: int = 1024
-) -> float:
+def tilde_a1_quantity(w: Weight, class_lambda: float, B: Interval) -> float:
     """(w(B)/nu_c(B)) * sup over a geometric sample grid of x^{2c+1}/w(x).
 
     The essential supremum is approximated on the grid (hence a lower bound);
@@ -212,7 +212,7 @@ def tilde_a1_quantity(
     nu = FuncExpr.constant(1.0).integrate(B, dnu(class_lambda))
     ratio = w.mass(B) / nu
     lo = B.a if B.a > 0.0 else B.b * 1e-12
-    grid = np.geomspace(lo, B.b, sample_points)
+    grid = np.geomspace(lo, B.b, _A1_SAMPLES)
     e = 2.0 * class_lambda + 1.0
     sup = 0.0
     for x in grid:

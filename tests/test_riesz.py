@@ -111,7 +111,7 @@ class TestApply:
 
         f = FuncExpr.indicator(Interval(1.0, 2.0))
         x = 4.0
-        val = E1.riesz_apply(f, x, rel_tol=1e-9)
+        val = E1.riesz_apply(f, x)
         oracle, _ = quad(
             lambda y: kernel_lambda1_closed_form(x, y) * y**2, 1.0, 2.0, limit=400,
             epsabs=1e-15, epsrel=1e-12,
