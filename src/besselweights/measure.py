@@ -620,10 +620,12 @@ def monotone_inverse(
     lo when f is already past level there, hi when f never gets there.
 
     The search runs in u = log x to the tolerance 1e-15, which is relative
-    in x only: no absolute floor swamps a crossing at 1e-50.  lo = 0 and
-    hi = inf are allowed: an open end is walked out from the other end (or
-    from x = 1) in doubling steps of u, no further than exp(+-700).  f is
-    called at x > 0 only, and never outside [lo, hi].
+    in x only: no absolute floor swamps a crossing at 1e-50.  That leaves an
+    error of up to 4 eps |u| in x, so one last secant step in x across the
+    bracket around the u-root finishes to a few eps.  lo = 0 and hi = inf are
+    allowed: an open end is walked out from the other end (or from x = 1) in
+    doubling steps of u, no further than exp(+-700).  f is called at x > 0
+    only, and never outside [lo, hi].
     """
     sign = 1.0 if increasing else -1.0
     if lo > 0.0 and sign * (f(lo) - level) >= 0.0:
@@ -655,7 +657,14 @@ def monotone_inverse(
                 return hi if up else lo
             near, step = u, min(2.0 * step, reach)
         a, b = (near, u) if up else (u, near)
-    return x_of(brentq(g, a, b, xtol=1e-15))
+    u = brentq(g, a, b, xtol=1e-15)
+    d = 2e-15 * (1.0 + abs(u))  # twice brentq's bound on the distance to the root
+    ua, ub = max(u - d, a), min(u + d, b)
+    ga, gb = g(ua), g(ub)
+    if ga < 0.0 < gb:  # f is linear to within eps across so narrow a bracket
+        xa = x_of(ua)
+        return xa + (x_of(ub) - xa) * (ga / (ga - gb))
+    return x_of(u)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ That level crossing and the inverses phi^{-1} both go through
 measure.monotone_inverse, which searches in log s with a relative tolerance
 only, so gauges and inverses stay accurate down to exp(-700).  The
 complementary function phibar(s) = sup_t (s*t - phi(t)) is evaluated by
-ternary search on the concave inner function.  No closed forms are assumed
-anywhere.
+ternary search in log t on the concave inner function.  No closed forms are
+assumed anywhere.
 
 Two scalar constants drive the endpoint estimates:
 
@@ -65,7 +65,7 @@ __all__ = [
     "orlicz_maximal_profile",
 ]
 
-_HUGE = 1e300
+_LOG_T_LO, _LOG_T_HI = -700.0, 690.0  # log t searched by `complementary`; e^690 ~ 1e300
 
 
 def _guarded(fn: Callable[[float], float], t: float) -> float:
@@ -178,7 +178,12 @@ def compose_young(outer: YoungFunction, inner: YoungFunction) -> YoungFunction:
 
 
 def complementary(phi: YoungFunction) -> YoungFunction:
-    """phibar(s) = sup_{t>=0} (s t - phi(t)), by ternary search.
+    """phibar(s) = sup_{t>=0} (s*t - phi(t)), by ternary search in u = log t.
+
+    s*t - phi(t) is concave with value 0 at t = 0, so it is unimodal in u as
+    well.  The maximiser is bracketed by doubling steps of u out from t = 1,
+    downward or upward, within [exp(-700), exp(690)], and the search stops
+    on a width of 1e-15 in u, which is relative in t.
 
     Raises UnboundedComplementaryError when phi is not superlinear (then
     phibar jumps to +inf at finite s and callers must branch).
@@ -191,23 +196,30 @@ def complementary(phi: YoungFunction) -> YoungFunction:
     def bar(s: float) -> float:
         if s <= 0.0:
             return 0.0
-        g = lambda t: s * t - phi(t)
-        hi = 1.0
-        while g(2 * hi) >= g(hi) and hi < _HUGE / 4:
-            hi *= 2.0
-        hi *= 2.0  # concavity puts the maximizer inside [0, 2*hi]
-        lo = 0.0
+
+        def h(u: float) -> float:
+            t = math.exp(u)
+            return s * t - phi(t)
+
+        back, mid, d = (0.0, 1.0, 1.0) if h(1.0) >= h(0.0) else (1.0, 0.0, -1.0)
+        step = 1.0
+        while True:  # h(mid) >= h(back); walk on until h falls
+            step *= 2.0
+            ahead = min(max(mid + d * step, _LOG_T_LO), _LOG_T_HI)
+            if ahead == mid or h(ahead) < h(mid):
+                break
+            back, mid = mid, ahead
+        lo, hi = min(back, ahead), max(back, ahead)
         for _ in range(300):
             m1 = lo + (hi - lo) / 3.0
             m2 = hi - (hi - lo) / 3.0
-            if g(m1) < g(m2):
+            if h(m1) < h(m2):
                 lo = m1
             else:
                 hi = m2
-            if hi - lo <= 1e-15 * max(hi, 1.0):
+            if hi - lo <= 1e-15 * max(1.0, abs(lo)):
                 break
-        t_star = 0.5 * (lo + hi)
-        return max(g(t_star), 0.0)
+        return max(h(0.5 * (lo + hi)), 0.0)
 
     return YoungFunction(bar, f"conj({phi.name})", _validate=False)
 

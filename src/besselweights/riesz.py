@@ -8,23 +8,40 @@ The kernel is the angular integral
 
 integrated over (0, pi).  The printed upper limit in the source formula is
 infinity, but (sin t)^{2 lam - 1} is canonically defined and integrable only
-on (0, pi), and the classical kernel for this operator uses (0, pi); the
-evaluator integrates over (0, pi) and says so in its description.
+on (0, pi), and the classical kernel for this operator (Muckenhoupt-Stein,
+Trans. AMS 118, 1965) uses (0, pi).
 
-For lam < 1/2 the endpoint factors (sin t)^{2 lam - 1} are absorbed by the
-substitutions t = u^{1/(2 lam)} near 0 and pi - t = v^{1/(2 lam)} near pi,
-leaving smooth integrands.  Two evaluation routes are kept deliberately
-separate: a scalar adaptive route (`kernel`, error target 1e-11) and a
-vectorised fixed-node Gauss-Legendre route (`kernel_grid`) for sampling grids
-away from the diagonal.  At lam = 1 the substitution u = cos t gives the
-closed form
+The integral has a closed form.  K = (1/pi) dJ/dx, where
+
+    J(x, y) = int_0^pi (sin t)^{2 lam - 1} (x^2 + y^2 - 2 x y cos t)^{-lam} dt
+            = M^{-2 lam} B(lam, 1/2) 2F1(lam, 1/2; lam + 1/2; z)
+
+(Gradshteyn-Ryzhik 3.665.2), with M = max(x, y), m = min(x, y), r = m/M and
+z = r^2.  The contiguous relation F + (z/a) F' = 2F1(a+1, b; c; z) (DLMF 15.5)
+turns the derivative into one term, and Euler's transformation (DLMF 15.8.1)
+pulls out the diagonal pole.  With
+pre = (2 lam / pi) B(lam, 1/2) M^{-(2 lam + 1)} / (1 - z):
+
+    x > y:  K = -pre 2F1(-1/2, lam; lam + 1/2; z),
+    x < y:  K =  pre r / (2 lam + 1) 2F1(1/2, lam; lam + 3/2; z).
+
+Both 2F1 factors have c - a - b = 1, so they stay finite at z = 1.  The
+evaluator computes 1 - z as ((M - m)/M) ((M + m)/M) from the arguments, so a
+near-diagonal pair keeps full relative accuracy, and writes x y^{-2 lam - 2}
+as r M^{-(2 lam + 1)}, which stays normal at large scales.  `kernel` and
+`kernel_grid` are this one formula on scalars and on broadcast arrays.
+
+Sign structure: K(x, y) < 0 for x > y and K(x, y) > 0 for x < y.  The
+series of 2F1(1/2, lam; lam + 3/2; z) has positive coefficients.  The series
+of 2F1(-1/2, lam; lam + 1/2; z) has negative coefficients after the leading
+1, so it decreases on [0, 1] to its Gauss value
+Gamma(lam + 1/2) / (Gamma(lam + 1) Gamma(1/2)) > 0 at z = 1.
+
+At lam = 1 the substitution u = cos t gives the elementary form
 
     K(x, y) = -(2/pi) [ 1/(x (x^2 - y^2)) + log((x+y)/|x-y|) / (2 x^2 y) ],
 
-kept here only as a test oracle (`kernel_lambda1_closed_form`), never used by
-the evaluator itself.  Sign structure (verified numerically on sampled
-regimes; the closed form proves it at lam = 1): K(x, y) < 0 for x > y and
-K(x, y) > 0 for x < y.
+kept here only as an independent test oracle (`kernel_lambda1_closed_form`).
 
 On-diagonal principal values are not implemented: every consumer evaluates
 off the support of the integrand, which is all the surrounding analysis ever
@@ -34,13 +51,11 @@ needs.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.special import beta, hyp2f1
 
 from .bmo import median
 from .errors import ConstructionError, PostconditionError, SupportError
@@ -66,7 +81,6 @@ __all__ = [
 ]
 
 
-_KERNEL_REL_TOL = 1e-11  # relative accuracy of each angular quadrature in `kernel`
 _APPLY_REL_TOL = 1e-9  # relative accuracy of each piece in riesz_apply / commutator_apply
 
 
@@ -80,116 +94,53 @@ def kernel_lambda1_closed_form(x: float, y: float) -> float:
     )
 
 
-@lru_cache(maxsize=8)
-def _gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+def _kernel(lam: float, x, y):
+    """K(x, y) by the 2F1 closed form, elementwise over broadcast x != y."""
+    M = np.maximum(x, y)
+    m = np.minimum(x, y)
+    r = m / M
+    above = x > y
+    one_minus_z = ((M - m) / M) * ((M + m) / M)
+    pre = (2.0 * lam / math.pi) * beta(lam, 0.5) * M ** -(2.0 * lam + 1.0) / one_minus_z
+    side = np.where(above, -1.0, r / (2.0 * lam + 1.0))
+    F = hyp2f1(np.where(above, -0.5, 0.5), lam, lam + np.where(above, 0.5, 1.5), r * r)
+    return pre * side * F
 
 
 @dataclass(frozen=True)
 class RieszKernelEvaluator:
-    """Angular-integral kernel evaluator.
+    """The Riesz kernel of Bessel parameter lam, by the 2F1 closed form.
 
-    nodes: budget for the fixed-node grid route (per half-integral).
-    description documents the (0, pi) integration-range interpretation.
+    The angular integral runs over (0, pi), where (sin t)^{2 lam - 1} is
+    canonically defined; the printed infinite upper limit is read as pi.
+
+    nodes is ignored: the closed form needs no quadrature nodes.  The field
+    stays only so that callers passing it keep working.
     """
 
     lam: float
     nodes: int = 2048
-    description: str = field(
-        default="angular integral over (0, pi); printed infinite upper limit "
-        "interpreted as pi (integrand only canonical there)",
-        repr=False,
-    )
 
     def __post_init__(self):
         if self.lam <= 0.0:
             raise ValueError("Bessel parameter must be positive")
 
-    # -- scalar adaptive route -----------------------------------------------
-
     def kernel(self, x: float, y: float) -> float:
-        """K(x, y) by adaptive quadrature in log-angle coordinates.
-
-        The angular mass concentrates near theta* = |x-y|/sqrt(xy); the
-        substitution theta = e^w resolves every scale uniformly and absorbs
-        the endpoint singularity of (sin theta)^{2 lam - 1}.  Raises
-        SupportError on the diagonal.
-        """
+        """K(x, y) at one pair; raises SupportError on the diagonal."""
         if x <= 0.0 or y <= 0.0:
             raise ValueError("kernel arguments must be positive")
         if x == y:
             raise SupportError("kernel is singular on the diagonal")
-        lam = self.lam
-
-        def core(theta: float) -> float:
-            c = math.cos(theta)
-            d = x * x + y * y - 2.0 * x * y * c
-            return (x - y * c) / d ** (lam + 1.0)
-
-        def front_logw(w: float) -> float:  # theta = e^w in (0, pi/2)
-            theta = math.exp(w)
-            ratio = math.sin(theta) / theta
-            return core(theta) * math.exp(2.0 * lam * w) * ratio ** (2.0 * lam - 1.0)
-
-        def back_logw(w: float) -> float:  # theta = pi - e^w in (pi/2, pi)
-            phi = math.exp(w)
-            ratio = math.sin(phi) / phi
-            return core(math.pi - phi) * math.exp(2.0 * lam * w) * ratio ** (
-                2.0 * lam - 1.0
-            )
-
-        peak = min(abs(x - y) / math.sqrt(x * y), 1.0)
-        w_lo = max(math.log(peak) + math.log(1e-24) / (2.0 * lam), -640.0)
-        w_hi = math.log(math.pi / 2.0)
-        hint = [math.log(peak)] if w_lo < math.log(peak) < w_hi else None
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            val1, _ = quad(
-                front_logw, w_lo, w_hi, limit=400, epsabs=1e-300, epsrel=_KERNEL_REL_TOL,
-                points=hint,
-            )
-            # tails below the w-windows contribute (theta_min/scale)^{2 lam} <= 1e-24
-            back_lo = max(
-                math.log(math.pi / 2.0) + math.log(1e-24) / (2.0 * lam), -640.0
-            )
-            val2, _ = quad(
-                back_logw, back_lo, w_hi, limit=300, epsabs=1e-300, epsrel=_KERNEL_REL_TOL,
-            )
-        return -(2.0 * lam / math.pi) * (val1 + val2)
-
-    # -- vectorised grid route --------------------------------------------------
+        return float(_kernel(self.lam, x, y))
 
     def kernel_grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """K on a broadcast grid by fixed-node Gauss-Legendre in log-angle.
-
-        The node window adapts to the most concentrated pair on the grid, so
-        off-diagonal samples at any scale are resolved; do not call with
-        near-diagonal pairs (use `kernel`).
-        """
-        lam = self.lam
-        g, wq = _gauss_nodes(self.nodes)
-        X = np.asarray(xs, dtype=float)[..., None]
-        Y = np.asarray(ys, dtype=float)[..., None]
-        peak = np.min(np.abs(X - Y) / np.sqrt(X * Y))
-        if peak <= 0.0:
+        """K on the broadcast grid of xs and ys; raises SupportError when a
+        pair lies on the diagonal."""
+        X = np.asarray(xs, dtype=float)
+        Y = np.asarray(ys, dtype=float)
+        if np.any(X == Y):
             raise SupportError("grid touches the diagonal")
-        w_lo = math.log(min(peak, 1.0)) + math.log(1e-24) / (2.0 * lam)
-        w_lo = max(w_lo, -640.0)  # keep e^w representable; tail is negligible
-        w_hi = math.log(math.pi / 2.0)
-        wn = 0.5 * (w_hi - w_lo) * (g + 1.0) + w_lo
-        ww = 0.5 * (w_hi - w_lo) * wq
-        out = np.zeros(np.broadcast(X, Y).shape[:-1])
-        theta_f = np.exp(wn)
-        # theta^{2 lam} evaluated in log space: stable for every lam > 0
-        sin_pow = np.exp(2.0 * lam * wn) * (np.sin(theta_f) / theta_f) ** (
-            2.0 * lam - 1.0
-        )
-        for theta in (theta_f, math.pi - theta_f):
-            c = np.cos(theta)
-            d = X * X + Y * Y - 2.0 * X * Y * c
-            core = (X - Y * c) / d ** (lam + 1.0)
-            out += np.sum(core * sin_pow * ww, axis=-1)
-        return -(2.0 * lam / math.pi) * out
+        return _kernel(self.lam, X, Y)
 
     # -- off-support applications --------------------------------------------------
 

@@ -176,7 +176,7 @@ def test_c5_lower_bound_geometry():
     all_ok = True
     detail = []
     for lam in (0.3, 0.5, 1.0, 2.0):
-        ev = RieszKernelEvaluator(lam, nodes=1024)
+        ev = RieszKernelEvaluator(lam)
         shapes = []
         for _ in range(20):
             rel_center = float(rng.uniform(1.5, 25.0))

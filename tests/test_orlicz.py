@@ -38,6 +38,11 @@ class TestYoungBasics:
             for y in (1e-250, 1e-100, 1e-20, 0.3, 1.0, 7.0, 1e4, 1e11):
                 t = phi.inverse(y)
                 assert phi(t) == pytest.approx(y, rel=1e-10, abs=0.0)
+        # full precision at the ends of the range, where |log t| is large
+        assert power_young(2.0).inverse(1e-250) == pytest.approx(
+            math.sqrt(2e-250), rel=2e-15, abs=0.0
+        )
+        assert identity_young().inverse(1e300) == pytest.approx(1e300, rel=2e-15, abs=0.0)
 
     def test_doubling_validates(self):
         with pytest.raises(ValueError):
@@ -61,6 +66,10 @@ class TestComplementary:
             bar = complementary(power_young(p))
             for s in (0.5, 1.0, 2.0, 10.0):
                 assert bar(s) == pytest.approx(s**pp / pp, rel=1e-8)
+        # tiny arguments: the maximiser t = s lies far below 1
+        bar = complementary(power_young(2.0))
+        assert bar(1e-20) == pytest.approx(5e-41, rel=1e-12, abs=0.0)
+        assert bar.inverse(1e-30) == pytest.approx(math.sqrt(2e-30), rel=1e-12, abs=0.0)
 
     def test_identity_degenerate(self):
         with pytest.raises(UnboundedComplementaryError):

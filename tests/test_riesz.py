@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -58,6 +59,27 @@ class TestKernel:
             ev = RieszKernelEvaluator(lam)
             assert ev.kernel(1.0, 3.0) > 0.0
             assert ev.kernel(3.0, 1.0) < 0.0
+            for sep in (1e-7, 1e-12):
+                assert ev.kernel(1.0, 1.0 + sep) > 0.0
+                assert ev.kernel(1.0, 1.0 - sep) < 0.0
+
+    def test_against_mpmath_hypergeometric(self):
+        # K = (1/pi) dJ/dx, J = M^{-2 lam} B(lam, 1/2) 2F1(lam, 1/2; lam + 1/2; (m/M)^2)
+        # (Gradshteyn-Ryzhik 3.665.2), differentiated by mpmath at 50 digits
+        pairs = [(1.0, 1.0 + 1e-7), (1.0, 1.0 - 1e-7), (1.0, 1.0 - 1e-12),
+                 (1e-30, 3e-30), (3e20, 1e20)]
+        with mp.workdps(50):
+            for lam in (0.3, 0.5, 1.0, 2.0):
+                ev = RieszKernelEvaluator(lam)
+                L = mp.mpf(lam)
+
+                def J(x, y):
+                    M, m = max(x, y), min(x, y)
+                    return M ** (-2 * L) * mp.beta(L, 0.5) * mp.hyp2f1(L, 0.5, L + 0.5, (m / M) ** 2)
+
+                for x, y in pairs:
+                    ref = mp.diff(lambda t: J(t, mp.mpf(y)), mp.mpf(x)) / mp.pi
+                    assert ev.kernel(x, y) == pytest.approx(float(ref), rel=1e-13, abs=0.0)
 
     def test_diagonal_raises(self):
         with pytest.raises(SupportError):
@@ -79,13 +101,14 @@ class TestKernel:
 
     def test_grid_matches_scalar(self):
         for lam in (0.3, 0.5, 1.0, 2.0):
-            ev = RieszKernelEvaluator(lam, nodes=2048)
+            ev = RieszKernelEvaluator(lam)
             xs = np.linspace(1.0, 2.0, 4)[:, None]
             ys = np.linspace(7.0, 8.0, 4)[None, :]
             G = ev.kernel_grid(xs, ys)
             for i, x in enumerate(xs.ravel()):
                 for j, y in enumerate(ys.ravel()):
-                    assert G[i, j] == pytest.approx(ev.kernel(float(x), float(y)), rel=1e-9)
+                    want = ev.kernel(float(x), float(y))
+                    assert G[i, j] == pytest.approx(want, rel=1e-15, abs=0.0)
 
     def test_off_diagonal_size_envelope(self):
         # |K(x,y)| <= C / mu(ball around the pair of radius |x-y|), the
@@ -199,7 +222,7 @@ class TestSeparatedPairs:
     def test_seeded_pairs_all_lambdas(self):
         rng = np.random.default_rng(5)
         for lam in (0.3, 0.5, 1.0, 2.0):
-            ev = RieszKernelEvaluator(lam, nodes=1024)
+            ev = RieszKernelEvaluator(lam)
             for _ in range(12):
                 r = float(10.0 ** rng.uniform(-2, 1))
                 center = r * float(rng.uniform(1.5, 30.0))
