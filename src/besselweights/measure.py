@@ -18,6 +18,10 @@ single-atom pieces, and every member integrates in closed form against any
 x^e dx.  That is enough to express every function manipulated here (powers,
 log x^{2*lam}, indicators, sparse-operator outputs) without quadrature error.
 
+Integrals over many intervals at once run on an `IntervalEnds` batch
+(`FuncExpr.integrate_many`), in one array pass per atom that equals the
+interval-by-interval integrals bit for bit.
+
 A guarded adaptive-quadrature fallback (`integrate_callable`) handles
 compositions that leave the family, e.g. phi(|f|) for a Young function phi.
 """
@@ -28,6 +32,8 @@ import bisect
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -44,6 +50,7 @@ __all__ = [
     "dmu",
     "dnu",
     "FuncExpr",
+    "IntervalEnds",
     "integrate_callable",
     "monotone_inverse",
     "power_log_integral",
@@ -52,7 +59,7 @@ __all__ = [
 _COEF_EPS = 0.0  # atoms with coefficient exactly 0 are dropped
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """An interval (a, b) in R_+ with 0 <= a < b < inf."""
 
@@ -157,6 +164,114 @@ def power_log_integral(beta: float, m: int, a: float, b: float) -> float:
     if a == 0.0 and e1 <= 0.0:  # pragma: no cover - guarded above
         raise DivergenceError("divergent at 0")
     return anti(b) - anti(a)
+
+
+# The array forms below take the branches of the scalar ones, op for op.  Their
+# exp, log, expm1 and pow go element by element through the same scalar
+# routines, because numpy's vector versions may round differently in the last
+# bit: so every value equals the scalar one bit for bit, and an overflow raises
+# OverflowError exactly where the scalar route raises it.  The arithmetic
+# between them is numpy's, which rounds as Python's float arithmetic does.
+
+
+def _each(fn: Callable[..., float], *args) -> np.ndarray:
+    """fn of the arrays' elements, in step; scalar arguments are repeated."""
+    n = next(len(x) for x in args if isinstance(x, np.ndarray))
+    its = [x.tolist() if isinstance(x, np.ndarray) else repeat(x) for x in args]
+    return np.fromiter(map(fn, *its), float, n)
+
+
+class IntervalEnds:
+    """Intervals (a_i, b_i), 0 <= a_i < b_i, as two arrays, with the logs the
+    closed-form antiderivatives read.
+
+    `logs` is (log a, log(b/a), log b), the first two NaN where a = 0,
+    computed on first use and kept.  A subset `ends[idx]` reads them from
+    the batch it was taken from, so every integral over one interval family
+    computes each log once.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        self.a, self.b = a, b
+        self._source: tuple[IntervalEnds, np.ndarray] | None = None
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def __getitem__(self, idx: np.ndarray) -> "IntervalEnds":
+        """The intervals at a boolean mask, or at increasing positions."""
+        if len(idx) == len(self) and (idx.dtype != bool or idx.all()):
+            return self  # every interval: no copy
+        sub = IntervalEnds(self.a[idx], self.b[idx])
+        sub._source = (self, idx)
+        return sub
+
+    @cached_property
+    def logs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._source is not None:
+            batch, idx = self._source
+            return tuple(x[idx] for x in batch.logs)
+        pos = self.a > 0.0
+        la, lr = np.full(len(self), np.nan), np.full(len(self), np.nan)
+        la[pos] = _each(math.log, self.a[pos])
+        lr[pos] = _each(math.log, self.b[pos] / self.a[pos])
+        return la, lr, _each(math.log, self.b)
+
+
+def _power_diff_many(e1: float, ends: IntervalEnds) -> np.ndarray:
+    """_power_diff over a batch; the caller has flagged a == 0 with e1 <= 0."""
+    out = np.empty(len(ends))
+    zero = ends.a == 0.0
+    out[zero] = _each(pow, ends.b[zero], e1)
+    la, lr, lb = (x[~zero] for x in ends.logs)
+    d = e1 * lr
+    big = d > 30.0
+    vals = np.empty(len(d))
+    vals[big] = _each(math.exp, e1 * lb[big]) - _each(math.exp, e1 * la[big])
+    small = ~big
+    vals[small] = _each(math.exp, e1 * la[small]) * _each(math.expm1, d[small])
+    out[~zero] = vals
+    return out
+
+
+def _power_log_integral_many(
+    beta: float, m: int, ends: IntervalEnds
+) -> tuple[np.ndarray, np.ndarray]:
+    """power_log_integral over every interval of the batch: (values, divergent).
+
+    divergent is True exactly where the scalar raises DivergenceError; the
+    value there is NaN.
+    """
+    if m < 0:
+        raise ValueError("log power must be a nonnegative integer")
+    divergent = (ends.a == 0.0) if beta <= -1.0 else np.zeros(len(ends), dtype=bool)
+    out = np.full(len(ends), np.nan)
+    live = ~divergent
+    if beta == -1.0:
+        la, _, lb = (x[live] for x in ends.logs)
+        out[live] = (_each(pow, lb, m + 1) - _each(pow, la, m + 1)) / (m + 1)
+        return out, divergent
+    e1 = beta + 1.0
+    if m == 0:
+        out[live] = _power_diff_many(e1, ends[live]) / e1
+        return out, divergent
+    ends = ends[live]
+    la, _, lb = ends.logs
+
+    def anti(x: np.ndarray, lx: np.ndarray) -> np.ndarray:
+        val = np.zeros(len(x))  # the antiderivative vanishes at 0 since e1 > 0
+        nz = x != 0.0
+        x, lx = x[nz], lx[nz]
+        fact = 1.0
+        acc = np.zeros(len(x))
+        for j in range(m + 1):
+            acc = acc + ((-1.0) ** j) * fact * _each(pow, lx, m - j) / e1 ** (j + 1)
+            fact *= m - j
+        val[nz] = _each(pow, x, e1) * acc
+        return val
+
+    out[live] = anti(ends.b, lb) - anti(ends.a, la)
+    return out, divergent
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +639,34 @@ class FuncExpr:
             for c, alpha, m in p.atoms:
                 total += c * power_log_integral(alpha + kind.exponent, m, lo, hi)
         return total
+
+    def integrate_many(
+        self, ends: IntervalEnds, kind: MeasureKind
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """`integrate` over every interval of the batch in one pass:
+        (values, divergent).
+
+        Each atom is integrated once, over all the intervals its cell meets,
+        clipped as `integrate` clips them.  The values equal `integrate`'s bit
+        for bit.  divergent is True where `integrate` raises DivergenceError;
+        the value there is NaN, and later atoms skip the interval, as
+        `integrate` stops at that atom too.
+        """
+        total = np.zeros(len(ends))
+        divergent = np.zeros(len(ends), dtype=bool)
+        for p in self.pieces:
+            lo, hi = np.maximum(ends.a, p.lo), np.minimum(ends.b, p.hi)
+            hit = np.flatnonzero((lo < hi) & ~divergent)
+            cell = ends[hit]
+            if (cell.a < p.lo).any() or (cell.b > p.hi).any():
+                cell = IntervalEnds(lo[hit], hi[hit])
+            for c, alpha, m in p.atoms:
+                v, div = _power_log_integral_many(alpha + kind.exponent, m, cell)
+                total[hit] += c * v
+                divergent[hit[div]] = True
+                hit, cell = hit[~div], cell[~div]
+        total[divergent] = np.nan
+        return total, divergent
 
     def lp_integral(self, p_exp: float, weight: "FuncExpr", B: Interval) -> float:
         """integral of |f|^p * weight dx over B; exact when representable,

@@ -129,10 +129,13 @@ class YoungFunction:
         return t
 
     def is_superlinear(self) -> bool:
-        """phi(t)/t -> inf; required for a finite complementary function."""
+        """phi(t)/t -> inf; required for a finite complementary function.
+
+        A phi(t)/t that overflows lies above every linear bound, so it counts.
+        """
         r1 = self(1e12) / 1e12
         r2 = self(1e250) / 1e250
-        return r2 > 1.1 * r1
+        return r2 == math.inf or r2 > 1.1 * r1
 
 
 # -- built-ins ---------------------------------------------------------------

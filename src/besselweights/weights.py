@@ -20,16 +20,23 @@ decidable anyway: the per-interval product is scale-invariant, the families
 include zero-based intervals, and out-of-class exponents make one factor
 integral diverge symbolically.  The stabilisation/divergence dichotomy built
 on this is exact for the power scale.
+
+For both two-factor products a family scan is one batched pass: each factor
+integral is evaluated once over the endpoint arrays of the whole family
+(`FuncExpr.integrate_many`), with values equal to the interval-by-interval
+evaluation bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+
 import numpy as np
 
 from .errors import DivergenceError, ZeroMassError
-from .measure import DX, BesselMeasure, FuncExpr, Interval, dnu
+from .measure import DX, BesselMeasure, FuncExpr, Interval, IntervalEnds, _each, dmu, dnu
 
 __all__ = [
     "Weight",
@@ -125,6 +132,15 @@ class IntervalFamily:
     def __len__(self) -> int:
         return len(self.intervals)
 
+    @cached_property
+    def ends(self) -> IntervalEnds:
+        """The intervals as one batch of read-only endpoint arrays, in family
+        order; every scan over the family shares it and its logs."""
+        a = np.array([B.a for B in self.intervals])
+        b = np.array([B.b for B in self.intervals])
+        a.flags.writeable = b.flags.writeable = False
+        return IntervalEnds(a, b)
+
     @classmethod
     def dyadic(cls, depth: int, index_cap: int = 32) -> "IntervalFamily":
         """Dyadic intervals of levels -depth..depth intersecting (0, 2^depth],
@@ -156,8 +172,13 @@ class IntervalFamily:
         return cls(f"random(n={n},seed={seed})", tuple(out))
 
     @classmethod
+    @lru_cache(maxsize=2)
     def standard(cls, depth: int, seed: int = 0, n_random: int = 50, index_cap: int = 32) -> "IntervalFamily":
-        """dyadic + boundary-refining + seeded random; monotone in depth."""
+        """dyadic + boundary-refining + seeded random; monotone in depth.
+
+        The last two argument sets are memoised: families are immutable, so
+        a repeat call returns the same object, with its endpoint arrays and
+        their logs."""
         fam = (
             cls.dyadic(depth, index_cap).intervals
             + cls.boundary_refining(depth).intervals
@@ -172,34 +193,62 @@ class IntervalFamily:
 # -- per-interval quantities ----------------------------------------------------
 
 
+def _products(
+    w: Weight, tag: ApMu | TildeAp, ends: IntervalEnds
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two-factor product of `tag` on every interval of the batch:
+    (values, divergent).
+
+    Each factor integral runs once over all the intervals, through
+    `FuncExpr.integrate_many`.  An interval leaves the pass at its first
+    divergent integral (the reference mass, the w average, the dual average,
+    in that order); it is flagged and its value is NaN.  The values equal a
+    scalar evaluation interval by interval, bit for bit.
+    """
+    p = tag.p
+    if isinstance(tag, ApMu):
+        ref = kind = dmu(BesselMeasure(tag.lam))
+    else:
+        ref, kind = dnu(tag.class_lambda), DX
+    out = np.full(len(ends), np.nan)
+    mass, divergent = FuncExpr.constant(1.0).integrate_many(ends, ref)
+    live = np.flatnonzero(~divergent)
+    first, div = w.expr.integrate_many(ends[live], kind)
+    divergent[live[div]] = True
+    live = live[~div]
+    if not mass[live].all():  # a mass that underflows to 0, as the scalar division raises
+        raise ZeroDivisionError("float division by zero")
+    first = first[~div] / mass[live]
+    dual = w.expr.powf(-1.0 / (p - 1.0))
+    if isinstance(tag, TildeAp):
+        pprime = p / (p - 1.0)
+        dual = FuncExpr.power(1.0, (2.0 * tag.class_lambda + 1.0) * pprime) * dual
+    second, div = dual.integrate_many(ends[live], kind)
+    divergent[live[div]] = True
+    live, first = live[~div], first[~div]
+    out[live] = first * _each(pow, second[~div] / mass[live], p - 1.0)
+    return out, divergent
+
+
+def _on_interval(w: Weight, tag: ApMu | TildeAp, B: Interval) -> float:
+    q, divergent = _products(w, tag, IntervalEnds(np.array([B.a]), np.array([B.b])))
+    if divergent[0]:
+        raise DivergenceError(f"a factor integral diverges on ({B.a:g}, {B.b:g})")
+    return float(q[0])
+
+
 def tilde_ap_quantity(w: Weight, p: float, class_lambda: float, B: Interval) -> float:
     """The modified two-factor product on a single interval.
 
     Raises DivergenceError when either factor integral is infinite, which
     witnesses non-membership via B.
     """
-    if p <= 1.0:
-        raise ValueError("p must exceed 1")
-    pprime = p / (p - 1.0)
-    nu = FuncExpr.constant(1.0).integrate(B, dnu(class_lambda))
-    first = w.expr.integrate(B, DX) / nu
-    dual_density = FuncExpr.power(1.0, (2.0 * class_lambda + 1.0) * pprime) * w.expr.powf(
-        -1.0 / (p - 1.0)
-    )
-    second = dual_density.integrate(B, DX) / nu
-    return first * second ** (p - 1.0)
+    return _on_interval(w, TildeAp(p, class_lambda), B)
 
 
 def ap_mu_quantity(w: Weight, p: float, m: BesselMeasure, B: Interval) -> float:
     """The classical two-factor product with both averages against dmu."""
-    if p <= 1.0:
-        raise ValueError("p must exceed 1")
-    muB = m.mu(B)
-    from .measure import dmu as _dmu
-
-    first = (w.expr).integrate(B, _dmu(m)) / muB
-    second = w.expr.powf(-1.0 / (p - 1.0)).integrate(B, _dmu(m)) / muB
-    return first * second ** (p - 1.0)
+    return _on_interval(w, ApMu(p, m.lam), B)
 
 
 def tilde_a1_quantity(w: Weight, class_lambda: float, B: Interval) -> float:
@@ -243,34 +292,32 @@ class WeightConstantReport:
     finite_argmax: Interval | None
 
 
-def _quantity(w: Weight, tag: ClassTag, B: Interval) -> float:
-    if isinstance(tag, ApMu):
-        return ap_mu_quantity(w, tag.p, BesselMeasure(tag.lam), B)
-    if isinstance(tag, TildeAp):
-        return tilde_ap_quantity(w, tag.p, tag.class_lambda, B)
-    return tilde_a1_quantity(w, tag.class_lambda, B)
-
-
 def weight_constant(w: Weight, tag: ClassTag, family: IntervalFamily) -> WeightConstantReport:
     """Exact max of the per-interval quantity over the family; divergence on
-    any member interval is reported as the +inf flag, not an exception."""
+    any member interval is reported as the +inf flag, not an exception.
+
+    The argmax is the first interval of maximal quantity (a NaN quantity is
+    never a maximum), and the divergence witness is the first flagged one.
+    """
     if not family.intervals:
         raise ValueError("family must be nonempty")
-    best, best_B = -math.inf, None
-    witness = None
-    for B in family.intervals:
-        try:
-            q = _quantity(w, tag, B)
-        except DivergenceError:
-            if witness is None:
-                witness = B
-            continue
-        if q > best:
-            best, best_B = q, B
-    if witness is not None:
-        return WeightConstantReport(
-            math.inf, witness, len(family), tag, True, best, best_B
-        )
+    if isinstance(tag, TildeA1):
+        q = np.full(len(family), np.nan)
+        divergent = np.zeros(len(family), dtype=bool)
+        for i, B in enumerate(family.intervals):
+            try:
+                q[i] = tilde_a1_quantity(w, tag.class_lambda, B)
+            except DivergenceError:
+                divergent[i] = True
+    else:
+        q, divergent = _products(w, tag, family.ends)
+    scores = np.where(np.isnan(q), -np.inf, q)
+    i = int(np.argmax(scores))
+    best = float(scores[i])
+    best_B = family.intervals[i] if best > -math.inf else None
+    if divergent.any():
+        witness = family.intervals[int(np.argmax(divergent))]
+        return WeightConstantReport(math.inf, witness, len(family), tag, True, best, best_B)
     return WeightConstantReport(best, best_B, len(family), tag, False, best, best_B)
 
 

@@ -13,11 +13,14 @@ from besselweights.measure import (
     BesselMeasure,
     FuncExpr,
     Interval,
+    IntervalEnds,
+    MeasureKind,
     dmu,
     integrate_callable,
     monotone_inverse,
     power_log_integral,
 )
+from besselweights.measure import _power_log_integral_many
 
 
 def gauss_oracle(f, a, b, n=4000):
@@ -98,6 +101,77 @@ class TestPowerLogIntegral:
             exact = power_log_integral(beta, m, a, b)
             oracle = gauss_oracle(lambda x: x**beta * math.log(x) ** m, a, b)
             assert exact == pytest.approx(oracle, rel=1e-11, abs=1e-13)
+
+
+def _scalar_or_flag(beta, m, a, b):
+    try:
+        return power_log_integral(beta, m, a, b)
+    except DivergenceError:
+        return None
+
+
+class TestPowerLogIntegralMany:
+    """The array form equals the scalar one bit for bit on every branch."""
+
+    # beta == -1 (log form), beta < -1 (divergent at 0), m == 0 with d <= 30
+    # and d > 30 (beta = 40), and the m > 0 antiderivative
+    BETAS = (-2.5, -1.5, -1.0, -0.5, 0.0, 0.7, 3.0, 40.0)
+
+    @staticmethod
+    def _ends(seed, n=400):
+        rng = np.random.default_rng(seed)
+        a = 10.0 ** rng.uniform(-6.0, 2.0, n)
+        a[rng.random(n) < 0.2] = 0.0  # zero-based intervals
+        b = np.where(a > 0.0, a, 1.0) * 10.0 ** rng.uniform(-4.0, 3.0, n)
+        b = np.where(a > 0.0, a + b, b)
+        return a, b
+
+    def test_bitwise_against_scalar(self):
+        a, b = self._ends(11)
+        for beta in self.BETAS:
+            for m in range(4):
+                vals, divergent = _power_log_integral_many(beta, m, IntervalEnds(a, b))
+                for i in range(len(a)):
+                    want = _scalar_or_flag(beta, m, float(a[i]), float(b[i]))
+                    assert divergent[i] == (want is None), (beta, m, a[i], b[i])
+                    if want is not None:
+                        assert float(vals[i]).hex() == want.hex(), (beta, m, a[i], b[i])
+
+    def test_every_branch_is_reached(self):
+        a, b = self._ends(11)
+        _, divergent = _power_log_integral_many(-1.5, 0, IntervalEnds(a, b))
+        assert divergent.any() and not divergent.all()
+        d = 41.0 * np.log(b[a > 0.0] / a[a > 0.0])
+        assert (d > 30.0).any() and (d <= 30.0).any()
+
+    def test_overflow_raises_like_the_scalar(self):
+        # exp in the d > 30 form, pow at a == 0, pow in the antiderivative
+        for beta, m, a0 in ((800.0, 0, 1.0), (800.0, 0, 0.0), (800.0, 2, 0.5)):
+            with pytest.raises(OverflowError):
+                power_log_integral(beta, m, a0, 10.0)
+            a = np.array([0.5, a0, 1.0])
+            b = np.array([0.6, 10.0, 1.1])
+            with pytest.raises(OverflowError):
+                _power_log_integral_many(beta, m, IntervalEnds(a, b))
+
+    def test_integrate_many_matches_integrate(self):
+        f = (
+            FuncExpr.power(2.0, -0.5)
+            + FuncExpr.log_power(-1.5, 1.0, 2).restrict(Interval(0.3, 40.0))
+            + FuncExpr.piecewise_constant([1e-3, 0.5, 7.0], [4.0, 0.25])
+        )
+        a, b = self._ends(5)
+        for kind in (DX, dmu(BesselMeasure(0.7)), MeasureKind(-1.2)):
+            vals, divergent = f.integrate_many(IntervalEnds(a, b), kind)
+            for i in range(len(a)):
+                B = Interval(float(a[i]), float(b[i]))
+                try:
+                    want = f.integrate(B, kind)
+                except DivergenceError:
+                    assert divergent[i] and math.isnan(vals[i])
+                    continue
+                assert not divergent[i]
+                assert float(vals[i]).hex() == want.hex()
 
 
 class TestFuncExpr:

@@ -71,6 +71,15 @@ class TestComplementary:
         assert bar(1e-20) == pytest.approx(5e-41, rel=1e-12, abs=0.0)
         assert bar.inverse(1e-30) == pytest.approx(math.sqrt(2e-30), rel=1e-12, abs=0.0)
 
+    def test_exponential_superlinear_despite_overflow(self):
+        # phi(1e12) and phi(1e250) both overflow; e^t - 1 is still superlinear,
+        # with phibar(s) = s log s - s + 1
+        phi = exp_m1()
+        assert phi.is_superlinear()
+        bar = complementary(phi)
+        for s in (2.0, 10.0, 1e3):
+            assert bar(s) == pytest.approx(s * math.log(s) - s + 1.0, rel=1e-12, abs=0.0)
+
     def test_identity_degenerate(self):
         with pytest.raises(UnboundedComplementaryError):
             complementary(identity_young())

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from besselweights.errors import DivergenceError
-from besselweights.measure import BesselMeasure, FuncExpr, Interval
+from besselweights.measure import DX, BesselMeasure, FuncExpr, Interval, dmu, dnu
 from besselweights.weights import (
     ApMu,
     DualPair,
@@ -14,6 +14,7 @@ from besselweights.weights import (
     TildeA1,
     TildeAp,
     Weight,
+    WeightConstantReport,
     ap_mu_quantity,
     dual_weight,
     power_dichotomy,
@@ -22,6 +23,7 @@ from besselweights.weights import (
     tilde_ap_quantity,
     weight_constant,
 )
+from besselweights.weights import _products
 
 
 class TestTildeApQuantity:
@@ -123,6 +125,100 @@ class TestWeightConstant:
         assert rep.divergent
         assert math.isinf(rep.value)
         assert math.isfinite(rep.finite_value)
+
+
+def _scalar_product(w, tag, B):
+    """The per-interval product, one scalar integral at a time (the oracle)."""
+    p = tag.p
+    if isinstance(tag, ApMu):
+        m = BesselMeasure(tag.lam)
+        mass, kind, dual = m.mu(B), dmu(m), w.expr.powf(-1.0 / (p - 1.0))
+    else:
+        c = tag.class_lambda
+        mass, kind = FuncExpr.constant(1.0).integrate(B, dnu(c)), DX
+    first = w.expr.integrate(B, kind) / mass
+    if isinstance(tag, TildeAp):
+        pprime = p / (p - 1.0)
+        dual = FuncExpr.power(1.0, (2.0 * c + 1.0) * pprime) * w.expr.powf(-1.0 / (p - 1.0))
+    second = dual.integrate(B, kind) / mass
+    return first * second ** (p - 1.0)
+
+
+def _scalar_weight_constant(w, tag, family):
+    """The interval-by-interval scan: strict > keeps the first maximum, and
+    the first divergent interval is the witness."""
+    best, best_B, witness = -math.inf, None, None
+    for B in family.intervals:
+        try:
+            q = _scalar_product(w, tag, B)
+        except DivergenceError:
+            if witness is None:
+                witness = B
+            continue
+        if q > best:
+            best, best_B = q, B
+    if witness is not None:
+        return WeightConstantReport(math.inf, witness, len(family), tag, True, best, best_B)
+    return WeightConstantReport(best, best_B, len(family), tag, False, best, best_B)
+
+
+class TestFamilyScan:
+    """weight_constant's one batched pass against the scalar scan."""
+
+    @staticmethod
+    def _family(seed, n=120):
+        rng = np.random.default_rng(seed)
+        out = []
+        for _ in range(n):
+            b = float(10.0 ** rng.uniform(-5.0, 3.0))
+            a = 0.0 if rng.random() < 0.25 else b * float(rng.uniform(0.0, 1.0))
+            out.append(Interval(a, b))
+        return IntervalFamily(f"oracle(seed={seed})", tuple(out))
+
+    @staticmethod
+    def _cases():
+        step = Weight(FuncExpr.piecewise_constant([0.0, 0.5, 2.0, 50.0], [2.0, 0.5, 3.0]), "step")
+        for tag in (ApMu(2.0, 1.0), ApMu(1.5, 0.5), TildeAp(2.0, 0.5), TildeAp(3.0, 1.0)):
+            r = power_weight_range(tag)
+            for alpha in (
+                0.5 * (r.lower + r.upper), r.lower + 0.1, r.upper - 0.1,  # inside
+                r.lower, r.upper,                                        # boundary
+                r.lower - 0.5, r.upper + 0.5,                            # outside
+            ):
+                yield Weight.power(alpha), tag
+            yield step, tag
+
+    def test_matches_scalar_scan(self):
+        for seed in (1, 2, 3):
+            fam = self._family(seed)
+            for w, tag in self._cases():
+                got = weight_constant(w, tag, fam)
+                want = _scalar_weight_constant(w, tag, fam)
+                for field in ("value", "argmax_interval", "divergent", "finite_value", "finite_argmax"):
+                    assert getattr(got, field) == getattr(want, field), (w.description, tag, field)
+
+    def test_products_bitwise(self):
+        fam = self._family(4)
+        n_flagged = 0
+        for w, tag in self._cases():
+            q, divergent = _products(w, tag, fam.ends)
+            for i, B in enumerate(fam.intervals):
+                try:
+                    want = _scalar_product(w, tag, B)
+                except DivergenceError:
+                    assert divergent[i]
+                    n_flagged += 1
+                    continue
+                assert not divergent[i]
+                assert float(q[i]).hex() == want.hex(), (w.description, tag, B)
+        assert n_flagged > 0
+
+    def test_standard_family_is_shared(self):
+        f1 = IntervalFamily.standard(7, seed=3, n_random=11)
+        assert IntervalFamily.standard(7, seed=3, n_random=11) is f1
+        ends = f1.ends
+        assert f1.ends is ends and not ends.a.flags.writeable
+        assert list(zip(ends.a, ends.b)) == [(B.a, B.b) for B in f1.intervals]
 
 
 class TestDuality:
