@@ -140,21 +140,28 @@ class SparseFamily:
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "SparseFamily":
-        cubes, subsets = [], {}
-        eta = 1.0
-        for line in lines:
+        """Read the `to_lines` format; a malformed line raises ValueError
+        naming its number."""
+        cubes, subsets, eta = [], {}, None
+        for n, line in enumerate(lines, 1):
             parts = line.split()
             if not parts:
                 continue
-            level, index = int(parts[0]), int(parts[1])
-            eta = int(parts[2]) / int(parts[3])
-            Q = DyadicCube(level, index)
+            try:
+                if len(parts) < 4 or len(parts) % 2:
+                    raise ValueError("expected 'level index etaNum etaDen' and endpoint pairs")
+                level, index, num, den = (int(t) for t in parts[:4])
+                if den <= 0:
+                    raise ValueError(f"eta denominator {den} is not positive")
+                if eta is not None and num / den != eta:
+                    raise ValueError(f"eta {num}/{den} differs from {eta!r} on earlier lines")
+                Q, ends = DyadicCube(level, index), [float(t) for t in parts[4:]]
+                subsets[Q] = tuple(Interval(lo, hi) for lo, hi in zip(ends[::2], ends[1::2]))
+            except ValueError as exc:
+                raise ValueError(f"sparse family line {n}: {exc}") from None
+            eta = num / den
             cubes.append(Q)
-            rest = [float(t) for t in parts[4:]]
-            subsets[Q] = tuple(
-                Interval(lo, hi) for lo, hi in zip(rest[::2], rest[1::2])
-            )
-        return cls(tuple(cubes), subsets, eta)
+        return cls(tuple(cubes), subsets, 1.0 if eta is None else eta)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ import os
 
 import numpy as np
 
-from ..dyadic import canonical_major_subsets, zero_chain
+from ..dyadic import SparseFamily, canonical_major_subsets, verify_sparse, zero_chain
+from ..errors import ConfigError
 from ..measure import BesselMeasure, FuncExpr, Interval
 from ..operators import operator_norm_lower_bound, sparse_apply
 from ..weights import IntervalFamily, TildeAp, Weight, weight_constant
@@ -52,11 +53,25 @@ def witness_functions(alpha: float, depth: int, seed: int) -> list[FuncExpr]:
     return out
 
 
-def _load_replay_family(path: str):
-    from ..dyadic import SparseFamily
+# A stored eta may exceed the measured min mu(E_Q)/mu(Q) by this much, relative:
+# a depth-120 chain stores 7/8 and measures 0.8749999999999695 after a round trip.
+_ETA_SLACK = 1e-12
 
+
+def _load_replay_family(path: str, m: BesselMeasure):
+    """The stored family, checked: disjoint major subsets (DisjointnessError
+    otherwise) and a stored eta the subsets attain."""
     with open(path, "r", encoding="utf-8") as fh:
-        return SparseFamily.from_lines(fh)
+        try:
+            S = SparseFamily.from_lines(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    measured, witness = verify_sparse(S, m)
+    if S.eta > measured * (1.0 + _ETA_SLACK):
+        raise ConfigError(
+            f"{path}: stored eta {S.eta!r} exceeds mu(E_Q)/mu(Q) = {measured!r} on {witness}"
+        )
+    return S
 
 
 def measure_sweep(cfg: ScenarioConfig, p: float, lam: float, apply_op):
@@ -76,7 +91,7 @@ def measure_sweep(cfg: ScenarioConfig, p: float, lam: float, apply_op):
             w, TildeAp(p, c), IntervalFamily.standard(fam_depth, seed=cfg.seed)
         )
         S = (
-            _load_replay_family(replay)
+            _load_replay_family(replay, m)
             if replay
             else chain_family(delta, depth_growth, depth_cap, m)
         )

@@ -18,6 +18,9 @@ single-atom pieces, and every member integrates in closed form against any
 x^e dx.  That is enough to express every function manipulated here (powers,
 log x^{2*lam}, indicators, sparse-operator outputs) without quadrature error.
 
+`FuncExpr.sum` adds many functions in one pass over their common grid (binary
+`+` is its two-term case); `FuncExpr.envelope` is the max over covering intervals.
+
 Integrals over many intervals at once run on an `IntervalEnds` batch
 (`FuncExpr.integrate_many`), in one array pass per atom that equals the
 interval-by-interval integrals bit for bit.
@@ -34,6 +37,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -55,8 +59,6 @@ __all__ = [
     "monotone_inverse",
     "power_log_integral",
 ]
-
-_COEF_EPS = 0.0  # atoms with coefficient exactly 0 are dropped
 
 
 @dataclass(frozen=True, slots=True)
@@ -324,17 +326,22 @@ class BesselMeasure:
 Atom = tuple[float, float, int]  # (coef, alpha, logpow)
 
 
-def _merge_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
-    acc: dict[tuple[float, int], float] = {}
+def _add_atoms(acc: dict[tuple[float, int], float], atoms: Iterable[Atom]) -> dict:
+    """Add the atoms into acc by (alpha, logpow), in order, keeping no zero sum."""
     for c, alpha, m in atoms:
         if c == 0.0:
             continue
         key = (alpha, m)
-        acc[key] = acc.get(key, 0.0) + c
-    out = tuple(
-        (c, alpha, m) for (alpha, m), c in sorted(acc.items()) if c != _COEF_EPS
-    )
-    return out
+        c += acc.get(key, 0.0)
+        if c != 0.0:
+            acc[key] = c
+        else:
+            del acc[key]
+    return acc
+
+
+def _atoms_of(acc: dict[tuple[float, int], float]) -> tuple[Atom, ...]:
+    return tuple([(c, alpha, m) for (alpha, m), c in sorted(acc.items())])
 
 
 @dataclass(frozen=True)
@@ -348,19 +355,30 @@ class Piece:
         return sum(c * x**alpha * lx**m for c, alpha, m in self.atoms)
 
 
+_piece_lo = attrgetter("lo")
+
+
 class FuncExpr:
     """A function on R_+: finitely many cells of power-log sums, zero elsewhere."""
 
     __slots__ = ("pieces", "_los")
 
     def __init__(self, pieces: Sequence[Piece]):
-        cleaned = [p for p in pieces if p.atoms and p.lo < p.hi]
-        cleaned.sort(key=lambda p: p.lo)
-        for prev, nxt in zip(cleaned, cleaned[1:]):
-            if nxt.lo < prev.hi - 1e-15 * max(1.0, abs(prev.hi)):
+        cleaned = sorted([p for p in pieces if p.atoms and p.lo < p.hi], key=_piece_lo)
+        los = [p.lo for p in cleaned]
+        for prev, lo in zip(cleaned, los[1:]):
+            if lo < prev.hi - 1e-15 * max(1.0, abs(prev.hi)):
                 raise ValueError("overlapping pieces")
-        object.__setattr__(self, "pieces", tuple(cleaned))
-        object.__setattr__(self, "_los", [p.lo for p in cleaned])
+        self.pieces = tuple(cleaned)
+        self._los = los
+
+    @classmethod
+    def _of_cells(cls, pieces: list[Piece]) -> "FuncExpr":
+        """FuncExpr(pieces) for pieces that are already nonzero cells of one
+        grid, in order: the constructor's cleaning and checks have nothing to do."""
+        out = cls.__new__(cls)
+        out.pieces, out._los = tuple(pieces), [p.lo for p in pieces]
+        return out
 
     # -- constructors -------------------------------------------------------
 
@@ -411,6 +429,19 @@ class FuncExpr:
         ]
         return cls(pieces)
 
+    @classmethod
+    def envelope(cls, intervals: Sequence[Interval], values: Sequence[float]) -> "FuncExpr":
+        """On each cell of the intervals' endpoint arrangement, the max of the
+        values of the intervals that cover it; zero off the intervals."""
+        pts = sorted({x for B in intervals for x in (B.a, B.b)})
+        best: list[float | None] = [None] * max(len(pts) - 1, 0)
+        for B, v in zip(intervals, values):
+            for i in range(bisect.bisect_left(pts, B.a), bisect.bisect_left(pts, B.b)):
+                if best[i] is None or v > best[i]:
+                    best[i] = v
+        vals = [0.0 if v is None else v for v in best]
+        return cls.piecewise_constant(pts, vals) if pts else cls.zero()
+
     # -- basic queries -------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -459,42 +490,70 @@ class FuncExpr:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _cells_on(self, grid: list[float]) -> list[tuple[float, float, tuple[Atom, ...]]]:
+    def _cells_on(self, grid: list[float]) -> list[tuple[Atom, ...]]:
+        """The atoms on each cell of the grid: those of the piece that holds
+        the cell's midpoint, () off the pieces."""
         out = []
+        los, pieces = self._los, self.pieces
         for lo, hi in zip(grid, grid[1:]):
             mid = _geometric_mid(lo, hi)
-            i = bisect.bisect_right(self._los, mid) - 1
+            i = bisect.bisect_right(los, mid) - 1
             atoms: tuple[Atom, ...] = ()
-            if i >= 0:
-                p = self.pieces[i]
-                if p.lo <= mid < p.hi:
-                    atoms = p.atoms
-            out.append((lo, hi, atoms))
+            if i >= 0 and mid < pieces[i].hi:  # and pieces[i].lo <= mid, by bisect
+                atoms = pieces[i].atoms
+            out.append(atoms)
         return out
 
-    @staticmethod
-    def _common_grid(f: "FuncExpr", g: "FuncExpr") -> list[float]:
-        pts = set()
-        for h in (f, g):
-            for p in h.pieces:
-                pts.add(p.lo)
-                pts.add(p.hi)
-        return sorted(pts)
+    @classmethod
+    def sum(cls, terms: Iterable["FuncExpr"]) -> "FuncExpr":
+        """t_1 + ... + t_n in one pass over one grid, equal to the left fold
+        ((t_1 + t_2) + t_3) + ... piece for piece and bit for bit (one term is
+        returned as it is).
+
+        Each term is looked up on the cells of its own span by `_cells_on`, and
+        each cell adds the atoms up in term order, as the fold does.  From t_2
+        on, the fold's grid loses a point with a zero cell on both sides, until
+        a later term has it as a piece end again.  Only a cell that a term
+        leaves at zero brings that about, so those cells' ends are all checked.
+        """
+        terms = list(terms)
+        if len(terms) < 2:
+            return terms[0] if terms else cls.zero()
+        grid = _piece_ends(terms)
+        last = len(grid) - 1
+        cells: list[dict | None] = [None] * last  # the running sum per cell
+        cancelled: list[int] = []  # cells a term's atoms left at zero
+        dropped: dict[int, int] = {}  # grid point -> last term after which the fold lost it
+        for k, t in enumerate(terms):
+            if t.pieces:  # past the last piece's hi the midpoint rule finds no piece
+                i = bisect.bisect_left(grid, t.pieces[0].lo)
+                for atoms in t._cells_on(grid[i : bisect.bisect_left(grid, t.pieces[-1].hi) + 1]):
+                    if atoms:
+                        cell = cells[i]
+                        if cell is None:
+                            cell = cells[i] = {}
+                        if not _add_atoms(cell, atoms):
+                            cancelled.append(i)
+                    i += 1
+            if cancelled and k:  # t_1's ends all enter the fold's first grid
+                for j in {j for i in cancelled for j in (i, i + 1)}:
+                    if not ((j and cells[j - 1]) or (j < last and cells[j])):
+                        dropped[j] = k
+                cancelled.clear()
+        if dropped:
+            last_end = {x: k for k, t in enumerate(terms) for p in t.pieces for x in (p.lo, p.hi)}
+            keep = [i for i, x in enumerate(grid) if dropped.get(i, -1) < last_end[x]]
+            grid, cells = [grid[i] for i in keep], [cells[i] for i in keep[:-1]]
+        out = []
+        for lo, hi, cell in zip(grid, grid[1:], cells):
+            if cell:
+                out.append(Piece(lo, hi, _atoms_of(cell)))
+        return cls._of_cells(out)
 
     def __add__(self, other: "FuncExpr | float") -> "FuncExpr":
         if isinstance(other, (int, float)):
             other = FuncExpr.constant(float(other))
-        grid = self._common_grid(self, other)
-        if not grid:
-            return FuncExpr.zero()
-        mine = self._cells_on(grid)
-        theirs = other._cells_on(grid)
-        pieces = []
-        for (lo, hi, a1), (_, _, a2) in zip(mine, theirs):
-            atoms = _merge_atoms(list(a1) + list(a2))
-            if atoms:
-                pieces.append(Piece(lo, hi, atoms))
-        return FuncExpr(pieces)
+        return FuncExpr.sum((self, other))
 
     def __neg__(self) -> "FuncExpr":
         return FuncExpr(
@@ -517,13 +576,11 @@ class FuncExpr:
                     for p in self.pieces
                 ]
             )
-        grid = self._common_grid(self, other)
+        grid = _piece_ends((self, other))
         if not grid:
             return FuncExpr.zero()
-        mine = self._cells_on(grid)
-        theirs = other._cells_on(grid)
         pieces = []
-        for (lo, hi, a1), (_, _, a2) in zip(mine, theirs):
+        for lo, hi, a1, a2 in zip(grid, grid[1:], self._cells_on(grid), other._cells_on(grid)):
             if not a1 or not a2:
                 continue
             prods = [
@@ -531,10 +588,10 @@ class FuncExpr:
                 for c1, al1, m1 in a1
                 for c2, al2, m2 in a2
             ]
-            atoms = _merge_atoms(prods)
+            atoms = _atoms_of(_add_atoms({}, prods))
             if atoms:
                 pieces.append(Piece(lo, hi, atoms))
-        return FuncExpr(pieces)
+        return FuncExpr._of_cells(pieces)
 
     __rmul__ = __mul__
 
@@ -687,12 +744,22 @@ class FuncExpr:
             if f_abs(mid) == 0.0 and weight(mid) == 0.0:
                 continue
             if lo <= hi * 1e-290:
-                total += _zero_cell_lp_quad(f_abs, weight, p_exp, mid, hi)
+                total += _zero_cell_lp_quad(f_abs, weight, p_exp, lo, hi)
                 continue
             total += integrate_callable(
                 integrand, Interval(lo, hi), DX, rel_tol=1e-9
             )
         return total
+
+
+def _piece_ends(fs: Iterable[FuncExpr]) -> list[float]:
+    """The sorted ends of every piece of the fs: the grid their cells share."""
+    pts = set()
+    for f in fs:
+        for p in f.pieces:
+            pts.add(p.lo)
+            pts.add(p.hi)
+    return sorted(pts)
 
 
 def _geometric_mid(lo: float, hi: float) -> float:
@@ -703,16 +770,8 @@ def _geometric_mid(lo: float, hi: float) -> float:
     return hi / 2.0
 
 
-def _piece_atoms_at(f: "FuncExpr", x: float) -> tuple[Atom, ...] | None:
-    i = bisect.bisect_right(f._los, x) - 1
-    if i < 0:
-        return None
-    p = f.pieces[i]
-    return p.atoms if p.lo <= x < p.hi else None
-
-
 def _zero_cell_lp_quad(
-    f_abs: "FuncExpr", weight: "FuncExpr", p_exp: float, probe: float, hi: float
+    f_abs: "FuncExpr", weight: "FuncExpr", p_exp: float, lo: float, hi: float
 ) -> float:
     """int_0^hi |f|^p w dx in log coordinates with grouped exponentials.
 
@@ -720,9 +779,8 @@ def _zero_cell_lp_quad(
     bounded as u -> -inf; integrability requires the grouped exponent
     p*min_a(f) + min_a(w) + 1 to be positive (symbolic divergence otherwise).
     """
-    fa = _piece_atoms_at(f_abs, probe)
-    wa = _piece_atoms_at(weight, probe)
-    if fa is None or wa is None:
+    (fa,), (wa,) = f_abs._cells_on([lo, hi]), weight._cells_on([lo, hi])
+    if not fa or not wa:
         return 0.0
     a_f = min(a for _, a, _ in fa)
     a_w = min(a for _, a, _ in wa)

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 from .dyadic import DyadicCube, SparseFamily, _stopping_walk
 from .errors import PreconditionError, ZeroMassError
-from .measure import DX, BesselMeasure, FuncExpr, Interval, dmu
+from .measure import DX, BesselMeasure, FuncExpr, Interval, Piece, dmu
 from .orlicz import (
     YoungFunction,
     complementary,
@@ -47,7 +47,6 @@ __all__ = [
     "lp_norm",
     "OperatorNormEstimate",
     "operator_norm_lower_bound",
-    "inner_product_mu",
     "sparse_layer_mass_bound",
     "oscillation_stopping_tree",
     "oscillation_expansion_sides",
@@ -59,23 +58,18 @@ def cube_average(f: FuncExpr, Q: DyadicCube, m: BesselMeasure) -> float:
     return f.integrate(Q.interval, dmu(m)) / m.mu(Q.interval)
 
 
-def _arrangement_cells(cubes: Sequence[DyadicCube]) -> list[Interval]:
-    pts = sorted({p for Q in cubes for p in (Q.interval.a, Q.interval.b)})
-    return [Interval(lo, hi) for lo, hi in zip(pts, pts[1:])]
-
-
 def sparse_apply(S: SparseFamily, f: FuncExpr, m: BesselMeasure) -> FuncExpr:
-    """A_S f as an exactly piecewise-constant function."""
-    if not S.cubes:
-        return FuncExpr.zero()
-    avgs = [(Q, cube_average(f, Q, m)) for Q in S.cubes]
-    cells = _arrangement_cells(S.cubes)
-    breaks = [cells[0].a] + [c.b for c in cells]
-    vals = []
-    for cell in cells:
-        mid = cell.midpoint
-        vals.append(sum(a for Q, a in avgs if Q.contains_point(mid)))
-    return FuncExpr.piecewise_constant(breaks, vals)
+    """A_S f as an exactly piecewise-constant function.
+
+    Each cube enters the sum as a cell, a zero average too, so the output's
+    cells are the nonzero cells of the whole cube-endpoint arrangement.  The
+    sum starts from zero, which drops zero cells even when S has one cube.
+    """
+    cells = [
+        FuncExpr([Piece(Q.interval.a, Q.interval.b, ((cube_average(f, Q, m), 0.0, 0),))])
+        for Q in S.cubes
+    ]
+    return FuncExpr.sum([FuncExpr.zero(), *cells])
 
 
 def sparse_commutator_apply(
@@ -91,7 +85,7 @@ def sparse_commutator_apply(
     """
     if variant not in ("left", "adjoint"):
         raise ValueError("variant must be 'left' or 'adjoint'")
-    out = FuncExpr.zero()
+    terms = [FuncExpr.zero()]  # the per-cube sum 0 + t_1 + t_2 + ...
     for Q in S.cubes:
         iv = Q.interval
         bq = cube_average(b, Q, m)
@@ -99,17 +93,12 @@ def sparse_commutator_apply(
         if variant == "left":
             coef = cube_average(f, Q, m)
             if coef != 0.0:
-                out = out + osc * coef
+                terms.append(osc * coef)
         else:
             coef = (osc * f).integrate(iv, dmu(m)) / m.mu(iv)
             if coef != 0.0:
-                out = out + FuncExpr.indicator(iv, coef)
-    return out
-
-
-def inner_product_mu(f: FuncExpr, g: FuncExpr, m: BesselMeasure, B: Interval) -> float:
-    """<f, g>_mu over B, exact for family members."""
-    return (f * g).integrate(B, dmu(m))
+                terms.append(FuncExpr.indicator(iv, coef))
+    return FuncExpr.sum(terms)
 
 
 # -- weighted dyadic maximal ------------------------------------------------------
@@ -137,22 +126,13 @@ def dyadic_maximal_profile(
     f: FuncExpr, sigma: Weight, grid: Sequence[DyadicCube]
 ) -> FuncExpr:
     """The grid maximal function as a piecewise-constant profile."""
-    vals_per_cube = []
+    vals = []
     for Q in grid:
         mass = sigma.mass(Q.interval)
         if mass <= 0.0:
             raise ZeroMassError(f"sigma has zero mass on {Q}")
-        vals_per_cube.append(
-            (Q, (f.restrict(Q.interval).abs() * sigma.expr).integrate(Q.interval, DX) / mass)
-        )
-    cells = _arrangement_cells(grid)
-    breaks = [cells[0].a] + [c.b for c in cells]
-    out = []
-    for cell in cells:
-        mid = cell.midpoint
-        covering = [v for Q, v in vals_per_cube if Q.contains_point(mid)]
-        out.append(max(covering) if covering else 0.0)
-    return FuncExpr.piecewise_constant(breaks, out)
+        vals.append((f.restrict(Q.interval).abs() * sigma.expr).integrate(Q.interval, DX) / mass)
+    return FuncExpr.envelope([Q.interval for Q in grid], vals)
 
 
 # -- norms and norm estimates -------------------------------------------------------
@@ -268,18 +248,10 @@ def _apply_young_piecewise(psi: YoungFunction, f_abs: FuncExpr, scale: float) ->
     """psi(scale * f) for piecewise-constant nonnegative f, exactly."""
     if not f_abs.is_piecewise_constant():
         raise PreconditionError("banded mass bound expects piecewise-constant test data")
-    breaks, vals = [], []
-    for p in f_abs.pieces:
-        if not breaks:
-            breaks.append(p.lo)
-        elif p.lo > breaks[-1]:
-            vals.append(0.0)
-            breaks.append(p.lo)
-        vals.append(psi(scale * p.atoms[0][0]))
-        breaks.append(p.hi)
-    if not breaks:
-        return FuncExpr.zero()
-    return FuncExpr.piecewise_constant(breaks, vals)
+    vals = [psi(scale * p.atoms[0][0]) for p in f_abs.pieces]
+    return FuncExpr(
+        [Piece(p.lo, p.hi, ((v, 0.0, 0),)) for p, v in zip(f_abs.pieces, vals) if v != 0.0]
+    )
 
 
 # -- oscillation expansion over a stopping tree ---------------------------------------

@@ -423,12 +423,4 @@ def orlicz_maximal_profile(
     """
     if not intervals:
         raise EmptyFamilyError("empty interval family")
-    norms = [(B, luxemburg_norm(h, phi, B, m)) for B in intervals]
-    pts = sorted({p for B in intervals for p in (B.a, B.b)})
-    breaks, vals = [pts[0]], []
-    for lo, hi in zip(pts, pts[1:]):
-        mid = 0.5 * (lo + hi)
-        covering = [v for B, v in norms if B.a <= mid <= B.b]
-        vals.append(max(covering) if covering else 0.0)
-        breaks.append(hi)
-    return FuncExpr.piecewise_constant(breaks, vals)
+    return FuncExpr.envelope(intervals, [luxemburg_norm(h, phi, B, m) for B in intervals])

@@ -58,6 +58,7 @@ import numpy as np
 from scipy.special import beta, hyp2f1
 
 from .bmo import median
+from .dyadic import subtract_intervals
 from .errors import ConstructionError, PostconditionError, SupportError
 from .measure import (
     BesselMeasure,
@@ -270,7 +271,7 @@ def median_split(b: FuncExpr, pair: SeparatedBallPair, m: BesselMeasure) -> Medi
     Fplus = _closed_superlevel(b, alpha, pair.Btilde)
     Fminus = _closed_superlevel(-b, -alpha, pair.Btilde)
     Eplus = _closed_superlevel(b, alpha, pair.B)
-    Eminus = _complement_in(pair.B, Eplus)
+    Eminus = subtract_intervals(pair.B, Eplus)
     half = 0.5 * m.mu(pair.Btilde)
     slack = 1e-9 * m.mu(pair.Btilde)
     plus = sum(m.mu(iv) for iv in Fplus)
@@ -294,12 +295,6 @@ def _closed_superlevel(b: FuncExpr, alpha: float, B: Interval) -> tuple[Interval
             else:
                 out.append(iv)
     return tuple(out)
-
-
-def _complement_in(B: Interval, parts: Sequence[Interval]) -> tuple[Interval, ...]:
-    from .dyadic import subtract_intervals
-
-    return subtract_intervals(B, list(parts))
 
 
 # -- the slow-logarithmic tail profile ------------------------------------------------

@@ -166,6 +166,19 @@ class TestSparse:
                 assert a.a == pytest.approx(b.a, abs=1e-15)
                 assert a.b == pytest.approx(b.b, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "lines,line_no",
+        [
+            pytest.param(["3 0 1 2 0.0 0.1 0.12"], 1, id="odd-endpoint"),
+            pytest.param(["0 0 1 2", "", "1 0 1 4"], 3, id="eta-disagrees"),
+            pytest.param(["3 0 1 0"], 1, id="zero-denominator"),
+            pytest.param(["0 0 1 2 0.5 1.0", "3"], 2, id="short-line"),
+        ],
+    )
+    def test_from_lines_rejects_malformed_line(self, lines, line_no):
+        with pytest.raises(ValueError, match=f"line {line_no}:"):
+            SparseFamily.from_lines(lines)
+
     def test_verify_reproduces_stored_eta(self):
         for seed in range(5):
             cubes = random_subtree(DyadicCube(0, 0), 4, seed=seed, keep_prob=0.6)

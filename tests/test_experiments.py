@@ -173,3 +173,48 @@ class TestSparseReplay:
         )
         v2 = run_sparse_scaling(cfg2)
         assert v2.passed
+
+    @staticmethod
+    def _replay(tmp_path, lines):
+        path = tmp_path / "family.sparse"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = ScenarioConfig(
+            "sparse-scaling", 5, str(tmp_path / "out"),
+            {"lam": "1.0", "ps": "2", "deltas": "0.4 0.2", "family_depth": "10",
+             "sparse_file": str(path)}, {},
+        )
+        return run_sparse_scaling(cfg)
+
+    @staticmethod
+    def _chain_lines():
+        from besselweights.dyadic import canonical_major_subsets, zero_chain
+        from besselweights.measure import BesselMeasure
+
+        return canonical_major_subsets(zero_chain(list(range(12))), BesselMeasure(1.0)).to_lines()
+
+    def test_tampered_eta_rejected(self, tmp_path):
+        # the chain's subsets carry 7/8 of each cube's mass; claim 15/16
+        lines = [" ".join(ln.split()[:2] + ["15", "16"] + ln.split()[4:]) for ln in self._chain_lines()]
+        with pytest.raises(ConfigError, match="exceeds"):
+            self._replay(tmp_path, lines)
+
+    def test_overlapping_subsets_rejected(self, tmp_path):
+        from besselweights.errors import DisjointnessError
+
+        lines = self._chain_lines()
+        first = lines[0].split()
+        lines[0] = " ".join(first[:4] + ["0.3"] + first[5:])  # E_Q of [0,1) reaches into [0,1/2)
+        with pytest.raises(DisjointnessError):
+            self._replay(tmp_path, lines)
+
+    def test_deep_round_trip_within_eta_slack(self, tmp_path):
+        from besselweights.dyadic import SparseFamily, canonical_major_subsets, zero_chain
+        from besselweights.experiments.sparse_scaling import _load_replay_family
+        from besselweights.measure import BesselMeasure
+
+        m = BesselMeasure(1.0)
+        lines = canonical_major_subsets(zero_chain(list(range(120))), m).to_lines()
+        assert SparseFamily.from_lines(lines).eta == 0.875  # measured: 0.8749999999999695
+        path = tmp_path / "deep.sparse"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert len(_load_replay_family(str(path), m).cubes) == 120

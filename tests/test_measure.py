@@ -1,6 +1,8 @@
 """Tests for the measure layer: exact integrals, the function family, quadrature."""
 
+import bisect
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from besselweights.measure import (
     Interval,
     IntervalEnds,
     MeasureKind,
+    Piece,
     dmu,
     integrate_callable,
     monotone_inverse,
@@ -263,6 +266,137 @@ class TestFuncExpr:
         f = FuncExpr.piecewise_constant([0.1, 1.0, 2.0], [c0, c1])
         m = BesselMeasure(lam)
         assert f.integrate(Interval(0.1, 2.0), dmu(m)) >= 0.0
+
+
+def _reference_atoms_at(f, x):
+    i = bisect.bisect_right([p.lo for p in f.pieces], x) - 1
+    if i >= 0 and f.pieces[i].lo <= x < f.pieces[i].hi:
+        return f.pieces[i].atoms
+    return ()
+
+
+def _reference_mid(lo, hi):
+    if lo > 0.0 and hi < math.inf:
+        return math.sqrt(lo * hi)
+    return max(2.0 * lo, 1.0) if hi == math.inf else hi / 2.0
+
+
+def reference_add(f, g):
+    """The binary `+` that FuncExpr.sum replaced: one grid of both functions'
+    piece ends, each cell's atoms looked up at its midpoint and merged."""
+    grid = sorted({x for h in (f, g) for p in h.pieces for x in (p.lo, p.hi)})
+    pieces = []
+    for lo, hi in zip(grid, grid[1:]):
+        mid = _reference_mid(lo, hi)
+        acc = {}
+        for c, alpha, m in _reference_atoms_at(f, mid) + _reference_atoms_at(g, mid):
+            if c != 0.0:
+                acc[(alpha, m)] = acc.get((alpha, m), 0.0) + c
+        atoms = tuple((c, alpha, m) for (alpha, m), c in sorted(acc.items()) if c != 0.0)
+        if atoms:
+            pieces.append(Piece(lo, hi, atoms))
+    return FuncExpr(pieces)
+
+
+def cells_of(f):
+    return [(p.lo, p.hi, p.atoms) for p in f.pieces]
+
+
+_ENDS = [0.0, 0.125, 0.3, 0.5, 1.0, 1.7, 2.0, 4.0]
+
+
+def _random_term(rng, earlier):
+    """A term for the sum tests: zero terms, negated earlier terms (exact
+    cancellation), zero-based and unbounded pieces, log atoms, zero
+    coefficients, atoms that cancel inside one piece, and sliver overlaps."""
+    roll = rng.random()
+    if roll < 0.1:
+        return FuncExpr.zero()
+    if roll < 0.25 and earlier:
+        return -rng.choice(earlier)
+    ends = sorted(rng.sample(_ENDS, rng.randint(2, 5)))
+    if rng.random() < 0.3:
+        ends.append(math.inf)
+    pieces = []
+    for lo, hi in zip(ends, ends[1:]):
+        if rng.random() < 0.25:
+            continue
+        atoms = [
+            (
+                rng.choice([1.0, -1.0, 0.5, -0.5, 3.0, 0.0, rng.uniform(-2.0, 2.0)]),
+                rng.choice([0.0, 0.5, -0.5, 2.0]),
+                rng.choice([0, 0, 1, 2]),
+            )
+            for _ in range(rng.randint(1, 3))
+        ]
+        if rng.random() < 0.1:
+            c, alpha, m = atoms[0]
+            atoms = [(c, alpha, m), (-c, alpha, m)]
+        pieces.append(Piece(lo, hi, tuple(atoms)))
+    if len(pieces) >= 2 and pieces[0].hi == pieces[1].lo and rng.random() < 0.15:
+        p = pieces[1]
+        pieces[1] = Piece(p.lo * (1.0 - 4e-16), p.hi, p.atoms)  # a sliver overlap
+    return FuncExpr(pieces)
+
+
+class TestFuncExprSum:
+    @pytest.mark.parametrize("block", range(4))
+    def test_sum_equals_left_fold(self, block):
+        for seed in range(60 * block, 60 * block + 60):
+            rng = random.Random(seed)
+            terms = []
+            for _ in range(rng.randint(0, 40)):
+                terms.append(_random_term(rng, terms))
+            fold = terms[0] if terms else FuncExpr.zero()
+            for t in terms[1:]:
+                fold = reference_add(fold, t)
+            assert cells_of(FuncExpr.sum(terms)) == cells_of(fold), seed
+            if len(terms) >= 2:
+                assert cells_of(terms[0] + terms[1]) == cells_of(
+                    reference_add(terms[0], terms[1])
+                ), seed
+
+    def test_points_dropped_by_the_fold_stay_dropped(self):
+        # t1's cell is zero, so the fold drops 0.5 and 1 at t2; t3 then spans them
+        t1 = FuncExpr([Piece(0.5, 1.0, ((1.0, 0.0, 0), (-1.0, 0.0, 0)))])
+        t2 = FuncExpr.indicator(Interval(2.0, 4.0))
+        t3 = FuncExpr.indicator(Interval(0.0, 4.0))
+        fold = reference_add(reference_add(t1, t2), t3)
+        assert cells_of(FuncExpr.sum([t1, t2, t3])) == cells_of(fold)
+        assert [(lo, hi) for lo, hi, _ in cells_of(fold)] == [(0.0, 2.0), (2.0, 4.0)]
+
+    def test_one_term_is_itself(self):
+        t = FuncExpr.power(2.0, 0.5)
+        assert FuncExpr.sum([t]) is t
+        assert FuncExpr.sum([]).is_zero()
+
+
+def _reference_envelope(intervals, values):
+    """The per-cell loop both maximal profiles ran before they shared one routine."""
+    pts = sorted({x for B in intervals for x in (B.a, B.b)})
+    vals = []
+    for lo, hi in zip(pts, pts[1:]):
+        mid = 0.5 * (lo + hi)
+        covering = [v for B, v in zip(intervals, values) if B.a <= mid < B.b]
+        vals.append(max(covering) if covering else 0.0)
+    return FuncExpr.piecewise_constant(pts, vals)
+
+
+class TestEnvelope:
+    def test_matches_the_per_cell_max(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            intervals = []
+            for _ in range(rng.randint(1, 12)):
+                a, b = sorted(rng.sample(_ENDS, 2))
+                intervals.append(Interval(a, b))
+            values = [rng.choice([0.0, -1.0, 2.0, rng.uniform(-1.0, 3.0)]) for _ in intervals]
+            assert cells_of(FuncExpr.envelope(intervals, values)) == cells_of(
+                _reference_envelope(intervals, values)
+            )
+
+    def test_no_intervals_is_zero(self):
+        assert FuncExpr.envelope([], []).is_zero()
 
 
 class TestMonotoneInverse:

@@ -6,15 +6,15 @@ import pytest
 from besselweights.dyadic import (
     DyadicCube,
     canonical_major_subsets,
+    random_subtree,
     zero_chain,
 )
 from besselweights.errors import PreconditionError
-from besselweights.measure import BesselMeasure, FuncExpr, Interval
+from besselweights.measure import BesselMeasure, FuncExpr, Interval, dmu
 from besselweights.operators import (
     cube_average,
     dyadic_maximal,
     dyadic_maximal_profile,
-    inner_product_mu,
     lp_norm,
     operator_norm_lower_bound,
     oscillation_expansion_sides,
@@ -25,6 +25,7 @@ from besselweights.operators import (
 )
 from besselweights.orlicz import llogl
 from besselweights.weights import Weight
+from test_measure import cells_of, reference_add
 
 M1 = BesselMeasure(1.0)
 M0 = BesselMeasure(1e-9)
@@ -77,9 +78,81 @@ class TestSparseApply:
         for _ in range(25):
             f = FuncExpr.piecewise_constant(breaks, list(rng.uniform(0, 2, 3)))
             g = FuncExpr.piecewise_constant(breaks, list(rng.uniform(0, 2, 3)))
-            lhs = inner_product_mu(sparse_apply(S, f, M1), g, M1, B)
-            rhs = inner_product_mu(f, sparse_apply(S, g, M1), M1, B)
+            lhs = (sparse_apply(S, f, M1) * g).integrate(B, dmu(M1))
+            rhs = (f * sparse_apply(S, g, M1)).integrate(B, dmu(M1))
             assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+def arrangement_apply(S, f, m):
+    """A_S f built cell by cell on the cube-endpoint arrangement, as sparse_apply
+    did before it became one FuncExpr.sum."""
+    if not S.cubes:
+        return FuncExpr.zero()
+    avgs = [(Q, cube_average(f, Q, m)) for Q in S.cubes]
+    pts = sorted({x for Q in S.cubes for x in (Q.interval.a, Q.interval.b)})
+    vals = [
+        sum(a for Q, a in avgs if Q.contains_point(0.5 * (lo + hi)))
+        for lo, hi in zip(pts, pts[1:])
+    ]
+    return FuncExpr.piecewise_constant(pts, vals)
+
+
+def folded_commutator_apply(S, b, f, m, variant):
+    """A_{S,b} f added up one cube at a time with the old binary `+`."""
+    out = FuncExpr.zero()
+    for Q in S.cubes:
+        iv = Q.interval
+        osc = (b - FuncExpr.constant(cube_average(b, Q, m))).restrict(iv).abs()
+        if variant == "left":
+            coef = cube_average(f, Q, m)
+            term = osc * coef
+        else:
+            coef = (osc * f).integrate(iv, dmu(m)) / m.mu(iv)
+            term = FuncExpr.indicator(iv, coef)
+        if coef != 0.0:
+            out = reference_add(out, term)
+    return out
+
+
+def _families():
+    for depth in (10, 40, 80):
+        yield f"chain{depth}", family_of(zero_chain(list(range(depth))), M1)
+    for seed in range(3):
+        yield f"subtree{seed}", family_of(
+            random_subtree(DyadicCube(0, 0), 5, seed=seed, keep_prob=0.6), M1
+        )
+
+
+def _test_functions(depth):
+    rng = np.random.default_rng(depth)
+    breaks = [0.0] + sorted(10.0 ** rng.uniform(-6, 0, size=4)) + [1.0]
+    return [
+        FuncExpr.indicator(Interval(0.0, 1.0)),
+        FuncExpr.power(1.0, -0.6).restrict(Interval(0.0, 1.0)),
+        FuncExpr.indicator(Interval(0.0, 2.0 ** -(depth // 2))),
+        FuncExpr.indicator(Interval(0.5, 1.0)),  # zero average on most cubes
+        FuncExpr.piecewise_constant(breaks, list(rng.uniform(-1.0, 2.0, size=5))),
+    ]
+
+
+class TestOneSumOutputs:
+    """sparse_apply and sparse_commutator_apply equal the per-cube
+    constructions they replaced, piece for piece and bit for bit."""
+
+    @pytest.mark.parametrize("S", [pytest.param(S, id=name) for name, S in _families()])
+    def test_equal_to_per_cube_construction(self, S):
+        b = FuncExpr.log_of_mu_density(1.0)
+        for f in _test_functions(len(S.cubes)):
+            assert cells_of(sparse_apply(S, f, M1)) == cells_of(arrangement_apply(S, f, M1))
+            for variant in ("left", "adjoint"):
+                assert cells_of(sparse_commutator_apply(S, b, f, M1, variant)) == cells_of(
+                    folded_commutator_apply(S, b, f, M1, variant)
+                ), variant
+
+    def test_single_cube_with_zero_average_is_zero(self):
+        S = family_of([DyadicCube(1, 0)], M1)
+        out = sparse_apply(S, FuncExpr.indicator(Interval(0.5, 1.0)), M1)
+        assert out.is_zero()
 
 
 class TestCommutator:
@@ -111,8 +184,8 @@ class TestCommutator:
         for _ in range(10):
             f = FuncExpr.piecewise_constant(breaks, list(rng.uniform(0, 2, 3)))
             g = FuncExpr.piecewise_constant(breaks, list(rng.uniform(0, 2, 3)))
-            lhs = inner_product_mu(sparse_commutator_apply(S, b, f, M1, "left"), g, M1, B)
-            rhs = inner_product_mu(f, sparse_commutator_apply(S, b, g, M1, "adjoint"), M1, B)
+            lhs = (sparse_commutator_apply(S, b, f, M1, "left") * g).integrate(B, dmu(M1))
+            rhs = (f * sparse_commutator_apply(S, b, g, M1, "adjoint")).integrate(B, dmu(M1))
             assert lhs == pytest.approx(rhs, rel=1e-8)
 
     def test_shift_invariance_in_b(self):
