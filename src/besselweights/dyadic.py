@@ -156,6 +156,8 @@ class SparseFamily:
                 if eta is not None and num / den != eta:
                     raise ValueError(f"eta {num}/{den} differs from {eta!r} on earlier lines")
                 Q, ends = DyadicCube(level, index), [float(t) for t in parts[4:]]
+                if Q in subsets:
+                    raise ValueError(f"cube {Q} is repeated")
                 subsets[Q] = tuple(Interval(lo, hi) for lo, hi in zip(ends[::2], ends[1::2]))
             except ValueError as exc:
                 raise ValueError(f"sparse family line {n}: {exc}") from None
@@ -220,20 +222,18 @@ def canonical_major_subsets(cubes: Sequence[DyadicCube], m: BesselMeasure) -> Sp
     min of mu(E_Q)/mu(Q) (eta = 0 is allowed and returned)."""
     layered = layer_decompose(cubes)
     subsets: dict[DyadicCube, tuple[Interval, ...]] = {}
-    eta = 1.0
     for v, layer in enumerate(layered.layers):
         next_layer = layered.layers[v + 1] if v + 1 < len(layered.layers) else ()
         for Q in layer:
             holes = [P.interval for P in next_layer if Q.contains(P)]
-            eq = subtract_intervals(Q.interval, holes)
-            subsets[Q] = eq
-            mass = sum(m.mu(iv) for iv in eq)
-            eta = min(eta, mass / m.mu(Q.interval))
-    return SparseFamily(tuple(cubes), subsets, eta)
+            subsets[Q] = subtract_intervals(Q.interval, holes)
+    eta, _ = verify_sparse(SparseFamily(tuple(cubes), subsets, 1.0), m)
+    return SparseFamily(tuple(cubes), subsets, min(eta, 1.0))
 
 
 def verify_sparse(S: SparseFamily, m: BesselMeasure) -> tuple[float, DyadicCube | None]:
-    """(min_Q mu(E_Q)/mu(Q), witness cube); exact disjointness check first."""
+    """(min_Q mu(E_Q)/mu(Q), witness cube); exact disjointness check first,
+    and each E_Q must lie in its Q (ValueError otherwise)."""
     tagged = []
     for Q in S.cubes:
         for iv in S.major_subsets.get(Q, ()):
@@ -247,8 +247,10 @@ def verify_sparse(S: SparseFamily, m: BesselMeasure) -> tuple[float, DyadicCube 
             )
     eta_max, witness = math.inf, None
     for Q in S.cubes:
-        mass = sum(m.mu(iv) for iv in S.major_subsets.get(Q, ()))
-        ratio = mass / m.mu(Q.interval)
+        eq = S.major_subsets.get(Q, ())
+        if not all(Q.contains_point(iv.a) and iv.b <= Q.interval.b for iv in eq):
+            raise ValueError(f"a major subset of {Q} is not inside it")
+        ratio = sum(m.mu(iv) for iv in eq) / m.mu(Q.interval)
         if ratio < eta_max:
             eta_max, witness = ratio, Q
     return eta_max, witness

@@ -59,14 +59,15 @@ _ETA_SLACK = 1e-12
 
 
 def _load_replay_family(path: str, m: BesselMeasure):
-    """The stored family, checked: disjoint major subsets (DisjointnessError
-    otherwise) and a stored eta the subsets attain."""
+    """The stored family, checked: each major subset inside its cube, the
+    subsets disjoint (DisjointnessError otherwise), and a stored eta the
+    subsets attain."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             S = SparseFamily.from_lines(fh)
+            measured, witness = verify_sparse(S, m)
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-    measured, witness = verify_sparse(S, m)
     if S.eta > measured * (1.0 + _ETA_SLACK):
         raise ConfigError(
             f"{path}: stored eta {S.eta!r} exceeds mu(E_Q)/mu(Q) = {measured!r} on {witness}"

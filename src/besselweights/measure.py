@@ -37,7 +37,6 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -355,16 +354,13 @@ class Piece:
         return sum(c * x**alpha * lx**m for c, alpha, m in self.atoms)
 
 
-_piece_lo = attrgetter("lo")
-
-
 class FuncExpr:
     """A function on R_+: finitely many cells of power-log sums, zero elsewhere."""
 
     __slots__ = ("pieces", "_los")
 
     def __init__(self, pieces: Sequence[Piece]):
-        cleaned = sorted([p for p in pieces if p.atoms and p.lo < p.hi], key=_piece_lo)
+        cleaned = sorted([p for p in pieces if p.atoms and p.lo < p.hi], key=lambda p: p.lo)
         los = [p.lo for p in cleaned]
         for prev, lo in zip(cleaned, los[1:]):
             if lo < prev.hi - 1e-15 * max(1.0, abs(prev.hi)):
@@ -507,8 +503,8 @@ class FuncExpr:
     @classmethod
     def sum(cls, terms: Iterable["FuncExpr"]) -> "FuncExpr":
         """t_1 + ... + t_n in one pass over one grid, equal to the left fold
-        ((t_1 + t_2) + t_3) + ... piece for piece and bit for bit (one term is
-        returned as it is).
+        ((t_1 + t_2) + t_3) + ... piece for piece and bit for bit.  Zero atoms
+        and zero cells are dropped, so the sum of one term is that term cleaned.
 
         Each term is looked up on the cells of its own span by `_cells_on`, and
         each cell adds the atoms up in term order, as the fold does.  From t_2
@@ -517,8 +513,6 @@ class FuncExpr:
         leaves at zero brings that about, so those cells' ends are all checked.
         """
         terms = list(terms)
-        if len(terms) < 2:
-            return terms[0] if terms else cls.zero()
         grid = _piece_ends(terms)
         last = len(grid) - 1
         cells: list[dict | None] = [None] * last  # the running sum per cell

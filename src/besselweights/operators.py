@@ -62,14 +62,12 @@ def sparse_apply(S: SparseFamily, f: FuncExpr, m: BesselMeasure) -> FuncExpr:
     """A_S f as an exactly piecewise-constant function.
 
     Each cube enters the sum as a cell, a zero average too, so the output's
-    cells are the nonzero cells of the whole cube-endpoint arrangement.  The
-    sum starts from zero, which drops zero cells even when S has one cube.
+    cells are the nonzero cells of the whole cube-endpoint arrangement.
     """
-    cells = [
+    return FuncExpr.sum(
         FuncExpr([Piece(Q.interval.a, Q.interval.b, ((cube_average(f, Q, m), 0.0, 0),))])
         for Q in S.cubes
-    ]
-    return FuncExpr.sum([FuncExpr.zero(), *cells])
+    )
 
 
 def sparse_commutator_apply(
@@ -85,7 +83,7 @@ def sparse_commutator_apply(
     """
     if variant not in ("left", "adjoint"):
         raise ValueError("variant must be 'left' or 'adjoint'")
-    terms = [FuncExpr.zero()]  # the per-cube sum 0 + t_1 + t_2 + ...
+    terms = []
     for Q in S.cubes:
         iv = Q.interval
         bq = cube_average(b, Q, m)
@@ -248,10 +246,18 @@ def _apply_young_piecewise(psi: YoungFunction, f_abs: FuncExpr, scale: float) ->
     """psi(scale * f) for piecewise-constant nonnegative f, exactly."""
     if not f_abs.is_piecewise_constant():
         raise PreconditionError("banded mass bound expects piecewise-constant test data")
-    vals = [psi(scale * p.atoms[0][0]) for p in f_abs.pieces]
-    return FuncExpr(
-        [Piece(p.lo, p.hi, ((v, 0.0, 0),)) for p, v in zip(f_abs.pieces, vals) if v != 0.0]
-    )
+    breaks, vals = [], []
+    for p in f_abs.pieces:
+        if not breaks:
+            breaks.append(p.lo)
+        elif p.lo > breaks[-1]:
+            vals.append(0.0)
+            breaks.append(p.lo)
+        vals.append(psi(scale * p.atoms[0][0]))
+        breaks.append(p.hi)
+    if not breaks:
+        return FuncExpr.zero()
+    return FuncExpr.piecewise_constant(breaks, vals)
 
 
 # -- oscillation expansion over a stopping tree ---------------------------------------

@@ -154,6 +154,13 @@ class TestSparse:
         with pytest.raises(DisjointnessError):
             verify_sparse(bad, M1)
 
+    @pytest.mark.parametrize("e1,e2", [((0.0, 0.25), (0.25, 0.5)), ((0.25, 0.6), (0.75, 1.0))])
+    def test_subset_outside_its_cube_detected(self, e1, e2):
+        q1, q2 = DyadicCube(1, 0), DyadicCube(2, 3)  # [0, 1/2) and [3/4, 1)
+        bad = SparseFamily((q1, q2), {q1: (Interval(*e1),), q2: (Interval(*e2),)}, 0.5)
+        with pytest.raises(ValueError, match="not inside"):
+            verify_sparse(bad, M1)
+
     def test_roundtrip_serialization(self):
         cubes = zero_chain([0, 2, 4])
         S = canonical_major_subsets(cubes, M1)
@@ -173,6 +180,7 @@ class TestSparse:
             pytest.param(["0 0 1 2", "", "1 0 1 4"], 3, id="eta-disagrees"),
             pytest.param(["3 0 1 0"], 1, id="zero-denominator"),
             pytest.param(["0 0 1 2 0.5 1.0", "3"], 2, id="short-line"),
+            pytest.param(["0 0 1 2 0.5 1.0", "1 0 1 2", "0 0 1 2"], 3, id="repeated-cube"),
         ],
     )
     def test_from_lines_rejects_malformed_line(self, lines, line_no):

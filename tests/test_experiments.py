@@ -207,6 +207,19 @@ class TestSparseReplay:
         with pytest.raises(DisjointnessError):
             self._replay(tmp_path, lines)
 
+    def test_subset_outside_its_cube_rejected(self, tmp_path):
+        # the deepest cube's E_Q moved to just past [0, 1): mass ratio and
+        # disjointness still hold, containment does not
+        lines = self._chain_lines()
+        lines[-1] = " ".join(lines[-1].split()[:4] + ["1.0", repr(1.0 + 2.0**-12)])
+        with pytest.raises(ConfigError, match="not inside"):
+            self._replay(tmp_path, lines)
+
+    def test_repeated_cube_rejected(self, tmp_path):
+        lines = self._chain_lines()
+        with pytest.raises(ConfigError, match="line 13: .*repeated"):
+            self._replay(tmp_path, lines + lines[:1])
+
     def test_deep_round_trip_within_eta_slack(self, tmp_path):
         from besselweights.dyadic import SparseFamily, canonical_major_subsets, zero_chain
         from besselweights.experiments.sparse_scaling import _load_replay_family

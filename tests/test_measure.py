@@ -1,6 +1,5 @@
 """Tests for the measure layer: exact integrals, the function family, quadrature."""
 
-import bisect
 import math
 import random
 
@@ -268,40 +267,6 @@ class TestFuncExpr:
         assert f.integrate(Interval(0.1, 2.0), dmu(m)) >= 0.0
 
 
-def _reference_atoms_at(f, x):
-    i = bisect.bisect_right([p.lo for p in f.pieces], x) - 1
-    if i >= 0 and f.pieces[i].lo <= x < f.pieces[i].hi:
-        return f.pieces[i].atoms
-    return ()
-
-
-def _reference_mid(lo, hi):
-    if lo > 0.0 and hi < math.inf:
-        return math.sqrt(lo * hi)
-    return max(2.0 * lo, 1.0) if hi == math.inf else hi / 2.0
-
-
-def reference_add(f, g):
-    """The binary `+` that FuncExpr.sum replaced: one grid of both functions'
-    piece ends, each cell's atoms looked up at its midpoint and merged."""
-    grid = sorted({x for h in (f, g) for p in h.pieces for x in (p.lo, p.hi)})
-    pieces = []
-    for lo, hi in zip(grid, grid[1:]):
-        mid = _reference_mid(lo, hi)
-        acc = {}
-        for c, alpha, m in _reference_atoms_at(f, mid) + _reference_atoms_at(g, mid):
-            if c != 0.0:
-                acc[(alpha, m)] = acc.get((alpha, m), 0.0) + c
-        atoms = tuple((c, alpha, m) for (alpha, m), c in sorted(acc.items()) if c != 0.0)
-        if atoms:
-            pieces.append(Piece(lo, hi, atoms))
-    return FuncExpr(pieces)
-
-
-def cells_of(f):
-    return [(p.lo, p.hi, p.atoms) for p in f.pieces]
-
-
 _ENDS = [0.0, 0.125, 0.3, 0.5, 1.0, 1.7, 2.0, 4.0]
 
 
@@ -341,22 +306,25 @@ def _random_term(rng, earlier):
 
 class TestFuncExprSum:
     @pytest.mark.parametrize("block", range(4))
-    def test_sum_equals_left_fold(self, block):
+    def test_sum_equals_left_fold(self, block, reference_add, cells_of):
         for seed in range(60 * block, 60 * block + 60):
             rng = random.Random(seed)
             terms = []
             for _ in range(rng.randint(0, 40)):
                 terms.append(_random_term(rng, terms))
-            fold = terms[0] if terms else FuncExpr.zero()
-            for t in terms[1:]:
-                fold = reference_add(fold, t)
+            if len(terms) == 1:  # one term is cleaned as 0 + t_1
+                fold = reference_add(FuncExpr.zero(), terms[0])
+            else:
+                fold = terms[0] if terms else FuncExpr.zero()
+                for t in terms[1:]:
+                    fold = reference_add(fold, t)
             assert cells_of(FuncExpr.sum(terms)) == cells_of(fold), seed
             if len(terms) >= 2:
                 assert cells_of(terms[0] + terms[1]) == cells_of(
                     reference_add(terms[0], terms[1])
                 ), seed
 
-    def test_points_dropped_by_the_fold_stay_dropped(self):
+    def test_points_dropped_by_the_fold_stay_dropped(self, reference_add, cells_of):
         # t1's cell is zero, so the fold drops 0.5 and 1 at t2; t3 then spans them
         t1 = FuncExpr([Piece(0.5, 1.0, ((1.0, 0.0, 0), (-1.0, 0.0, 0)))])
         t2 = FuncExpr.indicator(Interval(2.0, 4.0))
@@ -365,9 +333,11 @@ class TestFuncExprSum:
         assert cells_of(FuncExpr.sum([t1, t2, t3])) == cells_of(fold)
         assert [(lo, hi) for lo, hi, _ in cells_of(fold)] == [(0.0, 2.0), (2.0, 4.0)]
 
-    def test_one_term_is_itself(self):
+    def test_one_term_is_cleaned(self, cells_of):
         t = FuncExpr.power(2.0, 0.5)
-        assert FuncExpr.sum([t]) is t
+        assert cells_of(FuncExpr.sum([t])) == cells_of(t)
+        zero_cell = FuncExpr([Piece(0.0, 1.0, ((0.0, 0.0, 0),)), Piece(1.0, 2.0, ((1.0, 0.0, 0),))])
+        assert cells_of(FuncExpr.sum([zero_cell])) == [(1.0, 2.0, ((1.0, 0.0, 0),))]
         assert FuncExpr.sum([]).is_zero()
 
 
@@ -383,7 +353,7 @@ def _reference_envelope(intervals, values):
 
 
 class TestEnvelope:
-    def test_matches_the_per_cell_max(self):
+    def test_matches_the_per_cell_max(self, cells_of):
         rng = random.Random(5)
         for _ in range(100):
             intervals = []

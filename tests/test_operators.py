@@ -25,7 +25,6 @@ from besselweights.operators import (
 )
 from besselweights.orlicz import llogl
 from besselweights.weights import Weight
-from test_measure import cells_of, reference_add
 
 M1 = BesselMeasure(1.0)
 M0 = BesselMeasure(1e-9)
@@ -97,8 +96,8 @@ def arrangement_apply(S, f, m):
     return FuncExpr.piecewise_constant(pts, vals)
 
 
-def folded_commutator_apply(S, b, f, m, variant):
-    """A_{S,b} f added up one cube at a time with the old binary `+`."""
+def folded_commutator_apply(S, b, f, m, variant, add):
+    """A_{S,b} f added up one cube at a time with `add`, the old binary `+`."""
     out = FuncExpr.zero()
     for Q in S.cubes:
         iv = Q.interval
@@ -110,7 +109,7 @@ def folded_commutator_apply(S, b, f, m, variant):
             coef = (osc * f).integrate(iv, dmu(m)) / m.mu(iv)
             term = FuncExpr.indicator(iv, coef)
         if coef != 0.0:
-            out = reference_add(out, term)
+            out = add(out, term)
     return out
 
 
@@ -140,13 +139,13 @@ class TestOneSumOutputs:
     constructions they replaced, piece for piece and bit for bit."""
 
     @pytest.mark.parametrize("S", [pytest.param(S, id=name) for name, S in _families()])
-    def test_equal_to_per_cube_construction(self, S):
+    def test_equal_to_per_cube_construction(self, S, reference_add, cells_of):
         b = FuncExpr.log_of_mu_density(1.0)
         for f in _test_functions(len(S.cubes)):
             assert cells_of(sparse_apply(S, f, M1)) == cells_of(arrangement_apply(S, f, M1))
             for variant in ("left", "adjoint"):
                 assert cells_of(sparse_commutator_apply(S, b, f, M1, variant)) == cells_of(
-                    folded_commutator_apply(S, b, f, M1, variant)
+                    folded_commutator_apply(S, b, f, M1, variant, reference_add)
                 ), variant
 
     def test_single_cube_with_zero_average_is_zero(self):
