@@ -218,8 +218,9 @@ def subtract_intervals(base: Interval, holes: Sequence[Interval]) -> tuple[Inter
 def canonical_major_subsets(cubes: Sequence[DyadicCube], m: BesselMeasure) -> SparseFamily:
     """E_Q = Q minus the union of next-layer family cubes inside Q.
 
-    The E_Q are pairwise disjoint by the layer structure; eta is the measured
-    min of mu(E_Q)/mu(Q) (eta = 0 is allowed and returned)."""
+    The E_Q are pairwise disjoint by the layer structure; eta is the min of
+    mu(E_Q)/mu(Q) as `verify_sparse` measures it (eta = 0 is allowed and
+    returned)."""
     layered = layer_decompose(cubes)
     subsets: dict[DyadicCube, tuple[Interval, ...]] = {}
     for v, layer in enumerate(layered.layers):

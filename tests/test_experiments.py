@@ -192,11 +192,28 @@ class TestSparseReplay:
 
         return canonical_major_subsets(zero_chain(list(range(12))), BesselMeasure(1.0)).to_lines()
 
-    def test_tampered_eta_rejected(self, tmp_path):
-        # the chain's subsets carry 7/8 of each cube's mass; claim 15/16
-        lines = [" ".join(ln.split()[:2] + ["15", "16"] + ln.split()[4:]) for ln in self._chain_lines()]
-        with pytest.raises(ConfigError, match="exceeds"):
-            self._replay(tmp_path, lines)
+    @pytest.mark.parametrize(
+        "tamper,message",
+        [
+            # the chain's subsets carry 7/8 of each cube's mass; claim 15/16
+            pytest.param(
+                lambda lines: [" ".join(ln.split()[:2] + ["15", "16"] + ln.split()[4:]) for ln in lines],
+                "exceeds",
+                id="eta-raised",
+            ),
+            # the deepest cube's E_Q moved to just past [0, 1): mass ratio and
+            # disjointness still hold, containment does not
+            pytest.param(
+                lambda lines: lines[:-1] + [" ".join(lines[-1].split()[:4] + ["1.0", repr(1.0 + 2.0**-12)])],
+                "not inside",
+                id="subset-outside-its-cube",
+            ),
+            pytest.param(lambda lines: lines + lines[:1], "line 13: .*repeated", id="repeated-cube"),
+        ],
+    )
+    def test_tampered_file_rejected(self, tmp_path, tamper, message):
+        with pytest.raises(ConfigError, match=message):
+            self._replay(tmp_path, tamper(self._chain_lines()))
 
     def test_overlapping_subsets_rejected(self, tmp_path):
         from besselweights.errors import DisjointnessError
@@ -206,19 +223,6 @@ class TestSparseReplay:
         lines[0] = " ".join(first[:4] + ["0.3"] + first[5:])  # E_Q of [0,1) reaches into [0,1/2)
         with pytest.raises(DisjointnessError):
             self._replay(tmp_path, lines)
-
-    def test_subset_outside_its_cube_rejected(self, tmp_path):
-        # the deepest cube's E_Q moved to just past [0, 1): mass ratio and
-        # disjointness still hold, containment does not
-        lines = self._chain_lines()
-        lines[-1] = " ".join(lines[-1].split()[:4] + ["1.0", repr(1.0 + 2.0**-12)])
-        with pytest.raises(ConfigError, match="not inside"):
-            self._replay(tmp_path, lines)
-
-    def test_repeated_cube_rejected(self, tmp_path):
-        lines = self._chain_lines()
-        with pytest.raises(ConfigError, match="line 13: .*repeated"):
-            self._replay(tmp_path, lines + lines[:1])
 
     def test_deep_round_trip_within_eta_slack(self, tmp_path):
         from besselweights.dyadic import SparseFamily, canonical_major_subsets, zero_chain
