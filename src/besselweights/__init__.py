@@ -2,9 +2,10 @@
 
 Subpackages cover: exact measure arithmetic (`measure`), Muckenhoupt-type
 weight classes (`weights`), dyadic grids and sparse families (`dyadic`),
-Young functions and Luxemburg norms (`orlicz`), sparse and maximal operators
-(`operators`), the Riesz kernel and its commutator (`riesz`), BMO-type norms
-(`bmo`), and a reproducible experiment runner (`experiments`, `cli`).
+Young functions, Luxemburg norms and Orlicz maximal operators (`orlicz`),
+sparse operators and their commutator forms (`operators`), the Riesz kernel
+and its commutator (`riesz`), BMO-type norms (`bmo`), and a reproducible
+experiment runner (`experiments`, `cli`).
 """
 
 from .measure import BesselMeasure, FuncExpr, Interval

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -55,9 +54,6 @@ __all__ = [
     "rearrangement",
     "local_mean_oscillation",
     "median_stability_check",
-    "VmoDefect",
-    "vmo_defect",
-    "john_nirenberg_profile",
     "log_mu_oscillation_endpoint_form",
 ]
 
@@ -458,49 +454,3 @@ def _resize_to_mass(B: Interval, target: float, w: RefMeasure) -> Interval:
     if math.isinf(x):
         raise ConstructionError("cannot reach the enlarged mass target")
     return Interval(B.a, x)
-
-
-# -- VMO defect -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VmoDefect:
-    small_scale: dict
-    large_scale: dict
-    far_field: dict
-
-
-def vmo_defect(
-    b: FuncExpr,
-    m: BesselMeasure,
-    scales: Sequence[float],
-    far_cutoffs: Sequence[float],
-    domain_hint: float = 16.0,
-    windows: int = 48,
-) -> VmoDefect:
-    """Max triangle oscillation over covering subfamilies: per length r over
-    windows of that length, and per cutoff a over intervals starting past a."""
-    small, large, far = {}, {}, {}
-    for r in scales:
-        starts = [0.0] + list(np.geomspace(r * 1e-3, domain_hint, windows))
-        vals = [
-            triangle_oscillation(b, m, Interval(s, s + r)) for s in starts
-        ]
-        entry = max(vals)
-        (small if r <= 1.0 else large)[r] = entry
-    for a in far_cutoffs:
-        vals = []
-        for ln in np.geomspace(a * 1e-2, a * 10, windows):
-            vals.append(triangle_oscillation(b, m, Interval(a, a + float(ln))))
-        far[a] = max(vals)
-    return VmoDefect(small, large, far)
-
-
-def john_nirenberg_profile(
-    b: FuncExpr, B: Interval, m: BesselMeasure, gamma_grid: Sequence[float]
-) -> list[tuple[float, float]]:
-    """(gamma, mu({x in B : |b - b_B| > gamma}) / mu(B)) rows, exact sets."""
-    bB = m.average(b, B)
-    dev = (b - bB).restrict(B).abs()
-    muB = m.mu(B)
-    return [(g, superlevel_measure(dev, g, B, m) / muB) for g in gamma_grid]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .measure import BesselMeasure, FuncExpr, Interval
 
 __all__ = [
     "DyadicCube",
-    "build_grid",
     "SparseFamily",
     "LayeredFamily",
     "verify_sparse",
@@ -36,13 +35,8 @@ __all__ = [
     "level_sets",
     "random_subtree",
     "zero_chain",
-    "stopping_cubes",
     "subtract_intervals",
 ]
-
-_MAX_CUBES = 10**7
-# stopping threshold, in units of the parent/child measure-ratio bound 2^{2 lam + 1}
-_STOP_FACTOR = 2.0
 
 
 @dataclass(frozen=True, order=True)
@@ -81,29 +75,6 @@ class DyadicCube:
     def contains_point(self, x: float) -> bool:
         iv = self.interval
         return iv.a <= x < iv.b
-
-
-def build_grid(domain: Interval, min_level: int, max_level: int) -> list[DyadicCube]:
-    """All cubes of levels min_level..max_level meeting the domain."""
-    if min_level > max_level:
-        raise ValueError("min_level must not exceed max_level")
-    ranges = []  # (level, k_lo, k_hi): the index range scanned on each level
-    for j in range(min_level, max_level + 1):
-        side = 2.0**-j
-        k_lo = max(0, int(math.floor(domain.a / side)))
-        if k_lo * side + side <= domain.a:  # guard float floor
-            k_lo += 1
-        ranges.append((j, k_lo, int(math.ceil(domain.b / side))))
-    if sum(max(0, k_hi - k_lo) for _, k_lo, k_hi in ranges) > _MAX_CUBES:
-        raise ValueError("grid would exceed the cube-count guard (1e7)")
-    out: list[DyadicCube] = []
-    for j, k_lo, k_hi in ranges:
-        for k in range(k_lo, k_hi):
-            cube = DyadicCube(j, k)
-            iv = cube.interval
-            if iv.b > domain.a and iv.a < domain.b:
-                out.append(cube)
-    return sorted(out)
 
 
 # -- sparse families ------------------------------------------------------------
@@ -311,53 +282,3 @@ def random_subtree(
 def zero_chain(levels: Sequence[int]) -> list[DyadicCube]:
     """The chain of zero-based cubes [0, 2^-j) for the given levels."""
     return [DyadicCube(j, 0) for j in sorted(levels)]
-
-
-def stopping_cubes(
-    f: FuncExpr, root: DyadicCube, m: BesselMeasure, max_level: int
-) -> list[DyadicCube]:
-    """Stopping-time family: starting from root, children-maximal cubes whose
-    |f| mu-average exceeds twice the parent/child measure-ratio bound
-    2^{2 lam + 1} times the parent's, recursively.
-
-    That threshold exceeds the ratio bound, so the selected children of each
-    stopping cube occupy at most half its measure, and the family is
-    1/2-sparse via canonical_major_subsets.
-    """
-    f_abs = f.restrict(root.interval).abs()
-    return _stopping_walk(root, m, max_level, lambda R: lambda P: m.average(f_abs, P.interval))
-
-
-def _stopping_walk(
-    root: DyadicCube,
-    m: BesselMeasure,
-    max_level: int,
-    score_under: Callable[[DyadicCube], Callable[[DyadicCube], float]],
-) -> list[DyadicCube]:
-    """root and every stopping cube below it, sorted.
-
-    score_under(R) scores the cubes under the stopping ancestor R.  A
-    descendant P of R, at most max_level deep, stops when its score exceeds
-    _STOP_FACTOR * 2^{2 lam + 1} times R's own; stopping cubes re-anchor the
-    walk, the others are expanded.  An anchor scoring 0 selects nothing.
-    """
-    threshold = _STOP_FACTOR * 2.0 ** (2.0 * m.lam + 1.0)
-    out = [root]
-    stack = [root]
-    while stack:
-        R = stack.pop()
-        score = score_under(R)
-        base = score(R)
-        if base <= 0.0:
-            continue
-        frontier = list(R.children())
-        while frontier:
-            P = frontier.pop()
-            if P.level > max_level:
-                continue
-            if score(P) > threshold * base:
-                out.append(P)
-                stack.append(P)
-            elif P.level < max_level:
-                frontier.extend(P.children())
-    return sorted(set(out))

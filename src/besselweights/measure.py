@@ -309,13 +309,9 @@ class BesselMeasure:
         small = Interval.clipped(center - r, center + r)
         return self.mu(big) / self.mu(small)
 
-    def integrate(self, f: "FuncExpr", B: Interval, kind: MeasureKind) -> float:
-        """Exact integral of f against x^e dx over B."""
-        return f.integrate(B, kind)
-
     def average(self, f: "FuncExpr", B: Interval) -> float:
         """mu-average of f over B."""
-        return self.integrate(f, B, dmu(self)) / self.mu(B)
+        return f.integrate(B, dmu(self)) / self.mu(B)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +319,8 @@ class BesselMeasure:
 # ---------------------------------------------------------------------------
 
 Atom = tuple[float, float, int]  # (coef, alpha, logpow)
+
+_ROOT_SCAN = 257  # log-spaced points per cell that `_piece_roots` scans for sign changes
 
 
 def _add_atoms(acc: dict[tuple[float, int], float], atoms: Iterable[Atom]) -> dict:
@@ -623,12 +621,12 @@ class FuncExpr:
 
     # -- sign handling -------------------------------------------------------
 
-    def _piece_roots(self, p: Piece, lo: float, hi: float, samples: int) -> list[float]:
+    def _piece_roots(self, p: Piece, lo: float, hi: float) -> list[float]:
         """Sign-change points of the cell's atom sum inside (lo, hi)."""
         if len(p.atoms) == 1 and p.atoms[0][2] == 0:
             return []  # single pure power: constant sign
         lo_eff = lo if lo > 0.0 else hi * 1e-15
-        xs = np.geomspace(lo_eff, hi, samples)
+        xs = np.geomspace(lo_eff, hi, _ROOT_SCAN)
         vals = self._piece_eval_grid(p, xs)
         roots = []
         for x0, x1, v0, v1 in zip(xs, xs[1:], vals, vals[1:]):
@@ -643,13 +641,13 @@ class FuncExpr:
                 out.append(r)
         return out
 
-    def abs(self, samples: int = 257) -> "FuncExpr":
+    def abs(self) -> "FuncExpr":
         """|f| by splitting cells at sign changes (finite cells only)."""
         pieces = []
         for p in self.pieces:
             if p.hi == math.inf:
                 raise RepresentationError("abs() requires finite cells; restrict first")
-            cuts = [p.lo] + self._piece_roots(p, p.lo, p.hi, samples) + [p.hi]
+            cuts = [p.lo] + self._piece_roots(p, p.lo, p.hi) + [p.hi]
             for lo, hi in zip(cuts, cuts[1:]):
                 mid = _geometric_mid(lo, hi)
                 if p.eval(mid) >= 0.0:
@@ -660,14 +658,14 @@ class FuncExpr:
                     )
         return FuncExpr(pieces)
 
-    def sign_regions(self, B: Interval, samples: int = 257) -> list[tuple[Interval, int]]:
+    def sign_regions(self, B: Interval) -> list[tuple[Interval, int]]:
         """Partition of B into maximal cells of constant sign (+1, -1, 0)."""
         g = self.restrict(B)
         pts = {B.a, B.b}
         for p in g.pieces:
             pts.add(p.lo)
             pts.add(p.hi)
-            for r in self._piece_roots(p, p.lo, p.hi, samples):
+            for r in self._piece_roots(p, p.lo, p.hi):
                 pts.add(r)
         grid = sorted(pts)
         out = []

@@ -1,4 +1,4 @@
-"""Sparse operators, their commutator forms, and dyadic maximal operators.
+"""Sparse operators, their commutator forms, and certified norm bounds.
 
 The sparse operator attached to a cube family S averages against dmu and
 resums indicators:
@@ -28,9 +28,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .dyadic import DyadicCube, SparseFamily, _stopping_walk
-from .errors import PreconditionError, ZeroMassError
-from .measure import DX, BesselMeasure, FuncExpr, Interval, Piece, dmu
+from .dyadic import SparseFamily
+from .errors import PreconditionError
+from .measure import BesselMeasure, FuncExpr, Interval, Piece, dmu
 from .orlicz import (
     YoungFunction,
     complementary,
@@ -39,23 +39,13 @@ from .orlicz import (
 from .weights import Weight
 
 __all__ = [
-    "cube_average",
     "sparse_apply",
     "sparse_commutator_apply",
-    "dyadic_maximal",
-    "dyadic_maximal_profile",
     "lp_norm",
     "OperatorNormEstimate",
     "operator_norm_lower_bound",
     "sparse_layer_mass_bound",
-    "oscillation_stopping_tree",
-    "oscillation_expansion_sides",
 ]
-
-
-def cube_average(f: FuncExpr, Q: DyadicCube, m: BesselMeasure) -> float:
-    """<f>_{mu,Q}; exact."""
-    return f.integrate(Q.interval, dmu(m)) / m.mu(Q.interval)
 
 
 def sparse_apply(S: SparseFamily, f: FuncExpr, m: BesselMeasure) -> FuncExpr:
@@ -65,7 +55,7 @@ def sparse_apply(S: SparseFamily, f: FuncExpr, m: BesselMeasure) -> FuncExpr:
     cells are the nonzero cells of the whole cube-endpoint arrangement.
     """
     return FuncExpr.sum(
-        FuncExpr([Piece(Q.interval.a, Q.interval.b, ((cube_average(f, Q, m), 0.0, 0),))])
+        FuncExpr([Piece(Q.interval.a, Q.interval.b, ((m.average(f, Q.interval), 0.0, 0),))])
         for Q in S.cubes
     )
 
@@ -86,10 +76,10 @@ def sparse_commutator_apply(
     terms = []
     for Q in S.cubes:
         iv = Q.interval
-        bq = cube_average(b, Q, m)
+        bq = m.average(b, iv)
         osc = (b - FuncExpr.constant(bq)).restrict(iv).abs()
         if variant == "left":
-            coef = cube_average(f, Q, m)
+            coef = m.average(f, iv)
             if coef != 0.0:
                 terms.append(osc * coef)
         else:
@@ -97,40 +87,6 @@ def sparse_commutator_apply(
             if coef != 0.0:
                 terms.append(FuncExpr.indicator(iv, coef))
     return FuncExpr.sum(terms)
-
-
-# -- weighted dyadic maximal ------------------------------------------------------
-
-
-def dyadic_maximal(
-    f: FuncExpr, sigma: Weight, grid: Sequence[DyadicCube], x: float
-) -> float:
-    """max over grid cubes containing x of sigma-averages of |f| (sigma dx)."""
-    best = None
-    for Q in grid:
-        if not Q.contains_point(x):
-            continue
-        mass = sigma.mass(Q.interval)
-        if mass <= 0.0:
-            raise ZeroMassError(f"sigma has zero mass on {Q}")
-        val = (f.restrict(Q.interval).abs() * sigma.expr).integrate(Q.interval, DX) / mass
-        best = val if best is None else max(best, val)
-    if best is None:
-        raise PreconditionError(f"no grid cube contains x={x:g}")
-    return best
-
-
-def dyadic_maximal_profile(
-    f: FuncExpr, sigma: Weight, grid: Sequence[DyadicCube]
-) -> FuncExpr:
-    """The grid maximal function as a piecewise-constant profile."""
-    vals = []
-    for Q in grid:
-        mass = sigma.mass(Q.interval)
-        if mass <= 0.0:
-            raise ZeroMassError(f"sigma has zero mass on {Q}")
-        vals.append((f.restrict(Q.interval).abs() * sigma.expr).integrate(Q.interval, DX) / mass)
-    return FuncExpr.envelope([Q.interval for Q in grid], vals)
 
 
 # -- norms and norm estimates -------------------------------------------------------
@@ -258,52 +214,3 @@ def _apply_young_piecewise(psi: YoungFunction, f_abs: FuncExpr, scale: float) ->
     if not breaks:
         return FuncExpr.zero()
     return FuncExpr.piecewise_constant(breaks, vals)
-
-
-# -- oscillation expansion over a stopping tree ---------------------------------------
-
-
-def oscillation_stopping_tree(
-    b: FuncExpr, root: DyadicCube, m: BesselMeasure, max_level: int
-) -> list[DyadicCube]:
-    """Stopping cubes for the oscillation of b under root.
-
-    Starting from the root, a descendant P stops when the mu-average of
-    |b - b_R| over P exceeds 2 * C0 times its average over the current
-    stopping ancestor R (C0 the parent/child measure-ratio bound); stopping
-    cubes re-anchor the recursion.  Every chain from the root into the tree is
-    included implicitly by expanding non-stopping children.
-    """
-
-    def score_under(R: DyadicCube) -> Callable[[DyadicCube], float]:
-        g = b - FuncExpr.constant(cube_average(b, R, m))
-        return lambda P: m.average(g.restrict(P.interval).abs(), P.interval)
-
-    return _stopping_walk(root, m, max_level, score_under)
-
-
-def oscillation_expansion_sides(
-    b: FuncExpr,
-    Q: DyadicCube,
-    expansion_cubes: Sequence[DyadicCube],
-    m: BesselMeasure,
-    xs: Sequence[float],
-) -> list[tuple[float, float, float]]:
-    """(x, |b(x)-b_Q|, sum over expansion cubes P containing x of <|b-b_P|>_P)."""
-    bq = cube_average(b, Q, m)
-    oscs = []
-    for P in expansion_cubes:
-        if Q.contains(P):
-            bp = cube_average(b, P, m)
-            avg = m.average(
-                (b - FuncExpr.constant(bp)).restrict(P.interval).abs(), P.interval
-            )
-            oscs.append((P, avg))
-    rows = []
-    for x in xs:
-        if not Q.contains_point(x):
-            continue
-        lhs = abs(b(x) - bq)
-        rhs = sum(avg for P, avg in oscs if P.contains_point(x))
-        rows.append((x, lhs, rhs))
-    return rows

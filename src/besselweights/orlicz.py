@@ -56,7 +56,6 @@ __all__ = [
     "compose_young",
     "luxemburg_norm",
     "complementary",
-    "holder_orlicz_check",
     "c_phi",
     "CPhiResult",
     "k_phi",
@@ -186,7 +185,8 @@ def complementary(phi: YoungFunction) -> YoungFunction:
     s*t - phi(t) is concave with value 0 at t = 0, so it is unimodal in u as
     well.  The maximiser is bracketed by doubling steps of u out from t = 1,
     downward or upward, within [exp(-700), exp(690)], and the search stops
-    on a width of 1e-15 in u, which is relative in t.
+    on a width of 1e-15 in u, which is relative in t.  When s*t - phi(t) is
+    still rising at t = exp(690), phibar(s) is +inf, as for any overflow.
 
     Raises UnboundedComplementaryError when phi is not superlinear (then
     phibar jumps to +inf at finite s and callers must branch).
@@ -209,6 +209,8 @@ def complementary(phi: YoungFunction) -> YoungFunction:
         while True:  # h(mid) >= h(back); walk on until h falls
             step *= 2.0
             ahead = min(max(mid + d * step, _LOG_T_LO), _LOG_T_HI)
+            if ahead == mid == _LOG_T_HI:  # still rising at exp(690): phibar(s) overflows
+                return math.inf
             if ahead == mid or h(ahead) < h(mid):
                 break
             back, mid = mid, ahead
@@ -269,38 +271,6 @@ def luxemburg_norm(f: FuncExpr, phi: YoungFunction, B: Interval, m: BesselMeasur
     if math.isinf(s):
         raise PreconditionError("Luxemburg gauge: the mean stays above 1 up to s = exp(700)")
     return s
-
-
-# -- generalized Holder ---------------------------------------------------------
-
-
-def holder_orlicz_check(
-    f: FuncExpr,
-    g: FuncExpr,
-    A: YoungFunction,
-    Bfun: YoungFunction,
-    C: YoungFunction,
-    Q: Interval,
-    m: BesselMeasure,
-    grid: Sequence[float] | None = None,
-) -> tuple[float, float]:
-    """Both sides of ||f g||_{C,Q} <= 2 ||f||_{A,Q} ||g||_{B,Q}.
-
-    Precondition A^{-1}(t) B^{-1}(t) <= C^{-1}(t) is verified on a log grid;
-    violation raises PreconditionError with the witness t.
-    """
-    ts = grid if grid is not None else np.logspace(-4, 8, 61)
-    for t in ts:
-        lhs = A.inverse(float(t)) * Bfun.inverse(float(t))
-        rhs = C.inverse(float(t))
-        if lhs > rhs * (1 + 1e-8):
-            raise PreconditionError(
-                f"A^-1(t) B^-1(t) <= C^-1(t) fails at t={t:g}: {lhs:g} > {rhs:g}",
-                witness=float(t),
-            )
-    left = luxemburg_norm(f * g, C, Q, m)
-    right = 2.0 * luxemburg_norm(f, A, Q, m) * luxemburg_norm(g, Bfun, Q, m)
-    return left, right
 
 
 # -- endpoint constants ----------------------------------------------------------

@@ -14,7 +14,6 @@ from besselweights import bmo
 from besselweights.bmo import (
     bmo_median_norm,
     bmo_triangle_norm,
-    john_nirenberg_profile,
     local_mean_oscillation,
     log_mu_oscillation_endpoint_form,
     mass_of,
@@ -27,7 +26,6 @@ from besselweights.bmo import (
     superlevel_measure,
     superlevel_set,
     triangle_oscillation,
-    vmo_defect,
     weighted_bmo_norm,
 )
 from besselweights.errors import PostconditionError
@@ -518,11 +516,6 @@ class TestMedianStability:
 
 
 class TestVmoProfileAndJN:
-    def test_constant_defects_vanish(self):
-        d = vmo_defect(FuncExpr.constant(1.0), M1, [0.1, 1.0, 4.0], [2.0, 8.0])
-        assert all(v == pytest.approx(0.0, abs=1e-12) for v in d.small_scale.values())
-        assert all(v == pytest.approx(0.0, abs=1e-12) for v in d.far_field.values())
-
     def test_log_small_scale_defect_persists(self):
         # oscillation of log x^{2 lam} on (0, r) is scale-invariant and positive
         vals = [
@@ -530,26 +523,6 @@ class TestVmoProfileAndJN:
         ]
         assert all(v == pytest.approx(vals[0], rel=1e-9) for v in vals)
         assert vals[0] > 0.3  # regression anchor for the lam = 1 constant
-
-    def test_bump_defects_decay(self):
-        bump = FuncExpr.indicator(Interval(1.0, 2.0))
-        d = vmo_defect(bump, M1, [4.0, 16.0, 64.0], [4.0, 16.0, 64.0])
-        ls = [d.large_scale[r] for r in (4.0, 16.0, 64.0)]
-        assert ls[0] >= ls[1] >= ls[2]
-        fars = [d.far_field[a] for a in (4.0, 16.0, 64.0)]
-        assert fars[0] >= fars[1] >= fars[2]
-
-    def test_jn_profile_decays_exponentially(self):
-        rows = john_nirenberg_profile(LOGB, Interval(0.0, 1.0), M1, list(np.linspace(0.5, 6.0, 12)))
-        fracs = [f for _, f in rows]
-        assert all(f2 <= f1 + 1e-12 for f1, f2 in zip(fracs, fracs[1:]))
-        # log-linear fit slope is negative and steep enough relative to the norm
-        gs = np.array([g for g, f in rows if f > 0])
-        ln = np.array([math.log(f) for _, f in rows if f > 0])
-        slope = np.polyfit(gs, ln, 1)[0]
-        norm = bmo_triangle_norm(LOGB, M1, small_family()).norm_estimate
-        assert slope < 0
-        assert abs(slope) >= 0.2 / norm
 
     def test_quantile_threshold_exactness(self):
         b = FuncExpr.piecewise_constant([0.0, 0.25, 0.5, 1.0], [3.0, 1.0, 0.0])

@@ -6,12 +6,10 @@ import pytest
 from besselweights.dyadic import (
     DyadicCube,
     SparseFamily,
-    build_grid,
     canonical_major_subsets,
     layer_decompose,
     level_sets,
     random_subtree,
-    stopping_cubes,
     subtract_intervals,
     verify_sparse,
     zero_chain,
@@ -25,19 +23,15 @@ M0 = BesselMeasure(1e-9)  # effectively Lebesgue masses
 
 
 class TestGrid:
-    def test_unit_domain_two_levels(self):
-        cubes = build_grid(Interval(1e-12, 1.0), 0, 1)
-        ivs = {(c.level, c.index) for c in cubes}
-        assert ivs == {(0, 0), (1, 0), (1, 1)}
-
     def test_levels_tile_disjointly(self):
-        cubes = [c for c in build_grid(Interval(1e-9, 4.0), 2, 2)]
+        cubes = [DyadicCube(2, k) for k in range(16)]  # level 2 in (0, 4)
         edges = sorted([c.interval.a for c in cubes] + [cubes[-1].interval.b])
         assert np.allclose(np.diff(edges), 0.25)
 
     def test_nesting_dichotomy(self):
         rng = np.random.default_rng(1)
-        cubes = build_grid(Interval(1e-9, 2.0), 0, 5)
+        # every cube of levels 0-5 in (0, 2)
+        cubes = [DyadicCube(j, k) for j in range(6) for k in range(2 ** (j + 1))]
         for _ in range(500):
             a, b = rng.choice(len(cubes), 2)
             A, B = cubes[a], cubes[b]
@@ -62,10 +56,6 @@ class TestGrid:
                 for child in parent.children():
                     ratio = M1.mu(parent.interval) / M1.mu(child.interval)
                     assert 1.0 < ratio <= bound * (1 + 1e-12)
-
-    def test_count_guard(self):
-        with pytest.raises(ValueError):
-            build_grid(Interval(1e-12, 1.0), 0, 40)
 
 
 class TestLayers:
@@ -247,13 +237,3 @@ class TestLevelSets:
                 n = luxemburg_norm(f, psi, Q.interval, M1)
                 assert 4.0 ** (-k - 1) < n * (1 + 1e-9)
                 assert n <= 4.0**-k * (1 + 1e-9)
-
-
-class TestStopping:
-    def test_stopping_family_is_half_sparse(self):
-        f = FuncExpr.piecewise_constant(
-            [0.0, 0.01, 0.02, 0.5, 1.0], [50.0, 10.0, 1.0, 0.2]
-        )
-        fam = stopping_cubes(f, DyadicCube(0, 0), M1, max_level=10)
-        S = canonical_major_subsets(fam, M1)
-        assert S.eta >= 0.5 - 1e-12

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from besselweights.errors import PreconditionError, UnboundedComplementaryError
+from besselweights.errors import UnboundedComplementaryError
 from besselweights.measure import BesselMeasure, FuncExpr, Interval
 from besselweights.orlicz import (
     c_phi,
     complementary,
     exp_m1,
-    holder_orlicz_check,
     identity_young,
     k_phi,
     llogl,
@@ -23,12 +22,6 @@ from besselweights.orlicz import (
 )
 
 M0 = BesselMeasure(1.0)
-
-
-def _square_young():
-    from besselweights.orlicz import YoungFunction
-
-    return YoungFunction(lambda t: t * t, "t^2", gamma_doubling=16.0)
 LEB = BesselMeasure(1e-9)  # effectively Lebesgue for averages on (0,1)
 
 
@@ -84,6 +77,10 @@ class TestComplementary:
         with pytest.raises(UnboundedComplementaryError):
             complementary(identity_young())
 
+    def test_maximiser_beyond_search_range_is_inf(self):
+        # s*t - phi(t) still rises at t = exp(690): phibar(100) ~ exp(100^2) overflows
+        assert complementary(llogl(0.5))(100.0) == math.inf
+
     def test_inverse_product_sandwich(self):
         # classical: t <= phibar^{-1}(t) phi^{-1}(t) <= 2t
         for phi in (llogl(), power_young(2.0), llogl(0.5)):
@@ -133,9 +130,9 @@ class TestLuxemburg:
             f = FuncExpr.piecewise_constant([0.5, 1.0, 2.0, 4.0], list(vals))
             c = float(rng.uniform(0.2, 5.0))
             B = Interval(0.5, 4.0)
-            n1 = luxemburg_norm(f * c, phi, B, M0)
             n0 = luxemburg_norm(f, phi, B, M0)
-            assert n1 == pytest.approx(c * n0, rel=1e-8)
+            for scaled in (f * c, f * FuncExpr.indicator(Interval(0.25, 5.0), c)):
+                assert luxemburg_norm(scaled, phi, B, M0) == pytest.approx(c * n0, rel=1e-8)
 
     def test_characterization_mean_le_one(self):
         rng = np.random.default_rng(5)
@@ -158,67 +155,6 @@ class TestLuxemburg:
                 assert mean <= 1.0 + 1e-6
             elif norm >= 1.0 + 1e-8:
                 assert mean >= 1.0 - 1e-6
-
-
-class TestHolder:
-    def test_constants_case(self):
-        f = FuncExpr.constant(1.0)
-        sq = _square_young()
-        lhs, rhs = holder_orlicz_check(
-            f, f, sq, sq, identity_young(), Interval(1, 2), M0
-        )
-        assert lhs <= rhs * (1 + 1e-9)
-
-    def test_catalog_power_pair_violates_precondition(self):
-        # the catalog normalisation t^2/2 has A^-1(t) B^-1(t) = 2t > t
-        with pytest.raises(PreconditionError):
-            holder_orlicz_check(
-                FuncExpr.constant(1.0),
-                FuncExpr.constant(1.0),
-                power_young(2.0),
-                power_young(2.0),
-                identity_young(),
-                Interval(1, 2),
-                M0,
-            )
-
-    def test_precondition_violation_witness(self):
-        # literal (e^t - 1, t log(e+t), t) violates A^-1 B^-1 <= C^-1
-        with pytest.raises(PreconditionError):
-            holder_orlicz_check(
-                FuncExpr.constant(1.0),
-                FuncExpr.constant(1.0),
-                exp_m1(1.0),
-                llogl(),
-                identity_young(),
-                Interval(1, 2),
-                M0,
-            )
-
-    def test_exp_llogl_pair_scaled(self):
-        # rate-2 exponential restores the precondition with margin
-        rng = np.random.default_rng(23)
-        A, Bf, C = exp_m1(2.0), llogl(), identity_young()
-        for _ in range(50):
-            fv = list(rng.uniform(0.0, 2.0, size=3))
-            gv = list(rng.uniform(0.0, 2.0, size=3))
-            pts = [0.5, 1.0, 2.0, 3.0]
-            f = FuncExpr.piecewise_constant(pts, fv)
-            g = FuncExpr.piecewise_constant(pts, gv)
-            lhs, rhs = holder_orlicz_check(f, g, A, Bf, C, Interval(0.5, 3.0), M0)
-            assert lhs <= rhs * (1 + 1e-7)
-
-    def test_power_pair_sweep(self):
-        rng = np.random.default_rng(29)
-        A = B = _square_young()
-        C = identity_young()
-        for _ in range(50):
-            fv = list(rng.uniform(0.0, 3.0, size=2))
-            gv = list(rng.uniform(0.0, 3.0, size=2))
-            f = FuncExpr.piecewise_constant([0.5, 1.5, 2.5], fv)
-            g = FuncExpr.piecewise_constant([0.5, 1.5, 2.5], gv)
-            lhs, rhs = holder_orlicz_check(f, g, A, B, C, Interval(0.5, 2.5), M0)
-            assert lhs <= rhs * (1 + 1e-7)
 
 
 class TestEndpointConstants:
@@ -250,6 +186,14 @@ class TestEndpointConstants:
         res = k_phi(llogl())
         assert res.finite
         assert all(t2 < t1 for t1, t2 in zip(res.terms[1:], res.terms[2:]))
+        # pinned: bar.inverse reads phibar = +inf past t = exp(690) on its walk out and
+        # must still land on these (rel 1e-15 leaves a few ulp for libm across hosts)
+        pinned = (
+            0.12603793242586042, 0.13456282305069533, 0.10443541662520407,
+            0.07085694009338206, 0.04468133539654949, 0.026929124160786036,
+            0.01574398674160439,
+        )
+        assert res.terms == pytest.approx(pinned, rel=1e-15, abs=0.0)
 
     def test_k_phi_identity_flag(self):
         res = k_phi(identity_young())
