@@ -621,10 +621,11 @@ class FuncExpr:
 
     # -- sign handling -------------------------------------------------------
 
-    def _piece_roots(self, p: Piece, lo: float, hi: float) -> list[float]:
-        """Sign-change points of the cell's atom sum inside (lo, hi)."""
+    def _piece_roots(self, p: Piece) -> list[float]:
+        """Sign-change points of the cell's atom sum inside (p.lo, p.hi)."""
         if len(p.atoms) == 1 and p.atoms[0][2] == 0:
             return []  # single pure power: constant sign
+        lo, hi = p.lo, p.hi
         lo_eff = lo if lo > 0.0 else hi * 1e-15
         xs = np.geomspace(lo_eff, hi, _ROOT_SCAN)
         vals = self._piece_eval_grid(p, xs)
@@ -647,7 +648,7 @@ class FuncExpr:
         for p in self.pieces:
             if p.hi == math.inf:
                 raise RepresentationError("abs() requires finite cells; restrict first")
-            cuts = [p.lo] + self._piece_roots(p, p.lo, p.hi) + [p.hi]
+            cuts = [p.lo] + self._piece_roots(p) + [p.hi]
             for lo, hi in zip(cuts, cuts[1:]):
                 mid = _geometric_mid(lo, hi)
                 if p.eval(mid) >= 0.0:
@@ -665,7 +666,7 @@ class FuncExpr:
         for p in g.pieces:
             pts.add(p.lo)
             pts.add(p.hi)
-            for r in self._piece_roots(p, p.lo, p.hi):
+            for r in self._piece_roots(p):
                 pts.add(r)
         grid = sorted(pts)
         out = []

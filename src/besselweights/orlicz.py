@@ -185,8 +185,9 @@ def complementary(phi: YoungFunction) -> YoungFunction:
     s*t - phi(t) is concave with value 0 at t = 0, so it is unimodal in u as
     well.  The maximiser is bracketed by doubling steps of u out from t = 1,
     downward or upward, within [exp(-700), exp(690)], and the search stops
-    on a width of 1e-15 in u, which is relative in t.  When s*t - phi(t) is
-    still rising at t = exp(690), phibar(s) is +inf, as for any overflow.
+    on a width of 1e-15 in u, which is relative in t.  When the search stays
+    pinned at t = exp(690), s*t - phi(t) is still rising there and phibar(s)
+    is +inf, as for any overflow.
 
     Raises UnboundedComplementaryError when phi is not superlinear (then
     phibar jumps to +inf at finite s and callers must branch).
@@ -209,8 +210,6 @@ def complementary(phi: YoungFunction) -> YoungFunction:
         while True:  # h(mid) >= h(back); walk on until h falls
             step *= 2.0
             ahead = min(max(mid + d * step, _LOG_T_LO), _LOG_T_HI)
-            if ahead == mid == _LOG_T_HI:  # still rising at exp(690): phibar(s) overflows
-                return math.inf
             if ahead == mid or h(ahead) < h(mid):
                 break
             back, mid = mid, ahead
@@ -224,6 +223,8 @@ def complementary(phi: YoungFunction) -> YoungFunction:
                 hi = m2
             if hi - lo <= 1e-15 * max(1.0, abs(lo)):
                 break
+        if hi == _LOG_T_HI:  # still rising at exp(690): phibar(s) overflows
+            return math.inf
         return max(h(0.5 * (lo + hi)), 0.0)
 
     return YoungFunction(bar, f"conj({phi.name})", _validate=False)

@@ -81,6 +81,12 @@ class TestComplementary:
         # s*t - phi(t) still rises at t = exp(690): phibar(100) ~ exp(100^2) overflows
         assert complementary(llogl(0.5))(100.0) == math.inf
 
+    def test_maximiser_just_inside_search_range_is_finite(self):
+        # for LlogL the maximiser is t* ~ e^(s-1), so phibar(690.5) ~ e^689.5 is finite
+        val = complementary(llogl())(690.5)
+        assert math.isfinite(val)
+        assert math.log(val) == pytest.approx(689.5, rel=1e-12)
+
     def test_inverse_product_sandwich(self):
         # classical: t <= phibar^{-1}(t) phi^{-1}(t) <= 2t
         for phi in (llogl(), power_young(2.0), llogl(0.5)):
