@@ -16,17 +16,17 @@ both defining half-mass inequalities hold exactly and fixes determinism.
 Superlevel sets of family functions are exact interval unions (sign
 splitting), so all set measures below are closed-form, not sampled.
 
-Three kinds of symbol take three exact routes.  A piecewise-constant symbol
-cuts B once into a table of (value, w-mass) cells: its median, tail
-thresholds, rearrangement, median oscillation and local mean oscillation
-are all scans of that table.  A symbol that is one monotone piece on B has
-level sets [x1, x2] found by `measure.monotone_inverse`, the one scalar
-inverse: a level cut of the piece, a point of given mass, or a tail
-threshold (the tail is continuous in t).  Its median oscillation is half the
-smallest spread |b(x2) - b(x1)| over windows of w-mass (1 - s) w(B), a
-scalar minimisation over x1.  Any other symbol falls back to sign splitting,
-and its infima over the centre c to `_scan_minimum`, a value-range scan
-refined by a bounded minimiser.
+Each public call classifies its (symbol, interval, measure) once, and the
+three kinds take three exact routes.  A piecewise-constant symbol cuts B
+once into a table of (value, w-mass) cells: its median, tail thresholds,
+rearrangement, median oscillation and local mean oscillation are all scans
+of that table.  A symbol whose derivative has one nonzero sign on B
+(`FuncExpr.sign_regions`) is one monotone piece: its level sets [x1, x2]
+come from `measure.monotone_inverse`, the one scalar inverse, and its
+median oscillation is half the smallest spread |b(x2) - b(x1)| over windows
+of w-mass (1 - s) w(B), a scalar minimisation over x1.  Any other symbol
+falls back to sign splitting, with its median a scalar inverse over its
+value range and its infima over the centre c a scan around the median.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def superlevel_set(f: FuncExpr, gamma: float, B: Interval) -> tuple[Interval, ..
     """{x in B : f(x) > gamma} as a disjoint interval union (strict >).
 
     One monotone piece on B is cut where it crosses gamma, however close to
-    0 that is; other functions are split at their sampled sign changes.
+    0 that is; other functions are split at their sign changes.
     """
     mono = _monotone_piece(f, B)
     if mono is not None:
@@ -94,39 +94,42 @@ def superlevel_measure(f: FuncExpr, gamma: float, B: Interval, ref: RefMeasure) 
     return sum(mass_of(ref, iv) for iv in superlevel_set(f, gamma, B))
 
 
-def _value_range(f: FuncExpr, B: Interval, samples: int = 65) -> tuple[float, float]:
-    lo = B.a if B.a > 0.0 else B.b * 1e-12
-    xs = np.geomspace(lo, B.b * (1 - 1e-12), samples)
-    vals = [f(float(x)) for x in xs]
-    return min(vals), max(vals)
-
-
-# -- monotone single-piece fast path ----------------------------------------------
-#
-# Most analytic symbols in practice (log x^{2 lam}, single powers) restrict to
-# one monotone piece per interval; their level sets then come from a scalar
-# inverse instead of a sign-region scan, which is the difference between
-# milliseconds and minutes in the quantile searches below.
-
-
-def _monotone_piece(g: FuncExpr, B: Interval, samples: int = 33):
-    """(piece, increasing) when g restricted to B is a single strictly
-    monotone piece covering B; None otherwise."""
+def _monotone_piece(g: FuncExpr, B: Interval):
+    """(piece, increasing) when g restricted to B is a single piece covering B
+    whose derivative has one nonzero sign on it; None otherwise."""
     r = g.restrict(B)
     if len(r.pieces) != 1:
         return None
     p = r.pieces[0]
     if p.lo > B.a + 1e-15 * B.b or p.hi < B.b * (1 - 1e-15):
         return None
-    lo = B.a if B.a > 0.0 else B.b * 1e-12
-    xs = np.geomspace(lo, B.b * (1 - 1e-14), samples)
-    vals = FuncExpr._piece_eval_grid(p, xs)
-    diffs = np.diff(vals)
-    if np.all(diffs > 0):
-        return p, True
-    if np.all(diffs < 0):
-        return p, False
-    return None
+    signs = {sgn for _, sgn in r.derivative().sign_regions(Interval(p.lo, p.hi))}
+    return (p, signs == {1}) if signs in ({1}, {-1}) else None
+
+
+def _limit_at_zero(p) -> float:
+    """lim p(x) as x -> 0+: the atom of least exponent, and of those the
+    highest log power, dominates."""
+    a, neg_m, c = min((a, -m, c) for c, a, m in p.atoms)
+    if a > 0.0:
+        return 0.0
+    return c if (a, neg_m) == (0.0, 0) else math.copysign(math.inf, c * (-1) ** neg_m)
+
+
+def _value_range(f: FuncExpr, B: Interval) -> tuple[float, float]:
+    """(inf, sup) of f on B.  Each piece is read at the ends of its
+    derivative's sign regions, where its extrema lie (at 0 through its
+    limit, which may be infinite), and a gap of B contributes the value 0."""
+    vals, x = [], B.a
+    for p in f.restrict(B).pieces:
+        if p.lo > x:
+            vals.append(0.0)
+        for iv, _ in FuncExpr([p]).derivative().sign_regions(Interval(p.lo, p.hi)):
+            vals += [p.eval(iv.a) if iv.a > 0.0 else _limit_at_zero(p), p.eval(iv.b)]
+        x = p.hi
+    if x < B.b:
+        vals.append(0.0)
+    return min(vals), max(vals)
 
 
 def _monotone_tail(p, inc: bool, B: Interval, ref: RefMeasure, c: float, t: float) -> float:
@@ -138,40 +141,57 @@ def _monotone_tail(p, inc: bool, B: Interval, ref: RefMeasure, c: float, t: floa
     return _mass(ref, B.a, up) + _mass(ref, down, B.b)
 
 
+@dataclass(frozen=True)
+class _Symbol:
+    """b on B under w, classified once: a step symbol carries its (value,
+    w-mass) `cells`, one monotone piece its (piece, increasing) `mono`, and a
+    generic symbol neither."""
+
+    b: FuncExpr
+    B: Interval
+    w: RefMeasure
+    cells: list[tuple[float, float]] | None
+    mono: tuple | None
+
+
+def _classify(b: FuncExpr, B: Interval, w: RefMeasure) -> _Symbol:
+    r = b.restrict(B)
+    if r.is_piecewise_constant():
+        return _Symbol(b, B, w, _cell_table(r, B, w), None)
+    return _Symbol(b, B, w, None, _monotone_piece(r, B))
+
+
 def median(b: FuncExpr, B: Interval, ref: RefMeasure) -> float:
     """Infimum median of b on B: inf{ g : ref({b > g} ∩ B) <= ref(B)/2 }.
 
     Both defining half-mass inequalities are re-verified exactly after the
     computation (with a root-width slack for analytic symbols).
     """
+    return _median(_classify(b, B, ref))
+
+
+def _median(sym: _Symbol) -> float:
+    b, B, ref = sym.b, sym.B, sym.w
     total = mass_of(ref, B)
     half = 0.5 * total
-    mono = _monotone_piece(b, B)
-    if mono is not None:
+    if sym.cells is not None:
+        # ref({b > g}) is a step function of g with jumps at the cell values
+        alpha = next(
+            v for v in sorted({v for v, _ in sym.cells})
+            if sum(mass for u, mass in sym.cells if u > v) <= half * (1 + 1e-12)
+        )
+    elif sym.mono is not None:
         # alpha = b at the point splitting B into two ref-halves
         cut = monotone_inverse(lambda x: _mass(ref, B.a, x), half, B.a, B.b)
-        alpha = mono[0].eval(cut)
-    elif b.restrict(B).is_piecewise_constant():
-        # ref({b > g}) is a step function of g with jumps at the cell values
-        cells = _cell_table(b, B, ref)
-        alpha = next(
-            v for v in sorted({v for v, _ in cells})
-            if sum(mass for u, mass in cells if u > v) <= half * (1 + 1e-12)
-        )
+        alpha = sym.mono[0].eval(cut)
     else:
+        # ref({b > g}) falls to 0 over the value range: search from a finite end
         lo, hi = _value_range(b, B)
-        if superlevel_measure(b, lo, B, ref) <= half:
-            alpha = lo
+        above = lambda g: superlevel_measure(b, g, B, ref)
+        if lo > -math.inf:
+            alpha = lo + monotone_inverse(lambda d: above(lo + d), half, 0.0, hi - lo, False)
         else:
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                if superlevel_measure(b, mid, B, ref) <= half:
-                    hi = mid
-                else:
-                    lo = mid
-                if hi - lo <= 1e-13 * max(1.0, abs(hi)):
-                    break
-            alpha = hi
+            alpha = hi - monotone_inverse(lambda d: above(hi - d), half, 0.0, math.inf)
     above = superlevel_measure(b, alpha, B, ref)
     below = superlevel_measure(-b, -alpha, B, ref)  # mass of {b < alpha}
     slack = 1e-9 * total
@@ -187,38 +207,52 @@ def quantile_threshold(
     b: FuncExpr, c: float, B: Interval, w: RefMeasure, s: float
 ) -> float:
     """inf{ t >= 0 : w({x in B : |b - c| > t}) <= s * w(B) }."""
-    return _threshold(b, c, B, w, s * mass_of(w, B), strict=False)
+    return _threshold(_classify(b, B, w), c, s * mass_of(w, B), strict=False)
 
 
-def _threshold(
-    b: FuncExpr, c: float, B: Interval, w: RefMeasure, level: float, strict: bool
-) -> float:
+def _threshold(sym: _Symbol, c: float, level: float, strict: bool) -> float:
     """inf{ t >= 0 : w({x in B : |b - c| > t}) <= level } (< level when strict).
 
     A step symbol scans its cell table, with the relative slack 1e-12 (or
     -1e-14 when strict) against ties.  Otherwise the tail is continuous in
     t, so the infimum is where it crosses level.
     """
-    if b.restrict(B).is_piecewise_constant():
+    if sym.cells is not None:
         limit = level * (1 - 1e-14) if strict else level * (1 + 1e-12)
-        return _step_threshold(_cell_table(b, B, w), c, limit, strict)
-    mono = _monotone_piece(b, B)
-    if mono is not None:
-        tail = lambda t: _monotone_tail(*mono, B, w, c, t)
+        return _step_threshold(sym.cells, c, limit, strict)
+    if sym.mono is not None:
+        tail = lambda t: _monotone_tail(*sym.mono, sym.B, sym.w, c, t)
     else:
-        dev = (b - c).restrict(B).abs()
-        tail = lambda t: superlevel_measure(dev, t, B, w)
+        dev = (sym.b - c).restrict(sym.B).abs()
+        tail = lambda t: superlevel_measure(dev, t, sym.B, sym.w)
     return monotone_inverse(tail, level, 0.0, math.inf, increasing=False)
+
+
+def _centre_infimum(sym: _Symbol, frac: float, strict: bool, alpha: float | None = None) -> float:
+    """inf over c of `_threshold` at level frac * w(B): a scan of the step
+    centres, the window scan, or for a generic symbol a scan of [alpha - T,
+    alpha + T], T the threshold at the median alpha; the threshold is
+    1-Lipschitz in c and, for frac <= 1/2, at least |c - alpha|."""
+    if sym.mono is not None:
+        return _window_oscillation(sym.mono[0], sym.B, sym.w, frac)
+    level = frac * mass_of(sym.w, sym.B)
+    at = lambda c: _threshold(sym, c, level, strict)
+    if sym.cells is not None:
+        return min(map(at, _step_centres(sym.cells)))
+    if alpha is None:
+        alpha = _median(sym)
+    t = at(alpha)
+    return min(t, _scan_minimum(at, alpha - t, alpha + t, _C_SAMPLES)) if t > 0.0 else 0.0
 
 
 # -- piecewise-constant cell table -------------------------------------------------
 
 
-def _cell_table(b: FuncExpr, B: Interval, w: RefMeasure) -> list[tuple[float, float]]:
+def _cell_table(r: FuncExpr, B: Interval, w: RefMeasure) -> list[tuple[float, float]]:
     """(value, w-mass) of the cells of B cut at the breakpoints of a
-    piecewise-constant b, left to right; gaps where b has no piece carry 0."""
+    piecewise-constant r = b restricted to B; gaps where r has no piece carry 0."""
     cells, x = [], B.a
-    for p in b.restrict(B).pieces:
+    for p in r.pieces:
         if p.lo > x:
             cells.append((0.0, mass_of(w, Interval(x, p.lo))))
         cells.append((p.atoms[0][0], mass_of(w, Interval(p.lo, p.hi))))
@@ -229,7 +263,7 @@ def _cell_table(b: FuncExpr, B: Interval, w: RefMeasure) -> list[tuple[float, fl
 
 
 def _step_threshold(
-    cells: list[tuple[float, float]], c: float, limit: float, strict: bool = False
+    cells: list[tuple[float, float]], c: float, limit: float, strict: bool
 ) -> float:
     """Smallest t in {0} ∪ {|v - c|} with w({|b - c| > t}) <= limit (< limit
     when strict), summing the cell masses left to right.
@@ -316,26 +350,10 @@ def weighted_bmo_norm(
 
 
 def median_oscillation(b: FuncExpr, w: RefMeasure, s: float, B: Interval) -> float:
-    """inf over c of the s-quantile threshold of |b - c| on B.
-
-    Piecewise-constant symbols: one (value, w-mass) cell table of B, scanned
-    for every cell value and midpoint of two values as the centre c.
-    One monotone piece on B: the window scan `_window_oscillation`.
-    Otherwise: `_scan_minimum` over c in the sampled value range of b.
-    """
+    """inf over c of the s-quantile threshold of |b - c| on B (`_centre_infimum`)."""
     if not (0.0 < s <= 0.5):
         raise ValueError("s must lie in (0, 1/2]")
-    if b.restrict(B).is_piecewise_constant():
-        cells = _cell_table(b, B, w)
-        limit = s * mass_of(w, B) * (1 + 1e-12)
-        return min(_step_threshold(cells, c, limit) for c in _step_centres(cells))
-    mono = _monotone_piece(b, B)
-    if mono is not None:
-        return _window_oscillation(mono[0], B, w, s)
-    lo, hi = _value_range(b, B)
-    if hi - lo <= 1e-14 * max(1.0, abs(hi)):
-        return 0.0
-    return _scan_minimum(lambda c: quantile_threshold(b, c, B, w, s), lo, hi, _C_SAMPLES)
+    return _centre_infimum(_classify(b, B, w), s, strict=False)
 
 
 def _scan_minimum(f, lo: float, hi: float, samples: int) -> float:
@@ -400,7 +418,7 @@ def rearrangement(b: FuncExpr, w: RefMeasure, t: float, hull: Interval | None = 
     H = hull or b.support_bounds()
     if H is None:
         return 0.0
-    return _threshold(b, 0.0, H, w, t, strict=True)
+    return _threshold(_classify(b, H, w), 0.0, t, strict=True)
 
 
 def local_mean_oscillation(
@@ -415,21 +433,14 @@ def local_mean_oscillation(
     """
     if not (0.0 < lambda_frac < 1.0):
         raise ValueError("lambda_frac must lie in (0,1)")
-    t_arg = lambda_frac * mass_of(w, B)
-    alpha = median(b, B, w)
-    if b.restrict(B).is_piecewise_constant():
-        cells = _cell_table(b, B, w)
-        reference = lambda c: _step_threshold(cells, c, t_arg * (1 - 1e-14), strict=True)
-        a_check = min(reference(c) for c in _step_centres(cells) | {alpha})
-        return a_check, reference(alpha)
-    reference = lambda c: rearrangement((b - c).restrict(B), w, t_arg, hull=B)
-    a_med = reference(alpha)
-    mono = _monotone_piece(b, B)
-    if mono is not None:
-        a_check = _window_oscillation(mono[0], B, w, lambda_frac)
-    else:
-        a_check = _scan_minimum(reference, *_value_range(b, B), _C_SAMPLES)
-    return min(a_check, a_med), a_med
+    return _local_mean(_classify(b, B, w), lambda_frac)[:2]
+
+
+def _local_mean(sym: _Symbol, lambda_frac: float) -> tuple[float, float, float]:
+    """local_mean_oscillation of a classified symbol, and the median alpha."""
+    alpha = _median(sym)
+    a_med = _threshold(sym, alpha, lambda_frac * mass_of(sym.w, sym.B), strict=True)
+    return min(_centre_infimum(sym, lambda_frac, True, alpha), a_med), a_med, alpha
 
 
 def median_stability_check(
@@ -442,11 +453,9 @@ def median_stability_check(
     """(|alpha(B_eps) - alpha(B)|, a_{lambda_frac}(b; B)) where B_eps extends
     the right endpoint (falling back to contraction for shrink targets) until
     w(B_eps) = (1 +/- eps) w(B)."""
-    target = (1.0 + eps) * mass_of(w, B)
-    B_eps = _resize_to_mass(B, target, w)
-    lhs = abs(median(b, B_eps, w) - median(b, B, w))
-    _, a_med = local_mean_oscillation(b, B, lambda_frac, w)
-    return lhs, a_med
+    B_eps = _resize_to_mass(B, (1.0 + eps) * mass_of(w, B), w)
+    _, a_med, alpha = _local_mean(_classify(b, B, w), lambda_frac)
+    return abs(median(b, B_eps, w) - alpha), a_med
 
 
 def _resize_to_mass(B: Interval, target: float, w: RefMeasure) -> Interval:

@@ -61,7 +61,7 @@ def run_bmo_equivalence(cfg: ScenarioConfig) -> Verdict:
     p = cfg.get_float("p", 2.0)
     s = cfg.get_float("s", 0.25)
     alpha = cfg.get_float("alpha", 1.0)
-    band = cfg.tol("ratio_band", 40.0)
+    band = cfg.tol("ratio_band", 8.0)
     n_cases = cfg.get_int("n_cases", 500)
 
     m = BesselMeasure(lam)

@@ -13,8 +13,6 @@ oscillation factor).
 
 from __future__ import annotations
 
-import os
-
 from ..bmo import bmo_triangle_norm
 from ..dyadic import canonical_major_subsets, zero_chain
 from ..measure import BesselMeasure, FuncExpr, Interval

@@ -108,8 +108,9 @@ def run_power_weight_sweep(cfg: ScenarioConfig) -> Verdict:
 
     # cross-membership witnesses at (p, lam) = (2, 1)
     for alpha, cls_member, mod_member in ((5.0, False, True), (-2.0, True, False)):
-        rc = power_dichotomy(alpha, ApMu(2.0, 1.0), depth, seed=cfg.seed)
-        rm = power_dichotomy(alpha, TildeAp(2.0, 1.0), depth, seed=cfg.seed)
+        rc, rm = (power_dichotomy(alpha, tag, depth, seed=cfg.seed, n_random=n_random,
+                                  stabilization_band=band)
+                  for tag in (ApMu(2.0, 1.0), TildeAp(2.0, 1.0)))
         verdict.add(
             f"cross-membership alpha={alpha:g}",
             float(rc.member == cls_member and rm.member == mod_member),

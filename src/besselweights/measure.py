@@ -13,13 +13,15 @@ the closed-form antiderivative of x^beta * log(x)^m.
 Functions are represented by :class:`FuncExpr`: a finite list of disjoint
 cells (lo, hi), each carrying a sum of atoms c * x^alpha * log(x)^m, and zero
 off the cells.  The family is closed under +, -, products, restriction,
-absolute value (by splitting cells at sign changes) and real powers of
+d/dx, absolute value (by splitting cells at sign changes) and real powers of
 single-atom pieces, and every member integrates in closed form against any
 x^e dx.  That is enough to express every function manipulated here (powers,
 log x^{2*lam}, indicators, sparse-operator outputs) without quadrature error.
 
 `FuncExpr.sum` adds many functions in one pass over their common grid (binary
 `+` is its two-term case); `FuncExpr.envelope` is the max over covering intervals.
+`FuncExpr.sign_regions` (whose per-cell split `abs` shares) is the one routine
+that answers sign questions; on `derivative` it also decides monotonicity.
 
 Integrals over many intervals at once run on an `IntervalEnds` batch
 (`FuncExpr.integrate_many`), in one array pass per atom that equals the
@@ -642,40 +644,51 @@ class FuncExpr:
                 out.append(r)
         return out
 
+    def _split(self, p: Piece) -> list[tuple[float, float, int]]:
+        """The cell cut at its sign changes: (lo, hi, sign of the atom sum
+        there), read at the geometric midpoint, or from the coefficient of a
+        single pure power, which keeps one sign."""
+        if len(p.atoms) == 1 and p.atoms[0][2] == 0:
+            cuts, vals = [p.lo, p.hi], [p.atoms[0][0]]
+        else:
+            cuts = [p.lo] + self._piece_roots(p) + [p.hi]
+            vals = [p.eval(_geometric_mid(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
+        return [(lo, hi, 0 if v == 0.0 else (1 if v > 0.0 else -1))
+                for lo, hi, v in zip(cuts, cuts[1:], vals)]
+
     def abs(self) -> "FuncExpr":
         """|f| by splitting cells at sign changes (finite cells only)."""
         pieces = []
         for p in self.pieces:
             if p.hi == math.inf:
                 raise RepresentationError("abs() requires finite cells; restrict first")
-            cuts = [p.lo] + self._piece_roots(p) + [p.hi]
-            for lo, hi in zip(cuts, cuts[1:]):
-                mid = _geometric_mid(lo, hi)
-                if p.eval(mid) >= 0.0:
-                    pieces.append(Piece(lo, hi, p.atoms))
-                else:
-                    pieces.append(
-                        Piece(lo, hi, tuple((-c, a, m) for c, a, m in p.atoms))
-                    )
+            for lo, hi, sgn in self._split(p):
+                atoms = p.atoms if sgn >= 0 else tuple((-c, a, m) for c, a, m in p.atoms)
+                pieces.append(Piece(lo, hi, atoms))
         return FuncExpr(pieces)
 
     def sign_regions(self, B: Interval) -> list[tuple[Interval, int]]:
-        """Partition of B into maximal cells of constant sign (+1, -1, 0)."""
-        g = self.restrict(B)
-        pts = {B.a, B.b}
-        for p in g.pieces:
-            pts.add(p.lo)
-            pts.add(p.hi)
-            for r in self._piece_roots(p):
-                pts.add(r)
-        grid = sorted(pts)
-        out = []
-        for lo, hi in zip(grid, grid[1:]):
-            mid = _geometric_mid(lo, hi)
-            v = g(mid)
-            sgn = 0 if v == 0.0 else (1 if v > 0.0 else -1)
-            out.append((Interval(lo, hi), sgn))
+        """Partition of B into cells of constant sign (+1, -1, 0): the cells of
+        f cut at their sign changes, and 0 on the gaps between them."""
+        out, x = [], B.a
+        for p in self.restrict(B).pieces:
+            if p.lo > x:
+                out.append((Interval(x, p.lo), 0))
+            out += [(Interval(lo, hi), sgn) for lo, hi, sgn in self._split(p)]
+            x = p.hi
+        if x < B.b:
+            out.append((Interval(x, B.b), 0))
         return out
+
+    def derivative(self) -> "FuncExpr":
+        """f' inside each cell, by d/dx c x^a log^m x = c x^{a-1} (a log^m x +
+        m log^{m-1} x); the jumps between cells are not represented."""
+        pieces = []
+        for p in self.pieces:
+            terms = [(c * a, a - 1.0, m) for c, a, m in p.atoms]
+            terms += [(c * m, a - 1.0, m - 1) for c, a, m in p.atoms if m]
+            pieces.append(Piece(p.lo, p.hi, _atoms_of(_add_atoms({}, terms))))
+        return FuncExpr(pieces)
 
     # -- integration ---------------------------------------------------------
 

@@ -57,7 +57,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import beta, hyp2f1
 
-from .bmo import median
+from .bmo import median, superlevel_set
 from .dyadic import subtract_intervals
 from .errors import ConstructionError, PostconditionError, SupportError
 from .measure import (
@@ -245,33 +245,15 @@ class MedianSplit:
     Eplus: tuple[Interval, ...]
     Eminus: tuple[Interval, ...]
 
-    def verify_sign_grid(self, b: FuncExpr, samples: int = 64) -> bool:
-        """b(x) - b(y) >= 0 on E+ x F- and <= 0 on E- x F+ (sampled)."""
-        def points(ivs):
-            pts = []
-            for iv in ivs:
-                lo = iv.a if iv.a > 0 else iv.b * 1e-9
-                pts.extend(np.geomspace(lo, iv.b * (1 - 1e-12), max(2, samples // max(1, len(ivs)))))
-            return pts
-
-        for x in points(self.Eplus):
-            for y in points(self.Fminus):
-                if b(float(x)) - b(float(y)) < -1e-10:
-                    return False
-        for x in points(self.Eminus):
-            for y in points(self.Fplus):
-                if b(float(x)) - b(float(y)) > 1e-10:
-                    return False
-        return True
-
 
 def median_split(b: FuncExpr, pair: SeparatedBallPair, m: BesselMeasure) -> MedianSplit:
-    """Split both balls of the pair at a mu-median of b on Btilde."""
+    """Split both balls of the pair at a mu-median of b on Btilde; the closed
+    sets {b >= alpha}, {b <= alpha} are complements of strict level sets."""
     alpha = median(b, pair.Btilde, m)
-    Fplus = _closed_superlevel(b, alpha, pair.Btilde)
-    Fminus = _closed_superlevel(-b, -alpha, pair.Btilde)
-    Eplus = _closed_superlevel(b, alpha, pair.B)
-    Eminus = subtract_intervals(pair.B, Eplus)
+    Fplus = subtract_intervals(pair.Btilde, superlevel_set(-b, -alpha, pair.Btilde))
+    Fminus = subtract_intervals(pair.Btilde, superlevel_set(b, alpha, pair.Btilde))
+    Eminus = superlevel_set(-b, -alpha, pair.B)
+    Eplus = subtract_intervals(pair.B, Eminus)
     half = 0.5 * m.mu(pair.Btilde)
     slack = 1e-9 * m.mu(pair.Btilde)
     plus = sum(m.mu(iv) for iv in Fplus)
@@ -282,19 +264,6 @@ def median_split(b: FuncExpr, pair: SeparatedBallPair, m: BesselMeasure) -> Medi
             f"{minus:g}, below half of mu(Btilde) = {2.0 * half:g}"
         )
     return MedianSplit(alpha, Fplus, Fminus, Eplus, Eminus)
-
-
-def _closed_superlevel(b: FuncExpr, alpha: float, B: Interval) -> tuple[Interval, ...]:
-    """{x in B : b(x) >= alpha} as intervals (plateaus at alpha included)."""
-    regions = (b - alpha).sign_regions(B)
-    out = []
-    for iv, sgn in regions:
-        if sgn >= 0:
-            if out and abs(out[-1].b - iv.a) <= 1e-14 * iv.b:
-                out[-1] = Interval(out[-1].a, iv.b)
-            else:
-                out.append(iv)
-    return tuple(out)
 
 
 # -- the slow-logarithmic tail profile ------------------------------------------------

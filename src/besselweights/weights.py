@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 _A1_SAMPLES = 1024  # geometric grid of the sampled supremum in tilde_a1_quantity
+_INDEX_CAP = 32  # dyadic intervals kept per level by IntervalFamily.dyadic
 
 
 @dataclass(frozen=True)
@@ -142,17 +143,17 @@ class IntervalFamily:
         return IntervalEnds(a, b)
 
     @classmethod
-    def dyadic(cls, depth: int, index_cap: int = 32) -> "IntervalFamily":
+    def dyadic(cls, depth: int) -> "IntervalFamily":
         """Dyadic intervals of levels -depth..depth intersecting (0, 2^depth],
         with per-level index capped (the per-interval products of interest are
         scale-invariant, so low indices carry the extremal shapes)."""
         out = []
         for j in range(-depth, depth + 1):
             side = 2.0**-j
-            n_fit = max(1, min(index_cap, int(2.0 ** (depth + j))))
+            n_fit = max(1, min(_INDEX_CAP, int(2.0 ** (depth + j))))
             for k in range(n_fit):
                 out.append(Interval(k * side, (k + 1) * side))
-        return cls(f"dyadic(J={depth},cap={index_cap})", tuple(out))
+        return cls(f"dyadic(J={depth},cap={_INDEX_CAP})", tuple(out))
 
     @classmethod
     def boundary_refining(cls, depth: int) -> "IntervalFamily":
@@ -173,14 +174,14 @@ class IntervalFamily:
 
     @classmethod
     @lru_cache(maxsize=2)
-    def standard(cls, depth: int, seed: int = 0, n_random: int = 50, index_cap: int = 32) -> "IntervalFamily":
+    def standard(cls, depth: int, seed: int = 0, n_random: int = 50) -> "IntervalFamily":
         """dyadic + boundary-refining + seeded random; monotone in depth.
 
         The last two argument sets are memoised: families are immutable, so
         a repeat call returns the same object, with its endpoint arrays and
         their logs."""
         fam = (
-            cls.dyadic(depth, index_cap).intervals
+            cls.dyadic(depth).intervals
             + cls.boundary_refining(depth).intervals
             + cls.random(n_random, seed).intervals
         )
@@ -400,7 +401,6 @@ def power_dichotomy(
     depth: int,
     seed: int = 0,
     n_random: int = 50,
-    index_cap: int = 32,
     stabilization_band: float = 1.05,
 ) -> DichotomyResult:
     """Decide membership of t^alpha by comparing constants at depth and 2*depth.
@@ -410,8 +410,8 @@ def power_dichotomy(
     flag on a zero-based interval or grow without bound.
     """
     w = Weight.power(alpha)
-    r1 = weight_constant(w, tag, IntervalFamily.standard(depth, seed, n_random, index_cap))
-    r2 = weight_constant(w, tag, IntervalFamily.standard(2 * depth, seed, n_random, index_cap))
+    r1 = weight_constant(w, tag, IntervalFamily.standard(depth, seed, n_random))
+    r2 = weight_constant(w, tag, IntervalFamily.standard(2 * depth, seed, n_random))
     divergent = r1.divergent or r2.divergent
     ratio = math.inf if divergent else r2.value / r1.value
     member = (not divergent) and ratio < stabilization_band

@@ -55,6 +55,18 @@ class TestSuperlevel:
         assert s[0].a == pytest.approx(1.0, rel=1e-9)
         assert s[0].b == pytest.approx(4.0)
 
+    def test_close_turning_points(self):
+        # b = u^3 - 1e-3 u, u = log x, turns at |u| = sqrt(1e-3/3), so it is
+        # not monotone on (1/e, e); {b > 0} is {-sqrt(1e-3) < u < 0} + {u > sqrt(1e-3)}
+        b = FuncExpr.log_power(1.0, 0.0, 3) + FuncExpr.log_power(-1e-3, 0.0, 1)
+        B = Interval(math.exp(-1.0), math.exp(1.0))
+        r = math.sqrt(1e-3)
+        s = superlevel_set(b, 0.0, B)
+        assert len(s) == 2
+        for iv, (lo, hi) in zip(s, ((math.exp(-r), 1.0), (math.exp(r), B.b))):
+            assert iv.a == pytest.approx(lo, rel=1e-12)
+            assert iv.b == pytest.approx(hi, rel=1e-12)
+
     def test_measure_exact(self):
         B = Interval(0.5, 4.0)
         val = superlevel_measure(LOGB, 0.0, B, M1)
@@ -336,6 +348,28 @@ class TestGenericSymbol:
         assert float(best) * (1 - 1e-9) <= a_check <= a_med
 
 
+    def test_zero_based_interval(self):
+        # on (0, 1) under dx, x log x tends to 0 at 0+ and u^3 - u (u = log x)
+        # to -inf, so the second value range has an infinite end
+        mp.mp.dps = 40
+        B, w, half = Interval(0.0, 1.0), Weight.one(), mp.mpf(1) / 2
+        # {x log x > g} = (0, e^{W_-1(g)}) + (e^{W_0(g)}, 1)
+        mass_xlogx = lambda g: (mp.exp(mp.lambertw(g, -1)).real + 1
+                                - mp.exp(mp.lambertw(g, 0)).real)
+        exact = mp.findroot(lambda g: mass_xlogx(g) - half, (-0.36, -0.01), solver="anderson")
+        assert median(FuncExpr.log_power(1.0, 1.0, 1), B, w) == pytest.approx(
+            float(exact), rel=1e-10)
+
+        # for 0 < g < 2/(3 sqrt 3), {u^3 - u > g} is (u1, u2) with u1 < u2 < 0
+        def mass_cubic(g):
+            u1, u2 = sorted(mp.re(z) for z in mp.polyroots([1, 0, -1, -g]) if mp.re(z) < 0)
+            return mp.exp(u2) - mp.exp(u1)
+
+        exact = mp.findroot(lambda g: mass_cubic(g) - half, (0.01, 0.38), solver="anderson")
+        b = FuncExpr.log_power(1.0, 0.0, 3) + FuncExpr.log_power(-1.0, 0.0, 1)
+        assert median(b, B, w) == pytest.approx(float(exact), rel=1e-10)
+
+
 def _per_candidate_threshold(b, c, B, w, limit, strict):
     """Reference step scan: |b - c| on B built as a FuncExpr for this c."""
     dev = (b - c).restrict(B).abs()
@@ -515,7 +549,7 @@ class TestMedianStability:
             assert lhs <= rhs * (1 + 1e-9) + 1e-12
 
 
-class TestVmoProfileAndJN:
+class TestScaleInvarianceAndQuantileThreshold:
     def test_log_small_scale_defect_persists(self):
         # oscillation of log x^{2 lam} on (0, r) is scale-invariant and positive
         vals = [

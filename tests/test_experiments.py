@@ -12,6 +12,7 @@ from besselweights.experiments import (
     ScenarioConfig,
     load_default_config,
 )
+from besselweights.experiments.bmo_equivalence import run_bmo_equivalence
 from besselweights.experiments.config import parse_config_text
 from besselweights.experiments.csvio import format_value, write_csv
 from besselweights.experiments.power_sweep import run_power_weight_sweep
@@ -104,6 +105,13 @@ class TestRunners:
         assert v.passed
         assert len(v.artifacts) == 2  # CSV sweep plus the replayable family
         assert all(os.path.exists(a) for a in v.artifacts)
+
+    def test_bmo_equivalence_default_ratio_band(self, tmp_path):
+        # a config without [tolerances] gets the shipped band, not a looser one
+        cfg = ScenarioConfig("bmo-equivalence", 3, str(tmp_path), {"n_cases": "3"}, {})
+        v = run_bmo_equivalence(cfg)
+        (check,) = [c for c in v.checks if c.name == "six-flavor ratio band"]
+        assert check.bound == 8.0
 
     def test_verdict_lines_format(self, tmp_path):
         cfg = ScenarioConfig("power-sweep", 3, str(tmp_path), dict(SMALL_SWEEP), {})

@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,6 +228,22 @@ class TestFuncExpr:
         anti = lambda x: x * math.log(x) - x
         oracle = -(anti(1.0) - anti(0.25)) + (anti(4.0) - anti(1.0))
         assert val == pytest.approx(oracle, rel=1e-13)
+
+    def test_derivative_against_mpmath(self):
+        # multi-atom cells, log-power atoms and a zero-based cell
+        mp.mp.dps = 40
+        f = FuncExpr([
+            Piece(0.0, 0.5, ((2.0, 1.5, 2), (-0.7, 0.5, 0))),
+            Piece(0.5, 3.0, ((1.0, 0.0, 3), (-1e-3, 0.0, 1), (0.4, -1.3, 1))),
+            Piece(3.0, 7.0, ((2.5, 2.0, 0),)),
+        ])
+        d = f.derivative()
+        for p in f.pieces:
+            g = lambda x, atoms=p.atoms: sum(c * x**a * mp.log(x) ** m for c, a, m in atoms)
+            for x in np.geomspace(max(p.lo, 1e-6), p.hi, 9)[:-1] * 1.0001:
+                exact = mp.diff(g, mp.mpf(float(x)))
+                assert d(float(x)) == pytest.approx(float(exact), rel=1e-13, abs=1e-300)
+        assert FuncExpr.constant(3.0).derivative().is_zero()
 
     def test_powf_single_atom(self):
         w = FuncExpr.power(4.0, 2.0)

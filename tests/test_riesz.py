@@ -252,10 +252,15 @@ class TestMedianSplit:
         b = FuncExpr.log_of_mu_density(1.0)
         pair = SeparatedBallPair(Interval(1.0, 2.0), Interval(7.0, 8.0), 3.0, 12.0)
         split = median_split(b, pair, M1)
-        assert split.verify_sign_grid(b, samples=64)
+        # b(x) - b(y) >= 0 on E+ x F- and <= 0 on E- x F+
+        values = lambda ivs: [b(float(x)) for iv in ivs
+                              for x in np.geomspace(iv.a, iv.b * (1 - 1e-12), 32)]
+        inf = math.inf
+        assert min(values(split.Eplus), default=inf) >= max(values(split.Fminus)) - 1e-10
+        assert max(values(split.Eminus)) <= min(values(split.Fplus), default=inf) + 1e-10
 
     def test_postcondition_raises_package_error(self, monkeypatch):
-        monkeypatch.setattr(riesz, "_closed_superlevel", lambda *args: ())
+        monkeypatch.setattr(riesz, "subtract_intervals", lambda *args: ())
         pair = SeparatedBallPair(Interval(1.0, 2.0), Interval(7.0, 8.0), 3.0, 12.0)
         with pytest.raises(PostconditionError):
             median_split(FuncExpr.log_of_mu_density(1.0), pair, M1)
@@ -266,7 +271,7 @@ class TestMedianSplit:
             "from besselweights.errors import PostconditionError\n"
             "from besselweights.measure import BesselMeasure, FuncExpr, Interval\n"
             "print(__debug__)\n"
-            "riesz._closed_superlevel = lambda *args: ()\n"
+            "riesz.subtract_intervals = lambda *args: ()\n"
             "pair = riesz.SeparatedBallPair(Interval(1, 2), Interval(7, 8), 3.0, 12.0)\n"
             "try:\n"
             "    riesz.median_split(FuncExpr.log_of_mu_density(1.0), pair, BesselMeasure(1.0))\n"

@@ -104,6 +104,18 @@ class TestTildeA1Quantity:
 
 
 class TestWeightConstant:
+    def test_tilde_a1_power_weight_constant(self):
+        # t^alpha on (0, b): (w(B)/nu_c(B)) * b^{2c+1-alpha} = (2c+2)/(alpha+1),
+        # the largest value over the family since 2c+1-alpha >= 0
+        fam = IntervalFamily.standard(8, seed=2)
+        for c in (0.5, 1.0):
+            for alpha in (-0.5, 2 * c + 1):
+                rep = weight_constant(Weight.power(alpha), TildeA1(c), fam)
+                assert not rep.divergent
+                assert rep.value == pytest.approx((2 * c + 2) / (alpha + 1), rel=1e-12)
+            rep = weight_constant(Weight.power(-1.0), TildeA1(c), fam)
+            assert rep.divergent and math.isinf(rep.value)
+
     def test_constant_weight_apmu(self):
         fam = IntervalFamily.standard(6, seed=3)
         rep = weight_constant(Weight.one(), ApMu(2.0, 1.0), fam)
