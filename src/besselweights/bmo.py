@@ -107,31 +107,6 @@ def _monotone_piece(g: FuncExpr, B: Interval):
     return (p, signs == {1}) if signs in ({1}, {-1}) else None
 
 
-def _limit_at_zero(p) -> float:
-    """lim p(x) as x -> 0+: the atom of least exponent, and of those the
-    highest log power, dominates."""
-    a, neg_m, c = min((a, -m, c) for c, a, m in p.atoms)
-    if a > 0.0:
-        return 0.0
-    return c if (a, neg_m) == (0.0, 0) else math.copysign(math.inf, c * (-1) ** neg_m)
-
-
-def _value_range(f: FuncExpr, B: Interval) -> tuple[float, float]:
-    """(inf, sup) of f on B.  Each piece is read at the ends of its
-    derivative's sign regions, where its extrema lie (at 0 through its
-    limit, which may be infinite), and a gap of B contributes the value 0."""
-    vals, x = [], B.a
-    for p in f.restrict(B).pieces:
-        if p.lo > x:
-            vals.append(0.0)
-        for iv, _ in FuncExpr([p]).derivative().sign_regions(Interval(p.lo, p.hi)):
-            vals += [p.eval(iv.a) if iv.a > 0.0 else _limit_at_zero(p), p.eval(iv.b)]
-        x = p.hi
-    if x < B.b:
-        vals.append(0.0)
-    return min(vals), max(vals)
-
-
 def _monotone_tail(p, inc: bool, B: Interval, ref: RefMeasure, c: float, t: float) -> float:
     """ref({x in B : |p(x) - c| > t}) for a piece p monotone on B."""
     cut = lambda y: monotone_inverse(p.eval, y, B.a, B.b, inc)
@@ -186,7 +161,7 @@ def _median(sym: _Symbol) -> float:
         alpha = sym.mono[0].eval(cut)
     else:
         # ref({b > g}) falls to 0 over the value range: search from a finite end
-        lo, hi = _value_range(b, B)
+        lo, hi = b.value_range(B)
         above = lambda g: superlevel_measure(b, g, B, ref)
         if lo > -math.inf:
             alpha = lo + monotone_inverse(lambda d: above(lo + d), half, 0.0, hi - lo, False)

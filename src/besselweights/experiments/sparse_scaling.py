@@ -76,10 +76,9 @@ def _load_replay_family(path: str, m: BesselMeasure):
 
 
 def measure_sweep(cfg: ScenarioConfig, p: float, lam: float, apply_op):
-    """(rows, slope, ratios, families) for one exponent sweep at fixed p."""
+    """(rows, slope, families) for one exponent sweep at fixed p."""
     m = BesselMeasure(lam)
     c = lam - 0.5
-    exponent = max(1.0, 1.0 / (p - 1.0))
     depth_growth = cfg.get_float("depth_growth", 2.0)
     depth_cap = cfg.get_int("depth_cap", 120)
     fam_depth = cfg.get_int("family_depth", 25)
@@ -102,13 +101,11 @@ def measure_sweep(cfg: ScenarioConfig, p: float, lam: float, apply_op):
         est = operator_norm_lower_bound(
             lambda f: apply_op(S, f, m), p, w, witnesses, Interval(0.0, 2.0)
         )
-        rows.append((p, alpha, delta, depth, S.eta, wc.value, est.value,
-                     est.value / wc.value**exponent))
+        rows.append((p, alpha, delta, depth, S.eta, wc.value, est.value))
         logw.append(math.log(wc.value))
         logn.append(math.log(est.value))
     slope = float(np.polyfit(logw, logn, 1)[0])
-    ratios = [r[-1] for r in rows]
-    return rows, slope, ratios, families
+    return rows, slope, families
 
 
 def run_sparse_scaling(cfg: ScenarioConfig, apply_op=sparse_apply, budget_factor: float = 1.0,
@@ -124,12 +121,12 @@ def run_sparse_scaling(cfg: ScenarioConfig, apply_op=sparse_apply, budget_factor
     deepest = None
     for p in ps:
         exponent = budget_factor * max(1.0, 1.0 / (p - 1.0))
-        rows, slope, raw_ratios, families = measure_sweep(cfg, p, lam, apply_op)
+        rows, slope, families = measure_sweep(cfg, p, lam, apply_op)
         for S in families:
             if deepest is None or len(S.cubes) > len(deepest.cubes):
                 deepest = S
-        ratios = [est / wc**exponent for (_, _, _, _, _, wc, est, _) in rows]
-        all_rows += [r[:-1] + (ratios[i],) for i, r in enumerate(rows)]
+        ratios = [est / wc**exponent for (*_, wc, est) in rows]
+        all_rows += [r + (ratio,) for r, ratio in zip(rows, ratios)]
         budget = exponent + slack
         verdict.add(
             f"{label} slope p={p:g}",

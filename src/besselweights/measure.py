@@ -21,7 +21,9 @@ log x^{2*lam}, indicators, sparse-operator outputs) without quadrature error.
 `FuncExpr.sum` adds many functions in one pass over their common grid (binary
 `+` is its two-term case); `FuncExpr.envelope` is the max over covering intervals.
 `FuncExpr.sign_regions` (whose per-cell split `abs` shares) is the one routine
-that answers sign questions; on `derivative` it also decides monotonicity.
+that answers sign questions; on `derivative` it also decides monotonicity and
+gives `value_range` the points where extrema lie.  The per-cell split also
+takes an unbounded cell [lo, inf), whose tail it reads through x -> 1/x.
 
 Integrals over many intervals at once run on an `IntervalEnds` batch
 (`FuncExpr.integrate_many`), in one array pass per atom that equals the
@@ -624,10 +626,23 @@ class FuncExpr:
     # -- sign handling -------------------------------------------------------
 
     def _piece_roots(self, p: Piece) -> list[float]:
-        """Sign-change points of the cell's atom sum inside (p.lo, p.hi)."""
+        """Sign-change points of the cell's atom sum inside (p.lo, p.hi).
+
+        An unbounded cell [lo, inf) is cut at s = max(lo, 1): the roots below
+        s are found directly, s itself is kept when the sum vanishes there,
+        and the roots beyond s are the reciprocals of the roots of f(1/y) =
+        sum c (-1)^m y^{-a} log^m y, a sum of the same family, on (0, 1/s].
+        """
         if len(p.atoms) == 1 and p.atoms[0][2] == 0:
             return []  # single pure power: constant sign
         lo, hi = p.lo, p.hi
+        if hi == math.inf:
+            s = max(lo, 1.0)
+            flip = Piece(0.0, 1.0 / s, tuple((c * (-1) ** m, -a, m) for c, a, m in p.atoms))
+            far = [1.0 / r for r in reversed(self._piece_roots(flip))]
+            if lo == s:
+                return far
+            return self._piece_roots(Piece(lo, s, p.atoms)) + [s] * (p.eval(s) == 0.0) + far
         lo_eff = lo if lo > 0.0 else hi * 1e-15
         xs = np.geomspace(lo_eff, hi, _ROOT_SCAN)
         vals = self._piece_eval_grid(p, xs)
@@ -679,6 +694,21 @@ class FuncExpr:
         if x < B.b:
             out.append((Interval(x, B.b), 0))
         return out
+
+    def value_range(self, B: Interval) -> tuple[float, float]:
+        """(inf, sup) of f on B.  Each piece is read at the ends of its
+        derivative's sign regions, where its extrema lie (at 0 through its
+        limit, which may be infinite), and a gap of B contributes the value 0."""
+        vals, x = [], B.a
+        for p in self.restrict(B).pieces:
+            if p.lo > x:
+                vals.append(0.0)
+            for iv, _ in FuncExpr([p]).derivative().sign_regions(Interval(p.lo, p.hi)):
+                vals += [p.eval(iv.a) if iv.a > 0.0 else _limit_at_zero(p), p.eval(iv.b)]
+            x = p.hi
+        if x < B.b:
+            vals.append(0.0)
+        return min(vals), max(vals)
 
     def derivative(self) -> "FuncExpr":
         """f' inside each cell, by d/dx c x^a log^m x = c x^{a-1} (a log^m x +
@@ -766,6 +796,15 @@ def _piece_ends(fs: Iterable[FuncExpr]) -> list[float]:
             pts.add(p.lo)
             pts.add(p.hi)
     return sorted(pts)
+
+
+def _limit_at_zero(p: Piece) -> float:
+    """lim p(x) as x -> 0+: the atom of least exponent, and of those the
+    highest log power, dominates."""
+    a, neg_m, c = min((a, -m, c) for c, a, m in p.atoms)
+    if a > 0.0:
+        return 0.0
+    return c if (a, neg_m) == (0.0, 0) else math.copysign(math.inf, c * (-1) ** neg_m)
 
 
 def _geometric_mid(lo: float, hi: float) -> float:

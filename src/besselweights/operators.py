@@ -108,7 +108,6 @@ class OperatorNormEstimate:
     test_function: FuncExpr
     p: float
     weight: Weight
-    method: str
 
     def recompute(self, T: Callable[[FuncExpr], FuncExpr], domain: Interval) -> float:
         return lp_norm(T(self.test_function), self.p, self.weight, domain) / lp_norm(
@@ -122,7 +121,6 @@ def operator_norm_lower_bound(
     w: Weight,
     witnesses: Sequence[FuncExpr],
     domain: Interval,
-    method: str = "witness-family",
 ) -> OperatorNormEstimate:
     """max over witnesses of ||T f||_{L^p(w dx)} / ||f||_{L^p(w dx)}."""
     best, best_f = -math.inf, None
@@ -135,7 +133,7 @@ def operator_norm_lower_bound(
             best, best_f = ratio, f
     if best_f is None:
         raise PreconditionError("all witnesses have zero norm in L^p(w dx)")
-    return OperatorNormEstimate(best, best_f, p, w, method)
+    return OperatorNormEstimate(best, best_f, p, w)
 
 
 # -- layered mass bound for banded sparse families -----------------------------------
@@ -150,7 +148,6 @@ def sparse_layer_mass_bound(
     E: Sequence[Interval],
     m: BesselMeasure,
     k: int,
-    maximal_intervals: Sequence[Interval] | None = None,
 ) -> tuple[float, float, dict]:
     """Both sides of the layered mass bound for a norm-banded sparse family.
 
@@ -159,9 +156,9 @@ def sparse_layer_mass_bound(
           + (4 gamma_psi / phibar^{-1}((2 gamma_psi)^{2^k}))
             * int psi(4^k |f|) M_phi(w/mu) dmu
 
-    The maximal operator is taken over `maximal_intervals` (defaults to the
-    family's own cubes), which keeps the bound valid: the argument only needs
-    M_phi(w/mu) >= ||w/mu||_{phi,Q} on each family cube Q.
+    The maximal operator is taken over the family's own cubes, which keeps
+    the bound valid: the argument only needs M_phi(w/mu) >= ||w/mu||_{phi,Q}
+    on each family cube Q.
     """
     if psi.gamma_doubling is None:
         raise PreconditionError("psi needs a declared doubling constant")
@@ -176,8 +173,7 @@ def sparse_layer_mass_bound(
     bar = complementary(phi)
     denom = bar.inverse((2.0 * gamma) ** (2.0**k))
     h = w.expr * FuncExpr.power(1.0, -2.0 * m.lam)  # the density w/mu
-    fam = list(maximal_intervals) if maximal_intervals is not None else S.intervals()
-    profile = orlicz_maximal_profile(h, phi, fam, m)
+    profile = orlicz_maximal_profile(h, phi, S.intervals(), m)
     f_abs = f.restrict(_hull(S, f)).abs()
     psi_of_f = _apply_young_piecewise(psi, f_abs, 4.0**k)
     integral = (psi_of_f * profile).integrate(_hull(S, f), dmu(m))

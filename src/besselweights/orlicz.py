@@ -13,15 +13,13 @@ complementary function phibar(s) = sup_t (s*t - phi(t)) is evaluated by
 ternary search in log t on the concave inner function.  No closed forms are
 assumed anywhere.
 
-Two scalar constants drive the endpoint estimates:
+The endpoint estimates are driven by the scalar constant
 
-    c_phi  = int_1^inf phi^{-1}(t) / (t^2 * log(e+t)) dt
-    k_phi  = sum_{k>=1} k / phibar^{-1}(base^{2^k})
+    c_phi  = int_1^inf phi^{-1}(t) / (t^2 * log(e+t)) dt,
 
-Both admit a crisp finite/infinite dichotomy at desk scale: the integral is
-probed on doubling log-windows and declared divergent when the window
-increments stop decaying; the series is summed while its argument fits in
-float range and certified by the geometric decay of its terms.
+which admits a crisp finite/infinite dichotomy at desk scale: the integral
+is probed on doubling log-windows and declared divergent when the window
+increments stop decaying.
 """
 
 from __future__ import annotations
@@ -58,8 +56,6 @@ __all__ = [
     "complementary",
     "c_phi",
     "CPhiResult",
-    "k_phi",
-    "KPhiResult",
     "orlicz_maximal",
     "orlicz_maximal_profile",
 ]
@@ -144,12 +140,11 @@ def identity_young() -> YoungFunction:
     return YoungFunction(lambda t: t, "Id", gamma_doubling=4.0)
 
 
-def llogl(eps: float = 1.0, gamma: float | None = None) -> YoungFunction:
+def llogl(eps: float = 1.0) -> YoungFunction:
     """t * log(e+t)^eps for eps in (0, 1]; the L log L scale at eps = 1."""
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
-    if gamma is None:
-        gamma = 16.0 if eps == 1.0 else 4.0 * 4.0**eps
+    gamma = 16.0 if eps == 1.0 else 4.0 * 4.0**eps
     return YoungFunction(
         lambda t: t * math.log(math.e + t) ** eps, f"LlogL^{eps:g}", gamma_doubling=gamma
     )
@@ -286,17 +281,17 @@ class CPhiResult:
     tail_estimate: float
 
 
-def c_phi(
-    phi: YoungFunction,
-    checkpoints: Sequence[float] = (1.0, 1e3, 1e6, 1e12, 1e24),
-    divergence_cap: float = 1e6,
-    decay_threshold: float = 0.95,
-) -> CPhiResult:
+_CHECKPOINTS = (1.0, 1e3, 1e6, 1e12, 1e24)  # ends of the log-doubling windows of c_phi
+_DIVERGENCE_CAP = 1e6  # a partial integral above this counts as divergent
+_DECAY_THRESHOLD = 0.95  # window increments decaying slower than this count as divergent
+
+
+def c_phi(phi: YoungFunction) -> CPhiResult:
     """int_1^inf phi^{-1}(t) / (t^2 log(e+t)) dt with a finiteness dichotomy.
 
     The integrand is integrated over log-doubling windows; the integral is
     declared divergent when either the partial integral exceeds the cap or the
-    window increments stop decaying (ratio >= decay_threshold, which the
+    window increments stop decaying (ratio >= _DECAY_THRESHOLD, which the
     borderline integrand 1/(t log t) attains with ratio 1).
     """
     # substitute t = e^u so each log window becomes a moderate smooth range
@@ -304,63 +299,21 @@ def c_phi(
         t = math.exp(u)
         return phi.inverse(t) / (t * math.log(math.e + t))
 
-    if checkpoints[0] < 1.0:
-        raise ValueError("checkpoints must start at 1 or above")
     increments = []
-    for lo, hi in zip(checkpoints, checkpoints[1:]):
+    for lo, hi in zip(_CHECKPOINTS, _CHECKPOINTS[1:]):
         increments.append(
             integrate_callable(
                 log_integrand, Interval(math.log(lo), math.log(hi)), DX, rel_tol=1e-9
             )
         )
     partial = sum(increments)
-    if partial > divergence_cap:
+    if partial > _DIVERGENCE_CAP:
         return CPhiResult(math.inf, False, partial, tuple(increments), math.inf)
     ratio = increments[-1] / increments[-2] if increments[-2] > 0 else 0.0
-    if ratio >= decay_threshold:
+    if ratio >= _DECAY_THRESHOLD:
         return CPhiResult(math.inf, False, partial, tuple(increments), math.inf)
     tail = increments[-1] * ratio / (1.0 - ratio) if ratio > 0 else 0.0
     return CPhiResult(partial + tail, True, partial, tuple(increments), tail)
-
-
-@dataclass(frozen=True)
-class KPhiResult:
-    value: float
-    finite: bool
-    terms: tuple[float, ...]
-    tail_estimate: float
-
-
-def k_phi(phi: YoungFunction, base: float = 32.0, k_max: int | None = None) -> KPhiResult:
-    """sum_{k>=1} k / phibar^{-1}(base^{2^k}), partial sum plus decay certificate.
-
-    Terms are computed while base^{2^k} fits in float range; the tail is
-    certified by the (measured) geometric decay of consecutive terms.  A
-    non-superlinear phi yields the +inf flag rather than an exception.
-    """
-    try:
-        bar = complementary(phi)
-    except UnboundedComplementaryError:
-        return KPhiResult(math.inf, False, (), math.inf)
-    terms = []
-    k = 1
-    while True:
-        if k_max is not None and k > k_max:
-            break
-        exponent = 2.0**k * math.log(base)
-        if exponent > math.log(1e300):
-            break
-        arg = math.exp(exponent)
-        terms.append(k / bar.inverse(arg))
-        k += 1
-    if len(terms) < 3:
-        return KPhiResult(math.inf, False, tuple(terms), math.inf)
-    decreasing = all(t2 < t1 for t1, t2 in zip(terms[1:], terms[2:]))
-    ratio = terms[-1] / terms[-2]
-    if not decreasing or ratio >= 1.0:
-        return KPhiResult(math.inf, False, tuple(terms), math.inf)
-    tail = terms[-1] * ratio / (1.0 - ratio)
-    return KPhiResult(sum(terms) + tail, True, tuple(terms), tail)
 
 
 # -- Orlicz maximal operator -------------------------------------------------------

@@ -202,16 +202,16 @@ class SeparatedBallPair:
 
     @classmethod
     def build(
-        cls, center: float, radius: float, separation_factor: float,
-        A1: float = 3.0, A2: float = 12.0, direction: int = +1,
+        cls, center: float, radius: float, separation_factor: float, direction: int = +1
     ) -> "SeparatedBallPair":
+        """The pair at separation_factor * radius, in the band A1 = 3, A2 = 12."""
         sep = separation_factor * radius
         other = center + direction * sep
         return cls(
             Interval(center - radius, center + radius),
             Interval(other - radius, other + radius),
-            A1,
-            A2,
+            3.0,
+            12.0,
         )
 
 

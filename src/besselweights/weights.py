@@ -10,8 +10,9 @@ reference measure is nu_c = x^{2c+1} dx) and 1 < p < infty:
                       (1/mu(B) int_B w^{-1/(p-1)} dmu)^{p-1}
 
 The modified class mixes Lebesgue averages of w with a power-twisted dual
-average; its p = 1 member compares w(B)/nu_c(B) against the pointwise density
-ratio w(x)/x^{2c+1}.
+average; its p = 1 member compares w(B)/nu_c(B) against the essential infimum
+on B of the density ratio w(x)/x^{2c+1}, read exactly from
+`FuncExpr.value_range`.
 
 True weight constants are suprema over all intervals and are not computable;
 `weight_constant` reports the exact maximum over an explicit interval family,
@@ -35,7 +36,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DivergenceError, ZeroMassError
+from .errors import DivergenceError
 from .measure import DX, BesselMeasure, FuncExpr, Interval, IntervalEnds, _each, dmu, dnu
 
 __all__ = [
@@ -57,21 +58,22 @@ __all__ = [
     "DichotomyResult",
 ]
 
-_A1_SAMPLES = 1024  # geometric grid of the sampled supremum in tilde_a1_quantity
 _INDEX_CAP = 32  # dyadic intervals kept per level by IntervalFamily.dyadic
 
 
 @dataclass(frozen=True)
 class Weight:
-    """A nonnegative function usable as a weight; nonnegativity is spot-checked."""
+    """A nonnegative function usable as a weight: no cell of it, cut at its
+    sign changes, is negative."""
 
     expr: FuncExpr
     description: str = ""
 
     def __post_init__(self):
-        for x in np.geomspace(1e-6, 1e6, 49):
-            if self.expr(float(x)) < 0.0:
-                raise ValueError(f"weight is negative at x={x:g}")
+        for p in self.expr.pieces:
+            for lo, hi, sgn in self.expr._split(p):
+                if sgn < 0:
+                    raise ValueError(f"weight is negative on ({lo:g}, {hi:g})")
 
     @classmethod
     def power(cls, alpha: float, coef: float = 1.0) -> "Weight":
@@ -253,25 +255,18 @@ def ap_mu_quantity(w: Weight, p: float, m: BesselMeasure, B: Interval) -> float:
 
 
 def tilde_a1_quantity(w: Weight, class_lambda: float, B: Interval) -> float:
-    """(w(B)/nu_c(B)) * sup over a geometric sample grid of x^{2c+1}/w(x).
+    """(w(B)/nu_c(B)) * ess sup_B x^{2c+1}/w(x), that is (w(B)/nu_c(B)) /
+    inf_B w x^{-(2c+1)}, the infimum exact from `FuncExpr.value_range`.
 
-    The essential supremum is approximated on the grid (hence a lower bound);
-    for piecewise-monotone densities the endpoints attain it and the value is
-    exact.  Vanishing w at a sample raises ZeroMassError.
+    Raises DivergenceError when that infimum is 0: w vanishes somewhere on B,
+    or w x^{-(2c+1)} tends to 0 at the end 0 of a zero-based B.
     """
     nu = FuncExpr.constant(1.0).integrate(B, dnu(class_lambda))
     ratio = w.mass(B) / nu
-    lo = B.a if B.a > 0.0 else B.b * 1e-12
-    grid = np.geomspace(lo, B.b, _A1_SAMPLES)
-    e = 2.0 * class_lambda + 1.0
-    sup = 0.0
-    for x in grid:
-        x = float(x)
-        wx = w(x)
-        if wx <= 0.0:
-            raise ZeroMassError(f"weight vanishes at sample x={x:g}")
-        sup = max(sup, x**e / wx)
-    return ratio * sup
+    low, _ = (w.expr * FuncExpr.power(1.0, -(2.0 * class_lambda + 1.0))).value_range(B)
+    if low <= 0.0:
+        raise DivergenceError(f"w / x^(2c+1) has infimum 0 on ({B.a:g}, {B.b:g})")
+    return ratio / low
 
 
 # -- constants over families -------------------------------------------------------

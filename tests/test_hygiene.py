@@ -1,4 +1,5 @@
-"""Source hygiene: every import in the package is used in its module."""
+"""Source hygiene: every import in the package is used in its module, and
+the defaulted parameters of public functions are an audited list."""
 
 import ast
 from pathlib import Path
@@ -50,3 +51,83 @@ def test_no_unused_imports_in_the_package():
         for name, line in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert hits == []
+
+
+# Each entry is an option a caller may leave at its default.  A new one must be
+# added here, so it shows in review; one that every caller leaves alone
+# belongs in a module constant instead.
+OPTIONS = [
+    "bmo.rearrangement(hull)",
+    "dyadic.random_subtree(keep_prob)",
+    "experiments.config.ScenarioConfig.get(default)",
+    "experiments.config.ScenarioConfig.get_float(default)",
+    "experiments.config.ScenarioConfig.get_int(default)",
+    "experiments.config.ScenarioConfig.get_floats(default)",
+    "experiments.config.parse_config_text(seed_override)",
+    "experiments.config.load_config(seed_override)",
+    "experiments.config.load_default_config(seed_override)",
+    "experiments.sparse_scaling.run_sparse_scaling(apply_op)",
+    "experiments.sparse_scaling.run_sparse_scaling(budget_factor)",
+    "experiments.sparse_scaling.run_sparse_scaling(label)",
+    "measure.FuncExpr.indicator(value)",
+    "measure.monotone_inverse(increasing)",
+    "measure.integrate_callable(kind)",
+    "measure.integrate_callable(points)",
+    "measure.integrate_callable(rel_tol)",
+    "operators.sparse_commutator_apply(variant)",
+    "operators.lp_norm(domain)",
+    "orlicz.llogl(eps)",
+    "orlicz.exp_m1(rate)",
+    "riesz.SeparatedBallPair.build(direction)",
+    "riesz.lower_bound_check(samples)",
+    "weights.Weight.power(coef)",
+    "weights.IntervalFamily.random(lo_exp)",
+    "weights.IntervalFamily.random(hi_exp)",
+    "weights.IntervalFamily.standard(seed)",
+    "weights.IntervalFamily.standard(n_random)",
+    "weights.power_dichotomy(seed)",
+    "weights.power_dichotomy(n_random)",
+    "weights.power_dichotomy(stabilization_band)",
+]
+
+
+def defaulted_parameters(source: str, module: str) -> list[str]:
+    """"module.function(param)" for each defaulted parameter of a public
+    function, or of a public method of a public class, at module level."""
+    out = []
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                visit(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                params = positional[len(positional) - len(a.defaults):] if a.defaults else []
+                params += [k for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                out.extend(f"{module}.{prefix}{node.name}({p.arg})" for p in params)
+
+    visit(ast.parse(source).body, "")
+    return out
+
+
+def test_scan_lists_defaulted_parameters():
+    src = (
+        "def f(a, b=1, *, c=2, d):\n    def inner(e=3): pass\n"
+        "def _g(h=4): pass\n"
+        "class K:\n    def m(self, i=5): pass\n    def _n(self, j=6): pass\n"
+        "class _L:\n    def m(self, k=7): pass\n"
+    )
+    assert defaulted_parameters(src, "mod") == ["mod.f(b)", "mod.f(c)", "mod.K.m(i)"]
+
+
+def test_options_audit():
+    found = [
+        entry
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for entry in defaulted_parameters(
+            path.read_text(encoding="utf-8"),
+            ".".join(path.relative_to(PACKAGE).with_suffix("").parts),
+        )
+    ]
+    assert sorted(found) == sorted(OPTIONS)

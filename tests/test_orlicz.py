@@ -13,7 +13,6 @@ from besselweights.orlicz import (
     complementary,
     exp_m1,
     identity_young,
-    k_phi,
     llogl,
     luxemburg_norm,
     orlicz_maximal,
@@ -72,6 +71,19 @@ class TestComplementary:
         bar = complementary(phi)
         for s in (2.0, 10.0, 1e3):
             assert bar(s) == pytest.approx(s * math.log(s) - s + 1.0, rel=1e-12, abs=0.0)
+
+    def test_inverse_at_doubled_powers_pinned(self):
+        # k / phibar^{-1}(32^{2^k}) for LlogL: the inverse reads phibar = +inf past
+        # t = exp(690) on its walk out and must still land on these (rel 1e-15
+        # leaves a few ulp for libm across hosts)
+        bar = complementary(llogl())
+        terms = [k / bar.inverse(math.exp(2.0**k * math.log(32.0))) for k in range(1, 8)]
+        pinned = [
+            0.12603793242586042, 0.13456282305069533, 0.10443541662520407,
+            0.07085694009338206, 0.04468133539654949, 0.026929124160786036,
+            0.01574398674160439,
+        ]
+        assert terms == pytest.approx(pinned, rel=1e-15, abs=0.0)
 
     def test_identity_degenerate(self):
         with pytest.raises(UnboundedComplementaryError):
@@ -187,30 +199,6 @@ class TestEndpointConstants:
             limit=800,
         )
         assert res.value == pytest.approx(val, rel=1e-6)
-
-    def test_k_phi_llogl_finite_decreasing(self):
-        res = k_phi(llogl())
-        assert res.finite
-        assert all(t2 < t1 for t1, t2 in zip(res.terms[1:], res.terms[2:]))
-        # pinned: bar.inverse reads phibar = +inf past t = exp(690) on its walk out and
-        # must still land on these (rel 1e-15 leaves a few ulp for libm across hosts)
-        pinned = (
-            0.12603793242586042, 0.13456282305069533, 0.10443541662520407,
-            0.07085694009338206, 0.04468133539654949, 0.026929124160786036,
-            0.01574398674160439,
-        )
-        assert res.terms == pytest.approx(pinned, rel=1e-15, abs=0.0)
-
-    def test_k_phi_identity_flag(self):
-        res = k_phi(identity_young())
-        assert not res.finite
-        assert math.isinf(res.value)
-
-    def test_k_phi_base_ordering(self):
-        v32 = k_phi(llogl(), base=32.0)
-        v8 = k_phi(llogl(), base=8.0)
-        assert v8.finite and v32.finite
-        assert v8.value >= v32.value
 
 
 class TestMaximal:

@@ -26,6 +26,24 @@ from besselweights.weights import (
 from besselweights.weights import _products
 
 
+class TestWeightNonnegativity:
+    LOG = FuncExpr.log_power(1.0, 0.0, 1)
+
+    def test_rejects_negative_cells_a_sample_grid_misses(self):
+        # roots at 1e7, at e^-20 and at the point 1 where an unbounded cell is cut
+        for f in (FuncExpr.constant(1.0) - FuncExpr.power(1e-7, 1.0), self.LOG + 20.0, self.LOG):
+            with pytest.raises(ValueError, match="negative"):
+                Weight(f)
+
+    def test_accepts_nonnegative_weights(self):
+        for f in (
+            FuncExpr.constant(1.0) + FuncExpr.power(1.0, 1.0),
+            FuncExpr.log_power(1.0, 0.0, 2),
+            FuncExpr.piecewise_constant([0.5, 1.0, 2.0, 3.0], [1.0, 0.0, 2.0]),
+        ):
+            Weight(f)
+
+
 class TestTildeApQuantity:
     def test_unit_weight_reference_value(self):
         # w=1, p=2, c=1/2, B=(0,1): nu(B)=1/3, factors 3 and 3/5 -> 9/5
@@ -101,6 +119,15 @@ class TestTildeA1Quantity:
         # w=1, c=1/2, B=(1,2): (1/(7/3)) * sup x^2 = 12/7
         val = tilde_a1_quantity(Weight.one(), 0.5, Interval(1, 2))
         assert val == pytest.approx(12.0 / 7.0, rel=1e-10)
+
+    def test_interior_minimum_of_density_ratio(self):
+        # w / x^2 = (log x - 0.3137)^2 + 1e-8 has infimum 1e-8 at x = e^0.3137 in
+        # (1, 2); its expanded atoms cancel to about 5e-10 relative there
+        log = FuncExpr.log_power(1.0, 0.0, 1)
+        w = Weight(FuncExpr.power(1.0, 2.0) * ((log - 0.3137) * (log - 0.3137) + 1e-8))
+        B = Interval(1.0, 2.0)
+        want = w.mass(B) / FuncExpr.constant(1.0).integrate(B, dnu(0.5)) * 1e8
+        assert tilde_a1_quantity(w, 0.5, B) == pytest.approx(want, rel=1e-6, abs=0.0)
 
 
 class TestWeightConstant:
@@ -303,6 +330,12 @@ class TestDichotomy:
             assert res.ratio < 1.05
         else:
             assert res.divergent or res.ratio > 2.0
+
+    def test_limiting_class_above_density_exponent(self):
+        # t^alpha with alpha > 2c+1 is outside (-1, 2c+1]: w / x^{2c+1} -> 0 at 0
+        for c in (0.5, 1.0):
+            res = power_dichotomy(2 * c + 1.5, TildeA1(c), 6)
+            assert res.divergent and not res.member
 
     def test_cross_membership_asymmetry(self):
         # p=2, lam=1: alpha=5 outside classical (-3,3), inside modified (-1,7);
