@@ -167,8 +167,12 @@ def _median(sym: _Symbol) -> float:
             alpha = lo + monotone_inverse(lambda d: above(lo + d), half, 0.0, hi - lo, False)
         else:
             alpha = hi - monotone_inverse(lambda d: above(hi - d), half, 0.0, math.inf)
-    above = superlevel_measure(b, alpha, B, ref)
-    below = superlevel_measure(-b, -alpha, B, ref)  # mass of {b < alpha}
+    if sym.cells is not None:
+        above = sum(mass for u, mass in sym.cells if u > alpha)
+        below = sum(mass for u, mass in sym.cells if u < alpha)
+    else:
+        above = superlevel_measure(b, alpha, B, ref)
+        below = superlevel_measure(-b, -alpha, B, ref)  # mass of {b < alpha}
     slack = 1e-9 * total
     if above > half + slack or below > half + slack:
         raise PostconditionError(

@@ -16,7 +16,7 @@ from __future__ import annotations
 from ..bmo import bmo_triangle_norm
 from ..dyadic import canonical_major_subsets, zero_chain
 from ..measure import BesselMeasure, FuncExpr, Interval
-from ..operators import lp_norm, sparse_commutator_apply
+from ..operators import lp_norm, oscillation_factors, sparse_commutator_apply
 from ..weights import IntervalFamily, Weight
 from .config import ScenarioConfig
 from .sparse_scaling import run_sparse_scaling
@@ -28,16 +28,16 @@ def run_commutator_bound(cfg: ScenarioConfig) -> Verdict:
     b = FuncExpr.log_of_mu_density(lam)
     m = BesselMeasure(lam)
 
-    def left(S, f, mm):
-        return sparse_commutator_apply(S, b, f, mm, "left")
-
-    def adjoint(S, f, mm):
-        return sparse_commutator_apply(S, b, f, mm, "adjoint")
+    def builder(variant):
+        def build(S, mm):
+            factors = oscillation_factors(S, b, mm)
+            return lambda f: sparse_commutator_apply(factors, f, mm, variant)
+        return build
 
     verdict = Verdict(cfg.name)
-    for variant, op in (("left", left), ("adjoint", adjoint)):
+    for variant in ("left", "adjoint"):
         sub = run_sparse_scaling(
-            cfg, apply_op=op, budget_factor=2.0, label=f"commutator({variant})"
+            cfg, apply_op=builder(variant), budget_factor=2.0, label=f"commutator({variant})"
         )
         verdict.checks += sub.checks
         verdict.artifacts += sub.artifacts
@@ -48,7 +48,8 @@ def run_commutator_bound(cfg: ScenarioConfig) -> Verdict:
     w = Weight.power(0.5)
     dom = Interval(0.0, 2.0)
     p = 2.0
-    zero_out = sparse_commutator_apply(S, FuncExpr.constant(3.0), f, m, "left")
+    left = lambda sym: sparse_commutator_apply(oscillation_factors(S, sym, m), f, m, "left")
+    zero_out = left(FuncExpr.constant(3.0))
     verdict.add(
         "constant symbol annihilates",
         lp_norm(zero_out, p, w, dom) if not zero_out.is_zero() else 0.0,
@@ -56,8 +57,8 @@ def run_commutator_bound(cfg: ScenarioConfig) -> Verdict:
         (zero_out.is_zero() or lp_norm(zero_out, p, w, dom) <= 1e-12),
         note="|b - b_Q| = 0 for constant b",
     )
-    base = lp_norm(sparse_commutator_apply(S, b, f, m, "left"), p, w, dom)
-    doubled = lp_norm(sparse_commutator_apply(S, b * 2.0, f, m, "left"), p, w, dom)
+    base = lp_norm(left(b), p, w, dom)
+    doubled = lp_norm(left(b * 2.0), p, w, dom)
     verdict.add(
         "positive homogeneity in the symbol",
         abs(doubled - 2.0 * base) / (2.0 * base),

@@ -75,56 +75,61 @@ def _load_replay_family(path: str, m: BesselMeasure):
     return S
 
 
-def measure_sweep(cfg: ScenarioConfig, p: float, lam: float, apply_op):
-    """(rows, slope, families) for one exponent sweep at fixed p."""
-    m = BesselMeasure(lam)
+def measure_sweep(cfg: ScenarioConfig, p: float, lam: float, families):
+    """(rows, slope) for one exponent sweep at fixed p over the (delta, S,
+    operator) families."""
     c = lam - 0.5
-    depth_growth = cfg.get_float("depth_growth", 2.0)
-    depth_cap = cfg.get_int("depth_cap", 120)
     fam_depth = cfg.get_int("family_depth", 25)
-    replay = cfg.params.get("sparse_file")
-    rows, logw, logn, families = [], [], [], []
-    for delta in boundary_weights(cfg):
+    rows, logw, logn = [], [], []
+    for delta, S, op in families:
         alpha = -1.0 + delta
         w = Weight.power(alpha)
         wc = weight_constant(
             w, TildeAp(p, c), IntervalFamily.standard(fam_depth, seed=cfg.seed)
         )
-        S = (
-            _load_replay_family(replay, m)
-            if replay
-            else chain_family(delta, depth_growth, depth_cap, m)
-        )
-        families.append(S)
         depth = len(S.cubes)
         witnesses = witness_functions(alpha, depth, cfg.seed)
-        est = operator_norm_lower_bound(
-            lambda f: apply_op(S, f, m), p, w, witnesses, Interval(0.0, 2.0)
-        )
+        est = operator_norm_lower_bound(op, p, w, witnesses, Interval(0.0, 2.0))
         rows.append((p, alpha, delta, depth, S.eta, wc.value, est.value))
         logw.append(math.log(wc.value))
         logn.append(math.log(est.value))
     slope = float(np.polyfit(logw, logn, 1)[0])
-    return rows, slope, families
+    return rows, slope
 
 
-def run_sparse_scaling(cfg: ScenarioConfig, apply_op=sparse_apply, budget_factor: float = 1.0,
+def _sparse_operator(S: SparseFamily, m: BesselMeasure):
+    return lambda f: sparse_apply(S, f, m)
+
+
+def run_sparse_scaling(cfg: ScenarioConfig, apply_op=_sparse_operator, budget_factor: float = 1.0,
                        label: str = "sparse operator") -> Verdict:
+    """`apply_op(S, m)` builds the operator f -> FuncExpr of one family; each
+    family is built once and serves every p and witness."""
     verdict = Verdict(cfg.name)
     lam = cfg.get_float("lam", 1.0)
     ps = cfg.get_floats("ps", "1.5 2 3")
     slack = cfg.tol("slope_slack", 0.1)
     calib_margin = cfg.tol("ratio_margin", 1.25)
     calib_count = cfg.get_int("calibration_points", 2)
+    depth_growth = cfg.get_float("depth_growth", 2.0)
+    depth_cap = cfg.get_int("depth_cap", 120)
+    replay = cfg.params.get("sparse_file")
+
+    m = BesselMeasure(lam)
+    families = []
+    for delta in boundary_weights(cfg):
+        S = (
+            _load_replay_family(replay, m)
+            if replay
+            else chain_family(delta, depth_growth, depth_cap, m)
+        )
+        families.append((delta, S, apply_op(S, m)))
+    deepest = max((S for _, S, _ in families), key=lambda S: len(S.cubes), default=None)
 
     all_rows = []
-    deepest = None
     for p in ps:
         exponent = budget_factor * max(1.0, 1.0 / (p - 1.0))
-        rows, slope, families = measure_sweep(cfg, p, lam, apply_op)
-        for S in families:
-            if deepest is None or len(S.cubes) > len(deepest.cubes):
-                deepest = S
+        rows, slope = measure_sweep(cfg, p, lam, families)
         ratios = [est / wc**exponent for (*_, wc, est) in rows]
         all_rows += [r + (ratio,) for r, ratio in zip(rows, ratios)]
         budget = exponent + slack

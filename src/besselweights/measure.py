@@ -646,12 +646,12 @@ class FuncExpr:
         lo_eff = lo if lo > 0.0 else hi * 1e-15
         xs = np.geomspace(lo_eff, hi, _ROOT_SCAN)
         vals = self._piece_eval_grid(p, xs)
-        roots = []
-        for x0, x1, v0, v1 in zip(xs, xs[1:], vals, vals[1:]):
-            if v0 == 0.0:
-                roots.append(float(x0))
-            elif v0 * v1 < 0.0:
-                roots.append(float(brentq(p.eval, x0, x1, rtol=1e-15)))
+        # scan points where the sum is 0, and brackets where it changes sign
+        head, tail = vals[:-1], vals[1:]
+        roots = [
+            float(brentq(p.eval, xs[i], xs[i + 1], rtol=1e-15)) if head[i] else float(xs[i])
+            for i in np.flatnonzero((head == 0.0) | (head * tail < 0.0))
+        ]
         # dedupe
         out: list[float] = []
         for r in roots:

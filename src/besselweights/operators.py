@@ -40,6 +40,7 @@ from .weights import Weight
 
 __all__ = [
     "sparse_apply",
+    "oscillation_factors",
     "sparse_commutator_apply",
     "lp_norm",
     "OperatorNormEstimate",
@@ -60,24 +61,28 @@ def sparse_apply(S: SparseFamily, f: FuncExpr, m: BesselMeasure) -> FuncExpr:
     )
 
 
+def oscillation_factors(
+    S: SparseFamily, b: FuncExpr, m: BesselMeasure
+) -> list[tuple[Interval, FuncExpr]]:
+    """(Q, |b - b_Q| on Q) for each cube of S, the factor split at its sign changes."""
+    return [
+        (Q.interval, (b - FuncExpr.constant(m.average(b, Q.interval))).restrict(Q.interval).abs())
+        for Q in S.cubes
+    ]
+
+
 def sparse_commutator_apply(
-    S: SparseFamily,
-    b: FuncExpr,
+    factors: Sequence[tuple[Interval, FuncExpr]],
     f: FuncExpr,
     m: BesselMeasure,
-    variant: str = "left",
+    variant: str,
 ) -> FuncExpr:
-    """A_{S,b} f (variant='left') or its mu-adjoint A*_{S,b} f (variant='adjoint').
-
-    Exact within the function family: |b - b_Q| is split at its sign changes.
-    """
+    """A_{S,b} f (variant='left') or its mu-adjoint A*_{S,b} f (variant='adjoint'),
+    from the family's `oscillation_factors`; exact within the function family."""
     if variant not in ("left", "adjoint"):
         raise ValueError("variant must be 'left' or 'adjoint'")
     terms = []
-    for Q in S.cubes:
-        iv = Q.interval
-        bq = m.average(b, iv)
-        osc = (b - FuncExpr.constant(bq)).restrict(iv).abs()
+    for iv, osc in factors:
         if variant == "left":
             coef = m.average(f, iv)
             if coef != 0.0:

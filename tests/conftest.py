@@ -1,12 +1,16 @@
-"""Shared test helpers: the binary `+` that `FuncExpr.sum` replaced and must
-reproduce, and a comparable view of a function's cells."""
+"""Shared test helpers: the binary `+` that `FuncExpr.sum` replaced and the
+per-pair root scan that the vectorised one in `FuncExpr._piece_roots`
+replaced, both of which must be reproduced, and a comparable view of a
+function's cells."""
 
 import bisect
 import math
 
+import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from besselweights.measure import FuncExpr, Piece
+from besselweights.measure import _ROOT_SCAN, FuncExpr, Piece
 
 
 def _reference_atoms_at(f, x):
@@ -39,6 +43,34 @@ def reference_add(f, g):
     return FuncExpr(pieces)
 
 
+def reference_piece_roots(p):
+    """FuncExpr._piece_roots as it walked the scan one pair of points at a time."""
+    if len(p.atoms) == 1 and p.atoms[0][2] == 0:
+        return []
+    lo, hi = p.lo, p.hi
+    if hi == math.inf:
+        s = max(lo, 1.0)
+        flip = Piece(0.0, 1.0 / s, tuple((c * (-1) ** m, -a, m) for c, a, m in p.atoms))
+        far = [1.0 / r for r in reversed(reference_piece_roots(flip))]
+        if lo == s:
+            return far
+        return reference_piece_roots(Piece(lo, s, p.atoms)) + [s] * (p.eval(s) == 0.0) + far
+    lo_eff = lo if lo > 0.0 else hi * 1e-15
+    xs = np.geomspace(lo_eff, hi, _ROOT_SCAN)
+    vals = FuncExpr._piece_eval_grid(p, xs)
+    roots = []
+    for x0, x1, v0, v1 in zip(xs, xs[1:], vals, vals[1:]):
+        if v0 == 0.0:
+            roots.append(float(x0))
+        elif v0 * v1 < 0.0:
+            roots.append(float(brentq(p.eval, x0, x1, rtol=1e-15)))
+    out = []
+    for r in roots:
+        if lo < r < hi and (not out or r > out[-1] * (1 + 1e-13)):
+            out.append(r)
+    return out
+
+
 def cells_of(f):
     return [(p.lo, p.hi, p.atoms) for p in f.pieces]
 
@@ -46,6 +78,11 @@ def cells_of(f):
 @pytest.fixture(name="reference_add")
 def _reference_add_fixture():
     return reference_add
+
+
+@pytest.fixture(name="reference_piece_roots")
+def _reference_piece_roots_fixture():
+    return reference_piece_roots
 
 
 @pytest.fixture(name="cells_of")

@@ -433,6 +433,26 @@ class TestCellTable:
                 b, 0.0, H, w, t_arg * (1 - 1e-14), True)
 
 
+    def test_median_reads_its_half_masses_from_the_table(self, monkeypatch):
+        """A step symbol's median checks both half masses against its cell
+        table; they equal the sign-split superlevel masses, at a tie too."""
+        tie = FuncExpr.piecewise_constant([0.0, 0.5, 1.0], [1.0, 2.0])  # {b > 1} holds half
+        cases = [(tie, Interval(0.0, 1.0), Weight.one())]
+        cases += [(b, B, w) for _, b, B, w in self._cases(60, seed=9)]
+        sided = []
+        for b, B, w in cases:
+            sym = bmo._classify(b, B, w)
+            alpha = bmo._median(sym)
+            above = sum(mass for u, mass in sym.cells if u > alpha)
+            below = sum(mass for u, mass in sym.cells if u < alpha)
+            assert above == superlevel_measure(b, alpha, B, w)
+            assert below == superlevel_measure(-b, -alpha, B, w)
+            sided.append((alpha, above))
+        assert sided[0] == (1.0, 0.5)
+        monkeypatch.setattr(bmo, "superlevel_measure", lambda *args: math.inf)
+        assert [median(b, B, w) for b, B, w in cases] == [alpha for alpha, _ in sided]
+
+
 class TestRearrangement:
     def test_scaled_indicator(self):
         c, E = 2.5, Interval(0.5, 1.0)

@@ -106,6 +106,23 @@ class TestRunners:
         assert len(v.artifacts) == 2  # CSV sweep plus the replayable family
         assert all(os.path.exists(a) for a in v.artifacts)
 
+    def test_sparse_scaling_builds_each_family_operator_once(self, tmp_path):
+        from besselweights.operators import sparse_apply
+
+        built, applied = [], []
+
+        def build(S, m):
+            built.append(len(S.cubes))
+            return lambda f: applied.append(len(S.cubes)) or sparse_apply(S, f, m)
+
+        cfg = ScenarioConfig(
+            "sparse-scaling", 5, str(tmp_path),
+            {"lam": "1.0", "ps": "1.5 2", "deltas": "0.4 0.2 0.1", "family_depth": "12"}, {},
+        )
+        assert run_sparse_scaling(cfg, apply_op=build).passed
+        assert built == [10, 10, 20]  # one build per delta, shared by both p
+        assert sorted(set(applied)) == [10, 20] and len(applied) == 2 * 3 * 7  # p x delta x witness
+
     def test_bmo_equivalence_default_ratio_band(self, tmp_path):
         # a config without [tolerances] gets the shipped band, not a looser one
         cfg = ScenarioConfig("bmo-equivalence", 3, str(tmp_path), {"n_cases": "3"}, {})

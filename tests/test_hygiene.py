@@ -74,7 +74,6 @@ OPTIONS = [
     "measure.integrate_callable(kind)",
     "measure.integrate_callable(points)",
     "measure.integrate_callable(rel_tol)",
-    "operators.sparse_commutator_apply(variant)",
     "operators.lp_norm(domain)",
     "orlicz.llogl(eps)",
     "orlicz.exp_m1(rate)",

@@ -284,6 +284,56 @@ class TestFuncExpr:
         assert f.integrate(Interval(0.1, 2.0), dmu(m)) >= 0.0
 
 
+class TestRootScan:
+    """The vectorised sign-change scan of `_piece_roots` finds the same brackets,
+    in the same order, as the per-pair loop it replaced: equal roots, bit for bit."""
+
+    @staticmethod
+    def _roots(p):
+        return FuncExpr.zero()._piece_roots(p)
+
+    def test_random_power_log_cells(self, reference_piece_roots):
+        rng = np.random.default_rng(12)
+        found = 0
+        for _ in range(400):
+            lo = 0.0 if rng.uniform() < 0.2 else float(10.0 ** rng.uniform(-6, 1))
+            hi = float(max(lo, 1e-3) * 10.0 ** rng.uniform(0.1, 4))
+            if rng.uniform() < 0.2:
+                hi = math.inf
+            # log powers up to 2: a triple root stalls brentq in both scans
+            atoms = tuple(
+                (float(rng.uniform(-3, 3)), float(rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])),
+                 int(rng.integers(0, 3)))
+                for _ in range(int(rng.integers(1, 5)))
+            )
+            p = Piece(lo, hi, atoms)
+            roots = self._roots(p)
+            assert roots == reference_piece_roots(p), p
+            found += len(roots)
+        assert found > 100  # the cells do change sign
+
+    def test_sum_exactly_zero_at_a_scan_point(self, reference_piece_roots):
+        xs = np.geomspace(0.5, 4.0, 257)
+        p = Piece(0.5, 4.0, ((1.0, 1.0, 0), (-float(xs[100]), 0.0, 0)))  # x - xs[100]
+        assert FuncExpr._piece_eval_grid(p, xs)[100] == 0.0
+        assert self._roots(p) == reference_piece_roots(p) == [float(xs[100])]
+
+    def test_several_sign_changes(self, reference_piece_roots):
+        cells = [
+            Piece(0.1, 10.0, ((1.0, 0.0, 3), (-1.0, 0.0, 1))),  # u^3 - u: 1/e, 1, e
+            Piece(0.5, 3.0, ((1.0, 2.0, 0), (-3.0, 1.0, 0), (2.0, 0.0, 0))),  # x = 1, 2
+            Piece(0.0, 1.0, ((1.0, 0.0, 2), (-4.0, 0.0, 0))),  # log^2 x = 4: e^-2
+            Piece(0.2, math.inf, ((1.0, 0.0, 2), (-1.0, 0.0, 0))),  # 1/e and e, across s = 1
+            Piece(0.01, 100.0, ((1.0, 0.0, 3), (-2.0, 0.0, 2), (-1.0, 0.0, 1), (2.0, 0.0, 0))),
+        ]
+        counts = []
+        for p in cells:
+            roots = self._roots(p)
+            assert roots == reference_piece_roots(p), p
+            counts.append(len(roots))
+        assert counts == [3, 2, 1, 2, 3]
+
+
 _ENDS = [0.0, 0.125, 0.3, 0.5, 1.0, 1.7, 2.0, 4.0]
 
 

@@ -13,6 +13,7 @@ from besselweights.errors import PreconditionError
 from besselweights.measure import BesselMeasure, FuncExpr, Interval, dmu
 from besselweights.operators import (
     operator_norm_lower_bound,
+    oscillation_factors,
     sparse_apply,
     sparse_commutator_apply,
     sparse_layer_mass_bound,
@@ -74,6 +75,11 @@ class TestSparseApply:
             lhs = (sparse_apply(S, f, M1) * g).integrate(B, dmu(M1))
             rhs = (f * sparse_apply(S, g, M1)).integrate(B, dmu(M1))
             assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+def commutator(S, b, f, variant):
+    """A_{S,b} f or A*_{S,b} f under M1, its factors built for this call alone."""
+    return sparse_commutator_apply(oscillation_factors(S, b, M1), f, M1, variant)
 
 
 def arrangement_apply(S, f, m):
@@ -138,9 +144,24 @@ class TestOneSumOutputs:
         for f in _test_functions(len(S.cubes)):
             assert cells_of(sparse_apply(S, f, M1)) == cells_of(arrangement_apply(S, f, M1))
             for variant in ("left", "adjoint"):
-                assert cells_of(sparse_commutator_apply(S, b, f, M1, variant)) == cells_of(
+                assert cells_of(commutator(S, b, f, variant)) == cells_of(
                     folded_commutator_apply(S, b, f, M1, variant, reference_add)
                 ), variant
+
+    @pytest.mark.parametrize("variant", ["left", "adjoint"])
+    def test_one_built_operator_serves_every_witness(self, variant, reference_add, cells_of):
+        S = family_of(zero_chain(list(range(40))), M1)
+        b = FuncExpr.log_of_mu_density(1.0)
+        factors = oscillation_factors(S, b, M1)
+        before = [(iv, cells_of(osc)) for iv, osc in factors]
+        witnesses = _test_functions(len(S.cubes))
+        for f in witnesses + witnesses[::-1]:
+            assert cells_of(sparse_commutator_apply(factors, f, M1, variant)) == cells_of(
+                folded_commutator_apply(S, b, f, M1, variant, reference_add)
+            )
+        assert [(iv, cells_of(osc)) for iv, osc in factors] == before
+        constant = oscillation_factors(S, FuncExpr.constant(3.0), M1)
+        assert all(sparse_commutator_apply(constant, f, M1, variant).is_zero() for f in witnesses)
 
     def test_single_cube_with_zero_average_is_zero(self):
         S = family_of([DyadicCube(1, 0)], M1)
@@ -154,7 +175,7 @@ class TestCommutator:
         b = FuncExpr.constant(5.0)
         f = FuncExpr.indicator(Interval(0, 1))
         for variant in ("left", "adjoint"):
-            out = sparse_commutator_apply(S, b, f, M1, variant)
+            out = commutator(S, b, f, variant)
             for x in (0.1, 0.4, 0.8):
                 assert abs(out(x)) < 1e-12
 
@@ -163,7 +184,7 @@ class TestCommutator:
         S = family_of([Q], M1)
         b = FuncExpr.log_of_mu_density(1.0)  # 2 log x
         f = FuncExpr.indicator(Q.interval)
-        out = sparse_commutator_apply(S, b, f, M1, "left")
+        out = commutator(S, b, f, "left")
         bq = M1.average(b, Q.interval)
         for x in (0.15, 0.5, 0.9):
             assert out(x) == pytest.approx(abs(b(x) - bq), rel=1e-9)
@@ -177,16 +198,16 @@ class TestCommutator:
         for _ in range(10):
             f = FuncExpr.piecewise_constant(breaks, list(rng.uniform(0, 2, 3)))
             g = FuncExpr.piecewise_constant(breaks, list(rng.uniform(0, 2, 3)))
-            lhs = (sparse_commutator_apply(S, b, f, M1, "left") * g).integrate(B, dmu(M1))
-            rhs = (f * sparse_commutator_apply(S, b, g, M1, "adjoint")).integrate(B, dmu(M1))
+            lhs = (commutator(S, b, f, "left") * g).integrate(B, dmu(M1))
+            rhs = (f * commutator(S, b, g, "adjoint")).integrate(B, dmu(M1))
             assert lhs == pytest.approx(rhs, rel=1e-8)
 
     def test_shift_invariance_in_b(self):
         S = family_of(zero_chain([0, 2]), M1)
         b = FuncExpr.log_of_mu_density(1.0)
         f = FuncExpr.indicator(Interval(0.0, 0.5))
-        out1 = sparse_commutator_apply(S, b, f, M1, "left")
-        out2 = sparse_commutator_apply(S, b + 3.7, f, M1, "left")
+        out1 = commutator(S, b, f, "left")
+        out2 = commutator(S, b + 3.7, f, "left")
         for x in (0.05, 0.3, 0.9):
             assert out1(x) == pytest.approx(out2(x), rel=1e-10, abs=1e-12)
 
@@ -194,8 +215,8 @@ class TestCommutator:
         S = family_of(zero_chain([0, 2]), M1)
         b = FuncExpr.log_of_mu_density(1.0)
         f = FuncExpr.indicator(Interval(0.0, 0.5))
-        base = sparse_commutator_apply(S, b, f, M1, "left")
-        doubled = sparse_commutator_apply(S, b * 2.0, f, M1, "left")
+        base = commutator(S, b, f, "left")
+        doubled = commutator(S, b * 2.0, f, "left")
         for x in (0.05, 0.3, 0.9):
             assert doubled(x) == pytest.approx(2.0 * base(x), rel=1e-10, abs=1e-12)
 
@@ -320,7 +341,7 @@ class TestVmoTailMechanism:
             S = canonical_major_subsets(cubes_in_support(min_level, min_level), M1)
             tree = cubes_in_support(min_level, max_level)
             S_tree = canonical_major_subsets(tree, M1)
-            lhs = sparse_commutator_apply(S, b, f, M1, "adjoint")
+            lhs = commutator(S, b, f, "adjoint")
             from besselweights.operators import sparse_apply
 
             inner = sparse_apply(S_tree, f, M1)  # A*_tree|f| = A_tree f for f >= 0
