@@ -13,10 +13,11 @@ the closed-form antiderivative of x^beta * log(x)^m.
 Functions are represented by :class:`FuncExpr`: a finite list of disjoint
 cells (lo, hi), each carrying a sum of atoms c * x^alpha * log(x)^m, and zero
 off the cells.  The family is closed under +, -, products, restriction,
-d/dx, absolute value (by splitting cells at sign changes) and real powers of
-single-atom pieces, and every member integrates in closed form against any
-x^e dx.  That is enough to express every function manipulated here (powers,
-log x^{2*lam}, indicators, sparse-operator outputs) without quadrature error.
+d/dx, absolute value (by splitting cells at sign changes), real powers of
+single power atoms and integer powers of any cell, and every member
+integrates in closed form against any x^e dx.  That is enough to express
+every function manipulated here (powers, log x^{2*lam}, indicators,
+sparse-operator outputs) without quadrature error.
 
 `FuncExpr.sum` adds many functions in one pass over their common grid (binary
 `+` is its two-term case); `FuncExpr.envelope` is the max over covering intervals.
@@ -29,6 +30,11 @@ Integrals over many intervals at once run on an `IntervalEnds` batch
 (`FuncExpr.integrate_many`), in one array pass per atom that equals the
 interval-by-interval integrals bit for bit.
 
+`FuncExpr.lp_integral` integrates |f|^p w cell by cell: a real power of a
+cell x^a (c1 log x + c0) against powers of x goes to `_power_log_lp`, an
+incomplete gamma on a zero-based cell and Gauss-Jacobi / Gauss-Legendre rules
+with an a-priori error bound on a finite one.
+
 A guarded adaptive-quadrature fallback (`integrate_callable`) handles
 compositions that leave the family, e.g. phi(|f|) for a Young function phi.
 """
@@ -39,13 +45,14 @@ import bisect
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
+from scipy.special import gamma, gammaincc, roots_jacobi, roots_legendre
 
 from .errors import DivergenceError, QuadratureError, RepresentationError
 
@@ -193,12 +200,13 @@ class IntervalEnds:
     `logs` is (log a, log(b/a), log b), the first two NaN where a = 0,
     computed on first use and kept.  A subset `ends[idx]` reads them from
     the batch it was taken from, so every integral over one interval family
-    computes each log once.
+    computes each log once.  `mass` keeps each reference mass the same way.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
         self.a, self.b = a, b
         self._source: tuple[IntervalEnds, np.ndarray] | None = None
+        self._masses: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return len(self.a)
@@ -210,6 +218,17 @@ class IntervalEnds:
         sub = IntervalEnds(self.a[idx], self.b[idx])
         sub._source = (self, idx)
         return sub
+
+    def mass(self, kind: MeasureKind) -> tuple[np.ndarray, np.ndarray]:
+        """(int x^e dx over each interval, divergent) for kind = x^e dx, as
+        `FuncExpr.integrate_many` of the constant 1 gives it, computed once
+        per exponent; the values are read-only and divergent is a fresh copy."""
+        if kind.exponent not in self._masses:
+            mass, divergent = FuncExpr.constant(1.0).integrate_many(self, kind)
+            mass.flags.writeable = False
+            self._masses[kind.exponent] = mass, divergent
+        mass, divergent = self._masses[kind.exponent]
+        return mass, divergent.copy()
 
     @cached_property
     def logs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -325,6 +344,7 @@ class BesselMeasure:
 Atom = tuple[float, float, int]  # (coef, alpha, logpow)
 
 _ROOT_SCAN = 257  # log-spaced points per cell that `_piece_roots` scans for sign changes
+_ROOT_ITER = 200  # brentq iterations per bracket: a triple root takes about 100
 
 
 def _add_atoms(acc: dict[tuple[float, int], float], atoms: Iterable[Atom]) -> dict:
@@ -343,6 +363,36 @@ def _add_atoms(acc: dict[tuple[float, int], float], atoms: Iterable[Atom]) -> di
 
 def _atoms_of(acc: dict[tuple[float, int], float]) -> tuple[Atom, ...]:
     return tuple([(c, alpha, m) for (alpha, m), c in sorted(acc.items())])
+
+
+def _atom_product(a1: tuple[Atom, ...], a2: tuple[Atom, ...]) -> tuple[Atom, ...]:
+    """The atoms of the product of two atom sums, collected by (alpha, logpow)."""
+    prods = [(c1 * c2, al1 + al2, m1 + m2) for c1, al1, m1 in a1 for c2, al2, m2 in a2]
+    return _atoms_of(_add_atoms({}, prods))
+
+
+def _atom_power(atoms: tuple[Atom, ...], s: float) -> tuple[Atom, ...]:
+    """The atoms of (sum of atoms)^s; RepresentationError when it leaves the
+    family (a real s on a log atom or a sum, a negative base)."""
+    integer = float(s).is_integer() and s >= 0
+    if len(atoms) > 1:
+        if not integer:
+            raise RepresentationError(
+                "a real power of a sum of atoms leaves the representable family"
+            )
+        out: tuple[Atom, ...] = ((1.0, 0.0, 0),)
+        for _ in range(int(s)):
+            out = _atom_product(out, atoms)
+        return out
+    c, alpha, m = atoms[0]
+    if m == 0:
+        if c < 0.0:
+            raise RepresentationError("negative base under real power")
+        return ((c**s, alpha * s, 0),) if c != 0.0 else ()
+    if integer:
+        k = int(s)
+        return ((c**k, alpha * k, m * k),)
+    raise RepresentationError("real power of a log atom leaves the representable family")
 
 
 @dataclass(frozen=True)
@@ -579,12 +629,7 @@ class FuncExpr:
         for lo, hi, a1, a2 in zip(grid, grid[1:], self._cells_on(grid), other._cells_on(grid)):
             if not a1 or not a2:
                 continue
-            prods = [
-                (c1 * c2, al1 + al2, m1 + m2)
-                for c1, al1, m1 in a1
-                for c2, al2, m2 in a2
-            ]
-            atoms = _atoms_of(_add_atoms({}, prods))
+            atoms = _atom_product(a1, a2)
             if atoms:
                 pieces.append(Piece(lo, hi, atoms))
         return FuncExpr._of_cells(pieces)
@@ -600,28 +645,10 @@ class FuncExpr:
         return FuncExpr(pieces)
 
     def powf(self, s: float) -> "FuncExpr":
-        """Pointwise power f^s; each cell must be a single power atom."""
-        pieces = []
-        for p in self.pieces:
-            if len(p.atoms) != 1:
-                raise RepresentationError(
-                    "pointwise power needs single-atom cells; got a sum"
-                )
-            c, alpha, m = p.atoms[0]
-            if m == 0:
-                if c < 0.0:
-                    raise RepresentationError("negative base under real power")
-                if c == 0.0:
-                    continue
-                pieces.append(Piece(p.lo, p.hi, ((c**s, alpha * s, 0),)))
-            elif float(s).is_integer() and s >= 0:
-                k = int(s)
-                pieces.append(Piece(p.lo, p.hi, ((c**k, alpha * k, m * k),)))
-            else:
-                raise RepresentationError(
-                    "real power of a log atom leaves the representable family"
-                )
-        return FuncExpr(pieces)
+        """Pointwise power f^s, cell by cell (`_atom_power`): any real s on a
+        single power atom c x^alpha, c >= 0; an integer s >= 0 on any cell, a
+        sum of atoms multiplied out within the family."""
+        return FuncExpr([Piece(p.lo, p.hi, _atom_power(p.atoms, s)) for p in self.pieces])
 
     # -- sign handling -------------------------------------------------------
 
@@ -649,7 +676,9 @@ class FuncExpr:
         # scan points where the sum is 0, and brackets where it changes sign
         head, tail = vals[:-1], vals[1:]
         roots = [
-            float(brentq(p.eval, xs[i], xs[i + 1], rtol=1e-15)) if head[i] else float(xs[i])
+            float(brentq(p.eval, xs[i], xs[i + 1], rtol=1e-15, maxiter=_ROOT_ITER))
+            if head[i]
+            else float(xs[i])
             for i in np.flatnonzero((head == 0.0) | (head * tail < 0.0))
         ]
         # dedupe
@@ -762,29 +791,16 @@ class FuncExpr:
         return total, divergent
 
     def lp_integral(self, p_exp: float, weight: "FuncExpr", B: Interval) -> float:
-        """integral of |f|^p * weight dx over B; exact when representable,
-        cell-by-cell adaptive quadrature otherwise."""
+        """integral of |f|^p * weight dx over B, cell by cell over the cells
+        of |f| cut at the weight's breakpoints (`_cell_lp`): closed form or
+        Gauss rules with an a-priori error bound, and quadrature only for a
+        cell outside every family route."""
         f_abs = self.restrict(B).abs()
-        try:
-            return (f_abs.powf(p_exp) * weight).integrate(B, DX)
-        except RepresentationError:
-            pass
-        cuts = sorted(
-            {p for p in f_abs.breakpoints() + weight.breakpoints() if B.a < p < B.b}
-            | {B.a, B.b}
-        )
+        grid = _piece_ends((f_abs, weight.restrict(B)))
         total = 0.0
-        integrand = lambda x: abs(f_abs(x)) ** p_exp * weight(x)
-        for lo, hi in zip(cuts, cuts[1:]):
-            mid = _geometric_mid(lo, hi)
-            if f_abs(mid) == 0.0 and weight(mid) == 0.0:
-                continue
-            if lo <= hi * 1e-290:
-                total += _zero_cell_lp_quad(f_abs, weight, p_exp, lo, hi)
-                continue
-            total += integrate_callable(
-                integrand, Interval(lo, hi), DX, rel_tol=1e-9
-            )
+        for lo, hi, fa, wa in zip(grid, grid[1:], f_abs._cells_on(grid), weight._cells_on(grid)):
+            if fa and wa:
+                total += _cell_lp(fa, wa, p_exp, lo, hi)
         return total
 
 
@@ -815,8 +831,44 @@ def _geometric_mid(lo: float, hi: float) -> float:
     return hi / 2.0
 
 
+def _cell_lp(
+    fa: tuple[Atom, ...], wa: tuple[Atom, ...], p_exp: float, lo: float, hi: float
+) -> float:
+    """int_lo^hi |f|^p w dx on one cell, f and w the atom sums fa >= 0 and wa.
+
+    - f = x^a (c1 log x + c0), p > 0, w a sum of powers: `_power_log_lp` in
+      u = log x, at integer p too.  Multiplied out, (c1 u + c0)^p cancels
+      near the root: on a bmo-equivalence cell of width 0.0034 in u ending
+      at the root, the expanded square lost 2e-9 of its integral.
+    - |f|^p in the family (`_atom_power`): closed form.
+    - anything else: adaptive quadrature on this cell only.
+    """
+    a = fa[0][1]
+    power_log = all(al == a and m <= 1 for _, al, m in fa) and fa[-1][2] == 1
+    if p_exp > 0.0 and power_log and all(m == 0 for *_, m in wa):
+        c0, c1 = (fa[0][0], fa[1][0]) if len(fa) == 2 else (0.0, fa[0][0])
+        u0 = math.log(lo) if lo > 0.0 else -math.inf
+        return sum(
+            cw * _power_log_lp(c0, c1, p_exp, p_exp * a + b + 1.0, u0, math.log(hi))
+            for cw, b, _ in wa
+        )
+    try:
+        powered = _atom_power(fa, p_exp)
+    except RepresentationError:
+        pass
+    else:
+        atoms = _atom_product(powered, wa)
+        return sum(c * power_log_integral(al, m, lo, hi) for c, al, m in atoms)
+    if lo <= hi * 1e-290:
+        return _zero_cell_lp_quad(fa, wa, p_exp, hi)
+    f, w = Piece(lo, hi, fa), Piece(lo, hi, wa)
+    return integrate_callable(
+        lambda x: abs(f.eval(x)) ** p_exp * w.eval(x), Interval(lo, hi), DX, rel_tol=1e-9
+    )
+
+
 def _zero_cell_lp_quad(
-    f_abs: "FuncExpr", weight: "FuncExpr", p_exp: float, lo: float, hi: float
+    fa: tuple[Atom, ...], wa: tuple[Atom, ...], p_exp: float, hi: float
 ) -> float:
     """int_0^hi |f|^p w dx in log coordinates with grouped exponentials.
 
@@ -824,9 +876,6 @@ def _zero_cell_lp_quad(
     bounded as u -> -inf; integrability requires the grouped exponent
     p*min_a(f) + min_a(w) + 1 to be positive (symbolic divergence otherwise).
     """
-    (fa,), (wa,) = f_abs._cells_on([lo, hi]), weight._cells_on([lo, hi])
-    if not fa or not wa:
-        return 0.0
     a_f = min(a for _, a, _ in fa)
     a_w = min(a for _, a, _ in wa)
     expo = p_exp * a_f + a_w + 1.0
@@ -846,6 +895,141 @@ def _zero_cell_lp_quad(
             F, u_hi - window, u_hi, limit=400, epsabs=1e-300, epsrel=1e-10
         )
     return val
+
+
+# ---------------------------------------------------------------------------
+# |c1 u + c0|^p e^{s u} in closed form and by Gauss rules with a-priori bounds.
+# ---------------------------------------------------------------------------
+
+_LP_TOL = 2.0**-55  # a-priori bound on the relative error of each Gauss segment
+_LP_JACOBI_NODES = 7  # meets _LP_TOL on a root segment with |kappa| <= 1/2 (see _jacobi)
+_LP_TAIL = 40.0  # s times the depth below hi past which a zero cell's mass is < e^-40 of the rest
+_GAMMA_SERIES_Z = 50.0  # e^z Gamma(a, z) by its asymptotic series past this z
+
+
+@cache
+def _jacobi(p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi nodes and weights for the weight (1 + y)^p on [-1, 1].
+
+    They integrate (1 + y)^p e^{kappa y} with |kappa| <= 1/2.  The rule is
+    exact on polynomials of degree 2n - 1 and its weights are positive, so
+    its error is at most 2 int (1+y)^p dy E_{2n-1}, E the best uniform error
+    of e^{kappa y}; by the Chebyshev series of e^{kappa y} and I_k(x) <=
+    (x/2)^k e^x / k!, E_{2n-1} <= 2 e^{|kappa|} sum_{k >= 2n} (|kappa|/2)^k / k!.
+    Against the integral's floor e^{-|kappa|} int (1+y)^p dy, n = 7 gives a
+    relative error below 4 e sum_{k >= 14} 4^-k / k! < 6e-19.
+    """
+    return roots_jacobi(_LP_JACOBI_NODES, 0.0, p)
+
+
+@cache
+def _legendre(p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights for |y - y*|^p e^{kappa y} on [-1, 1]
+    with |y*| >= 3 and |kappa| <= 1/2, n from the a-priori bound.
+
+    The integrand is analytic in the Bernstein ellipse E_rho, rho = 4 (semi-
+    axis A = 17/8 < 3), where it is at most (|y*| + A)^p e^{|kappa| A}, so the
+    error is at most (64/15) M rho^{-2n} / (rho^2 - 1) (Trefethen,
+    Approximation Theory and Approximation Practice, Thm 19.3).  The integral
+    is at least 2 (|y*| - 1)^p e^{-|kappa|}; the ratio is largest at |y*| = 3.
+    """
+    rho, semi = 4.0, 17.0 / 8.0
+    ratio = ((3.0 + semi) / 2.0) ** p * math.exp((semi + 1.0) / 2.0)
+    bound = 32.0 / 15.0 / (rho**2 - 1.0) * ratio
+    return roots_legendre(math.ceil(math.log(bound / _LP_TOL) / (2.0 * math.log(rho))))
+
+
+def _scaled_gamma_tail(a: float, z: float) -> float:
+    """e^z Gamma(a, z) for z >= 0 (DLMF 8.2.2).  Past max(50, 2a) it is
+    z^{a-1} sum_k (a-1)...(a-k) / z^k (DLMF 8.11.2), summed to below
+    1e-17 of the total: each term is at most half the one before while k < a
+    + z/2, and once they alternate the remainder is below the first one left
+    out (DLMF 8.11(i))."""
+    if z <= max(_GAMMA_SERIES_Z, 2.0 * a):
+        return math.exp(z) * gammaincc(a, z) * gamma(a)
+    term = total = 1.0
+    k = 1
+    while abs(term) > 1e-17 * total:
+        term *= (a - k) / z
+        total += term
+        k += 1
+    return z ** (a - 1.0) * total
+
+
+def _power_log_lp(c0: float, c1: float, p: float, s: float, u0: float, u1: float) -> float:
+    """int_{u0}^{u1} |c1 u + c0|^p e^{s u} du, p > 0, c1 != 0; u0 = -inf
+    allowed (a zero-based cell in u = log x).
+
+    With r = -c0/c1 and t = |u - r| the integrand is |c1|^p t^p e^{s u}:
+    - a zero-based cell below r is |c1|^p e^{s u1} s^{-p-1} e^z Gamma(p+1, z),
+      z = s (r - u1) (DLMF 8.2.2); DivergenceError when s <= 0;
+    - a zero-based cell across r is the same at z = 0 up to r, plus the finite
+      cell from r; when r lies more than _LP_TAIL / s below u1 that finite
+      cell starts there instead, leaving out less than e^-40 of it;
+    - a finite cell is cut into segments of |s| times width <= 1, aligned to
+      r when r is within one cell width: a segment ending at r by Gauss-Jacobi
+      with weight t^p, one within its own width of r as the difference of two
+      of those, and any other, at least its width from r, by Gauss-Legendre.
+    Each Gauss segment meets the relative bound _LP_TOL a priori.
+    """
+    r = -c0 / c1
+    c1p = abs(c1) ** p
+    if u0 == -math.inf:
+        if s <= 0.0:
+            raise DivergenceError("p-mass integral diverges at 0")
+        if r >= u1:
+            tail = _scaled_gamma_tail(p + 1.0, s * (r - u1))
+            return c1p * math.exp(s * u1) * tail / s ** (p + 1.0)
+        head = c1p * math.exp(s * r) * gamma(p + 1.0) / s ** (p + 1.0)
+        return head + _power_log_lp(c0, c1, p, s, max(r, u1 - _LP_TAIL / s), u1)
+    h = 1.0 / abs(s) if s else math.inf  # the segment width in u
+    width = u1 - u0
+    if not u0 - width < r < u1 + width:  # r at least a cell width away
+        n = math.ceil(width / h) if h < width else 1
+        ua = u0 + width / n * np.arange(n)
+        return _legendre_sum(c0, c1, p, s, ua, np.append(ua[1:], u1))
+    if r <= u0:
+        sides = [(u0 - r, u1 - r, 1.0)]
+    elif r >= u1:
+        sides = [(r - u1, r - u0, -1.0)]
+    else:
+        sides = [(0.0, u1 - r, 1.0), (0.0, r - u0, -1.0)]
+
+    def root_segment(t: float, sign: float) -> float:  # int_0^t of |c1|^p t^p e^{s (r + sign t)}
+        y, w = _jacobi(p)
+        return (t / 2.0) ** (p + 1.0) * float(w @ np.exp(sign * s * t / 2.0 * (1.0 + y)))
+
+    total, lo_u, hi_u = 0.0, [], []
+    for t0, t1, sign in sides:
+        if t0 < h:
+            b = min(t1, h)
+            if t0 == 0.0 or 2.0 * t0 <= b:
+                total += c1p * math.exp(s * r) * (
+                    root_segment(b, sign) - (root_segment(t0, sign) if t0 else 0.0)
+                )
+            else:
+                lo_u.append(r + sign * t0)
+                hi_u.append(r + sign * b)
+            t0 = b
+        if t0 < t1:  # blocks [k h, (k+1) h], k >= 1: each at least its width from r
+            k = np.arange(math.floor(t0 / h) + 1, math.ceil(t1 / h))
+            ts = np.concatenate(([t0], k[(k * h > t0) & (k * h < t1)] * h, [t1]))
+            lo_u += list(r + sign * ts[:-1])
+            hi_u += list(r + sign * ts[1:])
+    if lo_u:
+        total += _legendre_sum(c0, c1, p, s, np.array(lo_u), np.array(hi_u))
+    return total
+
+
+def _legendre_sum(
+    c0: float, c1: float, p: float, s: float, ua: np.ndarray, ub: np.ndarray
+) -> float:
+    """sum over the segments (ua_i, ub_i) of int |c1 u + c0|^p e^{s u} du by
+    Gauss-Legendre, each segment at least its width from the root."""
+    y, w = _legendre(p)
+    mid, half = (ua + ub) / 2.0, np.abs(ub - ua) / 2.0
+    u = mid[:, None] + half[:, None] * y
+    return float(half @ (np.abs(c1 * u + c0) ** p * np.exp(s * u) @ w))
 
 
 # ---------------------------------------------------------------------------

@@ -203,10 +203,12 @@ def _products(
     (values, divergent).
 
     Each factor integral runs once over all the intervals, through
-    `FuncExpr.integrate_many`.  An interval leaves the pass at its first
-    divergent integral (the reference mass, the w average, the dual average,
-    in that order); it is flagged and its value is NaN.  The values equal a
-    scalar evaluation interval by interval, bit for bit.
+    `FuncExpr.integrate_many`; the reference mass is kept on the batch
+    (`IntervalEnds.mass`), so every later scan of the family reuses it.  An
+    interval leaves the pass at its first divergent integral (the reference
+    mass, the w average, the dual average, in that order); it is flagged and
+    its value is NaN.  The values equal a scalar evaluation interval by
+    interval, bit for bit.
     """
     p = tag.p
     if isinstance(tag, ApMu):
@@ -214,7 +216,7 @@ def _products(
     else:
         ref, kind = dnu(tag.class_lambda), DX
     out = np.full(len(ends), np.nan)
-    mass, divergent = FuncExpr.constant(1.0).integrate_many(ends, ref)
+    mass, divergent = ends.mass(ref)
     live = np.flatnonzero(~divergent)
     first, div = w.expr.integrate_many(ends[live], kind)
     divergent[live[div]] = True

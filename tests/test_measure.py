@@ -467,3 +467,163 @@ class TestQuadratureFallback:
         f = FuncExpr.piecewise_constant([1.0, 2.0, 3.0], [1.0, -1.0])
         val = integrate_callable(lambda x: f(x), Interval(1, 3), DX, points=[2.0])
         assert val == pytest.approx(0.0, abs=1e-12)
+
+
+def lp_oracle(lo, hi, c0, c1, a, p, cw, b):
+    """40-digit int_lo^hi |x^a (c1 log x + c0)|^p cw x^b dx, in u = log x.
+
+    The integrand is |c1 (u - r)|^p e^{s u}, r = -c0/c1 and s = p a + b + 1,
+    integrated on equal parts over which s u moves by at most 1, split at r
+    and scaled to O(1), because mpmath's quad stops on an absolute error; a
+    zero-based cell adds the part below u1 - 60/s on (-inf, u1 - 60/s]."""
+    with mp.workdps(40):
+        c0, c1, a, p, cw, b = map(mp.mpf, (c0, c1, a, p, cw, b))
+        s, r, u1 = p * a + b + 1, -c0 / c1, mp.log(hi)
+        u0 = mp.log(lo) if lo > 0.0 else u1 - 60 / s
+        n = max(2, int(mp.ceil(abs(s) * (u1 - u0))) + 1)
+        pts = sorted(set(mp.linspace(u0, u1, n)) | ({r} if u0 < r < u1 else set()))
+        g = lambda u: abs(u - r) ** p * mp.exp(s * (u - u1))
+        total = mp.quad(g, pts)
+        if lo == 0.0:
+            total += mp.quad(g, [-mp.inf] + ([r] if r < u0 else []) + [u0])
+        return float(cw * abs(c1) ** p * mp.exp(s * u1) * total)
+
+
+def log_cell(lo, hi, c0, c1, a=0.0):
+    return FuncExpr([Piece(lo, hi, ((c0, a, 0), (c1, a, 1)))])
+
+
+LP_POWERS = [1.0, 1.5, 2.0, 2.34, 3.0]
+
+
+class TestLpIntegral:
+    """`lp_integral` against a 40-digit oracle on each route.  In u = log x a
+    cell end carries the rounding of log in double, eps |u|, so a cell width
+    w in u conditions the integral to about (p + 1) eps |u| / w; the cells
+    here are at least 0.69 wide in u, so that bound stays below 1e-14."""
+
+    @pytest.mark.parametrize("p", LP_POWERS)
+    def test_constant_cells(self, p):
+        f = FuncExpr.piecewise_constant([0.0, 0.5, 2.0, 9.0], [3.0, -1.5, 0.25])
+        w = FuncExpr.power(2.0, -0.9)
+        with mp.workdps(40):
+            e1 = mp.mpf(-0.9) + 1
+            exact = sum(
+                abs(mp.mpf(v)) ** p * 2 * (mp.mpf(hi) ** e1 - mp.mpf(lo) ** e1) / e1
+                for lo, hi, v in [(0.0, 0.5, 3.0), (0.5, 2.0, -1.5), (2.0, 9.0, 0.25)]
+            )
+        assert f.lp_integral(p, w, Interval(0.0, 9.0)) == pytest.approx(float(exact), rel=1e-13)
+
+    @pytest.mark.parametrize("p", LP_POWERS)
+    @pytest.mark.parametrize(
+        "root", [2.0, 1.3, 0.5, 2.0 * (1 + 1e-12), 0.5 / (1 + 1e-9), 3.1, 60.0, 1e-9]
+    )
+    @pytest.mark.parametrize("a, b", [(0.0, -0.95), (-0.25, 0.5)])
+    def test_power_log_cells(self, p, root, a, b):
+        """The root at a cell end, inside, just outside and far outside."""
+        lo, hi, c1 = 0.5, 2.0, -1.75
+        c0 = -c1 * math.log(root)
+        got = log_cell(lo, hi, c0, c1, a).lp_integral(p, FuncExpr.power(1.5, b), Interval(lo, hi))
+        assert got == pytest.approx(lp_oracle(lo, hi, c0, c1, a, p, 1.5, b), rel=1e-13)
+
+    @pytest.mark.parametrize("p", LP_POWERS)
+    @pytest.mark.parametrize("hi, root", [(1.0, 3.0), (1.0, 0.2), (1e-3, 1e-3), (1e-3, 1e-40),
+                                          (1e-200, 1e-150), (1e-200, 1e-230), (1e-200, 1e-200)])
+    def test_zero_based_cells(self, p, hi, root):
+        """(0, hi): one incomplete gamma below the root, plus a finite cell
+        when the root lies inside."""
+        c1, b = 0.8, -0.95
+        c0 = -c1 * math.log(root)
+        got = log_cell(0.0, hi, c0, c1).lp_integral(p, FuncExpr.power(1.0, b), Interval(0.0, hi))
+        assert got == pytest.approx(lp_oracle(0.0, hi, c0, c1, 0.0, p, 1.0, b), rel=1e-13)
+
+    def test_far_root_on_a_zero_based_cell(self):
+        """A nearly constant cell: e^z Gamma(p+1, z) past z = 50 from its series."""
+        c0, c1, b = 2.0, 1e-9, -0.5
+        w, B = FuncExpr.power(1.0, b), Interval(0.0, 1.0)
+        got = log_cell(0.0, 1.0, c0, c1).lp_integral(1.5, w, B)
+        assert got == pytest.approx(lp_oracle(0.0, 1.0, c0, c1, 0.0, 1.5, 1.0, b), rel=1e-13)
+
+    def test_wide_cell_takes_many_segments(self):
+        """|s| (u1 - u0) = 50: segments of |s| w <= 1 on both sides of the root."""
+        lo, hi, c0, c1, b = 1e-10, 1e10, 0.3, 1.0, 0.1
+        got = log_cell(lo, hi, c0, c1).lp_integral(1.5, FuncExpr.power(1.0, b), Interval(lo, hi))
+        assert got == pytest.approx(lp_oracle(lo, hi, c0, c1, 0.0, 1.5, 1.0, b), rel=1e-13)
+
+    def test_divergence_is_symbolic(self):
+        with pytest.raises(DivergenceError):
+            log_cell(0.0, 1.0, 1.0, 1.0).lp_integral(1.5, FuncExpr.power(1.0, -1.0), Interval(0, 1))
+
+    def test_other_cells_keep_quadrature(self, monkeypatch):
+        """A real power of a cell outside the power-log form still integrates,
+        by quadrature on that cell alone."""
+        from besselweights import measure
+
+        calls = []
+        quad_cell = measure.integrate_callable
+        monkeypatch.setattr(
+            measure, "integrate_callable", lambda *a, **k: calls.append(1) or quad_cell(*a, **k)
+        )
+        f = FuncExpr(
+            [Piece(1.0, 2.0, ((1.0, 0.0, 0), (1.0, 1.0, 0))), Piece(2.0, 3.0, ((2.0, 0.0, 0),))]
+        )
+        got = f.lp_integral(1.5, FuncExpr.constant(1.0), Interval(1.0, 3.0))
+        exact = mp.quad(lambda x: (1 + x) ** 1.5, [1, 2]) + 2.0**1.5
+        assert got == pytest.approx(float(exact), rel=1e-9)
+        assert len(calls) == 1
+        zero_based = FuncExpr([Piece(0.0, 1.0, ((1.0, 0.0, 0), (1.0, 1.0, 0)))])
+        got = zero_based.lp_integral(1.5, FuncExpr.power(1.0, -0.5), Interval(0.0, 1.0))
+        exact = mp.quad(lambda x: (1 + x) ** 1.5 / mp.sqrt(x), [0, 1])
+        assert got == pytest.approx(float(exact), rel=1e-9)
+        assert len(calls) == 1  # the zero-based cell integrates in u = log x
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_commutator_output_needs_no_quadrature(self, p, monkeypatch):
+        from besselweights import measure
+        from besselweights.dyadic import canonical_major_subsets, zero_chain
+        from besselweights.operators import lp_norm, oscillation_factors, sparse_commutator_apply
+        from besselweights.weights import Weight
+
+        calls = []
+        for name in ("integrate_callable", "_zero_cell_lp_quad"):
+            monkeypatch.setattr(measure, name, lambda *a, _n=name, **k: calls.append(_n))
+        m = BesselMeasure(1.0)
+        S = canonical_major_subsets(zero_chain(list(range(12))), m)
+        factors = oscillation_factors(S, FuncExpr.log_of_mu_density(1.0), m)
+        f = FuncExpr.indicator(Interval(0.0, 1.0))
+        for variant in ("left", "adjoint"):
+            out = sparse_commutator_apply(factors, f, m, variant)
+            for w in (Weight.power(-0.95), Weight.power(0.5)):
+                assert lp_norm(out, p, w, Interval(0.0, 1.0)) > 0.0
+        assert calls == []
+
+
+class TestPowf:
+    def test_integer_powers_multiply_out(self):
+        f = FuncExpr([
+            Piece(0.5, 4.0, ((1.0, 0.0, 0), (-2.0, 1.0, 0))),
+            Piece(4.0, 5.0, ((3.0, 0.0, 0), (0.5, 0.0, 1))),
+        ])
+        for k in (0, 1, 2, 3):
+            g = f.powf(k)
+            assert all(len(p.atoms) >= 1 for p in g.pieces)
+            for x in (0.7, 1.9, 3.3, 4.5):
+                assert g(x) == pytest.approx(f(x) ** k, rel=1e-13)
+        assert f.powf(2).pieces[0].atoms == ((1.0, 0.0, 0), (-4.0, 1.0, 0), (4.0, 2.0, 0))
+
+    def test_real_or_negative_powers_of_sums_raise(self):
+        f = FuncExpr([Piece(1.0, 2.0, ((1.0, 0.0, 0), (1.0, 1.0, 0)))])
+        for s in (0.5, -1.0, -2.0, 2.5):
+            with pytest.raises(RepresentationError):
+                f.powf(s)
+        with pytest.raises(RepresentationError):
+            FuncExpr.log_power(1.0, 0.0, 1).powf(1.5)
+
+
+class TestTripleRoot:
+    def test_brentq_converges_on_a_triple_root(self):
+        """log^3 x has a triple root at 1; brentq needs about 100 iterations."""
+        f = FuncExpr.log_power(1.0, 1.0, 3).restrict(Interval(0.005, 32)).abs()
+        (p1, p2) = f.pieces
+        assert p1.hi == p2.lo == pytest.approx(1.0, abs=1e-11)
+        assert f(0.5) == pytest.approx(-0.5 * math.log(0.5) ** 3, rel=1e-14) and f(2.0) > 0.0

@@ -252,6 +252,36 @@ class TestFamilyScan:
                 assert float(q[i]).hex() == want.hex(), (w.description, tag, B)
         assert n_flagged > 0
 
+    def test_reference_mass_is_kept_on_the_family(self, monkeypatch):
+        """A second scan of one family reads nu_c(B) or mu(B) from its batch;
+        the divergent flags it hands out are copies, so the first scan's
+        flags do not leak into the second."""
+        one = FuncExpr.constant(1.0).pieces
+        masses = []
+        batched = FuncExpr.integrate_many
+
+        def counted(f, ends, kind):
+            if f.pieces == one:
+                masses.append(kind)
+            return batched(f, ends, kind)
+
+        monkeypatch.setattr(FuncExpr, "integrate_many", counted)
+        fam = self._family(5)
+        tag = TildeAp(2.0, 0.5)
+        first = weight_constant(Weight.power(-0.5), tag, fam)
+        assert len(masses) == 1
+        for w in (Weight.power(-0.5), Weight.power(0.25), Weight.power(5.0)):
+            got = weight_constant(w, tag, fam)
+            want = _scalar_weight_constant(w, tag, fam)
+            for field in ("value", "divergent", "argmax_interval"):
+                assert getattr(got, field) == getattr(want, field), (w.description, field)
+        assert len(masses) == 1
+        assert weight_constant(Weight.power(-0.5), tag, fam) == first
+        weight_constant(Weight.power(0.5), ApMu(2.0, 1.0), fam)  # mu = x^2 dx = nu_0.5
+        assert len(masses) == 1
+        weight_constant(Weight.power(0.5), ApMu(2.0, 0.75), fam)
+        assert [kind.exponent for kind in masses] == [2.0, 1.5]
+
     def test_standard_family_is_shared(self):
         f1 = IntervalFamily.standard(7, seed=3, n_random=11)
         assert IntervalFamily.standard(7, seed=3, n_random=11) is f1
