@@ -30,10 +30,11 @@ Integrals over many intervals at once run on an `IntervalEnds` batch
 (`FuncExpr.integrate_many`), in one array pass per atom that equals the
 interval-by-interval integrals bit for bit.
 
-`FuncExpr.lp_integral` integrates |f|^p w cell by cell: a real power of a
-cell x^a (c1 log x + c0) against powers of x goes to `_power_log_lp`, an
-incomplete gamma on a zero-based cell and Gauss-Jacobi / Gauss-Legendre rules
-with an a-priori error bound on a finite one.
+`FuncExpr.lp_integral` integrates |f|^p w cell by cell: a power of a cell
+x^a (c1 log x + c0) against powers of x goes to `_power_log_lp`, an
+incomplete gamma on a zero-based cell and, on a finite one, an incomplete
+gamma series next to the root and Gauss-Legendre away from it, each with an
+a-priori error bound.
 
 A guarded adaptive-quadrature fallback (`integrate_callable`) handles
 compositions that leave the family, e.g. phi(|f|) for a Young function phi.
@@ -52,7 +53,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
-from scipy.special import gamma, gammaincc, roots_jacobi, roots_legendre
+from scipy.special import gamma, gammaincc
 
 from .errors import DivergenceError, QuadratureError, RepresentationError
 
@@ -901,25 +902,25 @@ def _zero_cell_lp_quad(
 # |c1 u + c0|^p e^{s u} in closed form and by Gauss rules with a-priori bounds.
 # ---------------------------------------------------------------------------
 
-_LP_TOL = 2.0**-55  # a-priori bound on the relative error of each Gauss segment
-_LP_JACOBI_NODES = 7  # meets _LP_TOL on a root segment with |kappa| <= 1/2 (see _jacobi)
+_LP_TOL = 2.0**-55  # a-priori bound on the relative error of each segment's rule
+_LP_SERIES = 20  # terms of `_root_series`: below _LP_TOL for |x| <= 1 (see there)
 _LP_TAIL = 40.0  # s times the depth below hi past which a zero cell's mass is < e^-40 of the rest
 _GAMMA_SERIES_Z = 50.0  # e^z Gamma(a, z) by its asymptotic series past this z
 
 
-@cache
-def _jacobi(p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jacobi nodes and weights for the weight (1 + y)^p on [-1, 1].
+def _root_series(p: float, x: float) -> float:
+    """int_0^1 v^p e^{x v} dv = sum_k x^k / (k! (p + 1 + k)), |x| <= 1 (the
+    series of the lower incomplete gamma, DLMF 8.7.1).
 
-    They integrate (1 + y)^p e^{kappa y} with |kappa| <= 1/2.  The rule is
-    exact on polynomials of degree 2n - 1 and its weights are positive, so
-    its error is at most 2 int (1+y)^p dy E_{2n-1}, E the best uniform error
-    of e^{kappa y}; by the Chebyshev series of e^{kappa y} and I_k(x) <=
-    (x/2)^k e^x / k!, E_{2n-1} <= 2 e^{|kappa|} sum_{k >= 2n} (|kappa|/2)^k / k!.
-    Against the integral's floor e^{-|kappa|} int (1+y)^p dy, n = 7 gives a
-    relative error below 4 e sum_{k >= 14} 4^-k / k! < 6e-19.
+    The terms past k = K sum to at most 1.1 / (K! (p + 1 + K)), and the
+    integral is at least e^-1 / (p + 1), so K = 20 leaves a relative error
+    below 3 / 20! = 1.3e-18; the largest term is at most e times the sum.
     """
-    return roots_jacobi(_LP_JACOBI_NODES, 0.0, p)
+    term, total = 1.0, 1.0 / (p + 1.0)
+    for k in range(1, _LP_SERIES):
+        term *= x / k
+        total += term / (p + 1.0 + k)
+    return total
 
 
 @cache
@@ -932,11 +933,21 @@ def _legendre(p: float) -> tuple[np.ndarray, np.ndarray]:
     error is at most (64/15) M rho^{-2n} / (rho^2 - 1) (Trefethen,
     Approximation Theory and Approximation Practice, Thm 19.3).  The integral
     is at least 2 (|y*| - 1)^p e^{-|kappa|}; the ratio is largest at |y*| = 3.
+    The nodes are Newton's from Tricomi's first guesses on the three-term
+    recurrence of P_n, with no eigenvalue solver.
     """
     rho, semi = 4.0, 17.0 / 8.0
     ratio = ((3.0 + semi) / 2.0) ** p * math.exp((semi + 1.0) / 2.0)
     bound = 32.0 / 15.0 / (rho**2 - 1.0) * ratio
-    return roots_legendre(math.ceil(math.log(bound / _LP_TOL) / (2.0 * math.log(rho))))
+    n = math.ceil(math.log(bound / _LP_TOL) / (2.0 * math.log(rho)))
+    y = np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(8):  # quadratic convergence from guesses within 1/n^2
+        q0, q1 = np.ones(n), y
+        for k in range(2, n + 1):
+            q0, q1 = q1, ((2 * k - 1) * y * q1 - (k - 1) * q0) / k
+        dq = n * (y * q1 - q0) / (y * y - 1.0)  # P_n'(y)
+        y = y - q1 / dq
+    return y, 2.0 / ((1.0 - y * y) * dq * dq)
 
 
 def _scaled_gamma_tail(a: float, z: float) -> float:
@@ -967,10 +978,11 @@ def _power_log_lp(c0: float, c1: float, p: float, s: float, u0: float, u1: float
       cell from r; when r lies more than _LP_TAIL / s below u1 that finite
       cell starts there instead, leaving out less than e^-40 of it;
     - a finite cell is cut into segments of |s| times width <= 1, aligned to
-      r when r is within one cell width: a segment ending at r by Gauss-Jacobi
-      with weight t^p, one within its own width of r as the difference of two
-      of those, and any other, at least its width from r, by Gauss-Legendre.
-    Each Gauss segment meets the relative bound _LP_TOL a priori.
+      r when r is within one cell width: a segment ending at r by the series
+      `_root_series`, one within its own width of r as the difference of two
+      of those (the part subtracted is at most e 2^-(p+1) of the whole),
+      and any other, at least its width from r, by Gauss-Legendre.
+    Each segment's rule meets the relative bound _LP_TOL a priori.
     """
     r = -c0 / c1
     c1p = abs(c1) ** p
@@ -995,9 +1007,8 @@ def _power_log_lp(c0: float, c1: float, p: float, s: float, u0: float, u1: float
     else:
         sides = [(0.0, u1 - r, 1.0), (0.0, r - u0, -1.0)]
 
-    def root_segment(t: float, sign: float) -> float:  # int_0^t of |c1|^p t^p e^{s (r + sign t)}
-        y, w = _jacobi(p)
-        return (t / 2.0) ** (p + 1.0) * float(w @ np.exp(sign * s * t / 2.0 * (1.0 + y)))
+    def root_segment(t: float, sign: float) -> float:  # int_0^t of t'^p e^{sign s t'} dt'
+        return t ** (p + 1.0) * _root_series(p, sign * s * t)
 
     total, lo_u, hi_u = 0.0, [], []
     for t0, t1, sign in sides:
