@@ -14,7 +14,9 @@ infimum convention: alpha = inf{ g : w({f > g} ∩ B) <= w(B)/2 }, which makes
 both defining half-mass inequalities hold exactly and fixes determinism.
 
 Superlevel sets of family functions are exact interval unions (sign
-splitting), so all set measures below are closed-form, not sampled.
+splitting), so all set measures below are closed-form, not sampled.  The
+triangle and weighted Lp flavours are one `FuncExpr.lp_integral` each, at
+p = 1 against x^{2 lam} dx and at p against w dx.
 
 Each public call classifies its (symbol, interval, measure) once, and the
 three kinds take three exact routes.  A piecewise-constant symbol cuts B
@@ -285,9 +287,9 @@ def _report(values, family, flavor) -> BmoReport:
 
 
 def triangle_oscillation(b: FuncExpr, m: BesselMeasure, B: Interval) -> float:
-    """(1/mu(B)) int_B |b - b_B| dmu, exact via sign splitting."""
-    bB = m.average(b, B)
-    return m.average((b - bB).restrict(B).abs(), B)
+    """(1/mu(B)) int_B |b - b_B| dmu, by `lp_integral` at p = 1."""
+    dev = b - m.average(b, B)
+    return dev.lp_integral(1.0, FuncExpr.power(1.0, 2.0 * m.lam), B) / m.mu(B)
 
 
 def bmo_triangle_norm(b: FuncExpr, m: BesselMeasure, family: IntervalFamily) -> BmoReport:
@@ -316,8 +318,7 @@ def p_oscillation(
     wB = w.mass(B)
     if wB <= 0.0:
         raise ZeroMassError(f"weight has no mass on ({B.a:g}, {B.b:g})")
-    bB = m.average(b, B)
-    dev = (b - bB).restrict(B).abs()
+    dev = b - m.average(b, B)
     return (dev.lp_integral(p, w.expr, B) / wB) ** (1.0 / p)
 
 

@@ -30,14 +30,12 @@ Integrals over many intervals at once run on an `IntervalEnds` batch
 (`FuncExpr.integrate_many`), in one array pass per atom that equals the
 interval-by-interval integrals bit for bit.
 
-`FuncExpr.lp_integral` integrates |f|^p w cell by cell: a power of a cell
-x^a (c1 log x + c0) against powers of x goes to `_power_log_lp`, an
-incomplete gamma on a zero-based cell and, on a finite one, an incomplete
-gamma series next to the root and Gauss-Legendre away from it, each with an
-a-priori error bound.
-
-A guarded adaptive-quadrature fallback (`integrate_callable`) handles
-compositions that leave the family, e.g. phi(|f|) for a Young function phi.
+`FuncExpr.lp_integral` is the one path for |f|^p w, cell by cell of f: a cell
+x^a (c1 log x + c0) against powers of x takes `_power_log_lp` whatever its
+sign (an incomplete gamma, or its series next to the root and Gauss-Legendre
+away from it, with a-priori error bounds); any other cell is cut at its sign
+changes.  Guarded quadrature (`integrate_callable`, `_lp_quad`) handles what
+leaves the family, e.g. phi(|f|) for a Young function phi.
 """
 
 from __future__ import annotations
@@ -653,7 +651,8 @@ class FuncExpr:
 
     # -- sign handling -------------------------------------------------------
 
-    def _piece_roots(self, p: Piece) -> list[float]:
+    @staticmethod
+    def _piece_roots(p: Piece) -> list[float]:
         """Sign-change points of the cell's atom sum inside (p.lo, p.hi).
 
         An unbounded cell [lo, inf) is cut at s = max(lo, 1): the roots below
@@ -667,13 +666,13 @@ class FuncExpr:
         if hi == math.inf:
             s = max(lo, 1.0)
             flip = Piece(0.0, 1.0 / s, tuple((c * (-1) ** m, -a, m) for c, a, m in p.atoms))
-            far = [1.0 / r for r in reversed(self._piece_roots(flip))]
+            far = [1.0 / r for r in reversed(FuncExpr._piece_roots(flip))]
             if lo == s:
                 return far
-            return self._piece_roots(Piece(lo, s, p.atoms)) + [s] * (p.eval(s) == 0.0) + far
+            return FuncExpr._piece_roots(Piece(lo, s, p.atoms)) + [s] * (p.eval(s) == 0.0) + far
         lo_eff = lo if lo > 0.0 else hi * 1e-15
         xs = np.geomspace(lo_eff, hi, _ROOT_SCAN)
-        vals = self._piece_eval_grid(p, xs)
+        vals = FuncExpr._piece_eval_grid(p, xs)
         # scan points where the sum is 0, and brackets where it changes sign
         head, tail = vals[:-1], vals[1:]
         roots = [
@@ -689,14 +688,15 @@ class FuncExpr:
                 out.append(r)
         return out
 
-    def _split(self, p: Piece) -> list[tuple[float, float, int]]:
+    @staticmethod
+    def _split(p: Piece) -> list[tuple[float, float, int]]:
         """The cell cut at its sign changes: (lo, hi, sign of the atom sum
         there), read at the geometric midpoint, or from the coefficient of a
         single pure power, which keeps one sign."""
         if len(p.atoms) == 1 and p.atoms[0][2] == 0:
             cuts, vals = [p.lo, p.hi], [p.atoms[0][0]]
         else:
-            cuts = [p.lo] + self._piece_roots(p) + [p.hi]
+            cuts = [p.lo] + FuncExpr._piece_roots(p) + [p.hi]
             vals = [p.eval(_geometric_mid(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
         return [(lo, hi, 0 if v == 0.0 else (1 if v > 0.0 else -1))
                 for lo, hi, v in zip(cuts, cuts[1:], vals)]
@@ -793,13 +793,11 @@ class FuncExpr:
 
     def lp_integral(self, p_exp: float, weight: "FuncExpr", B: Interval) -> float:
         """integral of |f|^p * weight dx over B, cell by cell over the cells
-        of |f| cut at the weight's breakpoints (`_cell_lp`): closed form or
-        Gauss rules with an a-priori error bound, and quadrature only for a
-        cell outside every family route."""
-        f_abs = self.restrict(B).abs()
-        grid = _piece_ends((f_abs, weight.restrict(B)))
+        of f cut at the weight's breakpoints (`_cell_lp`)."""
+        f = self.restrict(B)
+        grid = _piece_ends((f, weight.restrict(B)))
         total = 0.0
-        for lo, hi, fa, wa in zip(grid, grid[1:], f_abs._cells_on(grid), weight._cells_on(grid)):
+        for lo, hi, fa, wa in zip(grid, grid[1:], f._cells_on(grid), weight._cells_on(grid)):
             if fa and wa:
                 total += _cell_lp(fa, wa, p_exp, lo, hi)
         return total
@@ -835,14 +833,14 @@ def _geometric_mid(lo: float, hi: float) -> float:
 def _cell_lp(
     fa: tuple[Atom, ...], wa: tuple[Atom, ...], p_exp: float, lo: float, hi: float
 ) -> float:
-    """int_lo^hi |f|^p w dx on one cell, f and w the atom sums fa >= 0 and wa.
+    """int_lo^hi |f|^p w dx on one cell, f and w the atom sums fa and wa.
 
     - f = x^a (c1 log x + c0), p > 0, w a sum of powers: `_power_log_lp` in
-      u = log x, at integer p too.  Multiplied out, (c1 u + c0)^p cancels
-      near the root: on a bmo-equivalence cell of width 0.0034 in u ending
-      at the root, the expanded square lost 2e-9 of its integral.
-    - |f|^p in the family (`_atom_power`): closed form.
-    - anything else: adaptive quadrature on this cell only.
+      u = log x, at either sign of f and at integer p too: multiplied out,
+      (c1 u + c0)^p cancels near the root (2e-9 lost on a bmo-equivalence
+      cell 0.0034 wide in u that ends at the root).
+    - any other f: each part between its sign changes (`FuncExpr._split`) in
+      closed form when |f|^p is in the family (`_atom_power`), else `_lp_quad`.
     """
     a = fa[0][1]
     power_log = all(al == a and m <= 1 for _, al, m in fa) and fa[-1][2] == 1
@@ -853,49 +851,40 @@ def _cell_lp(
             cw * _power_log_lp(c0, c1, p_exp, p_exp * a + b + 1.0, u0, math.log(hi))
             for cw, b, _ in wa
         )
-    try:
-        powered = _atom_power(fa, p_exp)
-    except RepresentationError:
-        pass
-    else:
-        atoms = _atom_product(powered, wa)
-        return sum(c * power_log_integral(al, m, lo, hi) for c, al, m in atoms)
-    if lo <= hi * 1e-290:
-        return _zero_cell_lp_quad(fa, wa, p_exp, hi)
-    f, w = Piece(lo, hi, fa), Piece(lo, hi, wa)
-    return integrate_callable(
-        lambda x: abs(f.eval(x)) ** p_exp * w.eval(x), Interval(lo, hi), DX, rel_tol=1e-9
-    )
+    total = 0.0
+    for lo, hi, sgn in FuncExpr._split(Piece(lo, hi, fa)):
+        part = fa if sgn >= 0 else tuple((-c, al, m) for c, al, m in fa)
+        try:
+            powered = _atom_power(part, p_exp)
+        except RepresentationError:
+            total += _lp_quad(part, wa, p_exp, lo, hi)
+        else:
+            atoms = _atom_product(powered, wa)
+            total += sum(c * power_log_integral(al, m, lo, hi) for c, al, m in atoms)
+    return total
 
 
-def _zero_cell_lp_quad(
-    fa: tuple[Atom, ...], wa: tuple[Atom, ...], p_exp: float, hi: float
+def _lp_quad(
+    fa: tuple[Atom, ...], wa: tuple[Atom, ...], p_exp: float, lo: float, hi: float
 ) -> float:
-    """int_0^hi |f|^p w dx in log coordinates with grouped exponentials.
-
-    Factoring the minimal power exponents out of each factor keeps every term
-    bounded as u -> -inf; integrability requires the grouped exponent
-    p*min_a(f) + min_a(w) + 1 to be positive (symbolic divergence otherwise).
-    """
+    """int_lo^hi |f|^p w dx by `_guarded_quad` in u = log x, lo = 0 allowed,
+    with e^{expo u}, expo = p min_a(f) + min_a(w) + 1, taken out so that every
+    term stays bounded as u -> -inf: a zero-based cell diverges when expo <= 0
+    (symbolic), and is cut where e^{expo u} is e^-80 of its value at hi."""
     a_f = min(a for _, a, _ in fa)
     a_w = min(a for _, a, _ in wa)
     expo = p_exp * a_f + a_w + 1.0
-    if expo <= 0.0:
+    if lo == 0.0 and expo <= 0.0:
         raise DivergenceError("p-mass integral diverges at 0")
+    u1 = math.log(hi)
+    u0 = math.log(lo) if lo > 0.0 else u1 - max(80.0, 80.0 / expo)
 
     def F(u: float) -> float:
         s = sum(c * math.exp((a - a_f) * u) * u**m for c, a, m in fa)
         t = sum(c * math.exp((a - a_w) * u) * u**m for c, a, m in wa)
         return abs(s) ** p_exp * t * math.exp(expo * u)
 
-    u_hi = math.log(hi)
-    window = max(80.0, 80.0 / expo)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(
-            F, u_hi - window, u_hi, limit=400, epsabs=1e-300, epsrel=1e-10
-        )
-    return val
+    return _guarded_quad(F, u0, u1, 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -1123,26 +1112,28 @@ def integrate_callable(
     points: Sequence[float] | None = None,
     rel_tol: float = 1e-10,
 ) -> float:
-    """integral of g(x) * x^e dx over B by adaptive quadrature.
+    """integral of g(x) * x^e dx over B by `_guarded_quad`."""
+    e = kind.exponent
+    integrand = (lambda x: g(x)) if e == 0.0 else (lambda x: g(x) * x**e)
+    interior = sorted({p for p in (points or []) if B.a < p < B.b})
+    return _guarded_quad(integrand, B.a, B.b, rel_tol, interior or None)
+
+
+def _guarded_quad(
+    fn: Callable[[float], float], a: float, b: float, rel_tol: float,
+    points: Sequence[float] | None = None,
+) -> float:
+    """integral of fn over (a, b) by adaptive quadrature.
 
     Subdivision is bounded by scipy's limit; failure to reach `rel_tol`
     relative accuracy (with a tiny absolute floor) raises QuadratureError
     reporting the achieved error estimate.
     """
-    e = kind.exponent
-    integrand = (lambda x: g(x)) if e == 0.0 else (lambda x: g(x) * x**e)
-    interior = sorted({p for p in (points or []) if B.a < p < B.b})
     with warnings.catch_warnings():
         # the explicit error check below supersedes scipy's advisory warnings
         warnings.simplefilter("ignore", IntegrationWarning)
         val, err = quad(
-            integrand,
-            B.a,
-            B.b,
-            points=interior or None,
-            limit=200,
-            epsabs=_QUAD_ABS_FLOOR,
-            epsrel=rel_tol,
+            fn, a, b, points=points, limit=200, epsabs=_QUAD_ABS_FLOOR, epsrel=rel_tol
         )
     if not math.isfinite(val):
         raise DivergenceError("quadrature returned a non-finite value")

@@ -1,7 +1,7 @@
 """Shared test helpers: the binary `+` that `FuncExpr.sum` replaced and the
 per-pair root scan that the vectorised one in `FuncExpr._piece_roots`
-replaced, both of which must be reproduced, and a comparable view of a
-function's cells."""
+replaced, both of which must be reproduced, a comparable view of a
+function's cells, and a record of the cells the root scan is asked about."""
 
 import bisect
 import math
@@ -88,3 +88,12 @@ def _reference_piece_roots_fixture():
 @pytest.fixture(name="cells_of")
 def _cells_of_fixture():
     return cells_of
+
+
+@pytest.fixture(name="root_scans")
+def _root_scans_fixture(monkeypatch):
+    """The cells `FuncExpr._piece_roots` scans during the test, in a list."""
+    calls, scan = [], FuncExpr._piece_roots
+    count = staticmethod(lambda p: calls.append(p) or scan(p))
+    monkeypatch.setattr(FuncExpr, "_piece_roots", count)
+    return calls

@@ -212,6 +212,48 @@ class TestWeightedNorm:
             assert lhs <= rhs * (1 + 1e-9)
 
 
+def log_oscillation_oracle(lam, B, p, alpha):
+    """((1/w(B)) int_B |b - b_B|^p w dx)^{1/p} to 40 digits, for b = log
+    x^{2 lam}, w = x^alpha and b_B the mu-average; the triangle oscillation
+    at p = 1, alpha = 2 lam.  Integrated in u = log x, split at the root."""
+    with mp.workdps(40):
+        lam, p, alpha = map(mp.mpf, (lam, p, alpha))
+        a, b, k, e = mp.mpf(B.a), mp.mpf(B.b), 2 * lam + 1, alpha + 1
+        anti = lambda x: x**k * (mp.log(x) / k - 1 / k**2) if x > 0 else mp.mpf(0)
+        c = 2 * lam * (anti(b) - anti(a)) / ((b**k - a**k) / k)
+        u0, u1, r = (mp.log(a) if a > 0 else -mp.inf), mp.log(b), c / (2 * lam)
+        pts = [u0] + ([r] if u0 < r < u1 else []) + [u1]
+        val = mp.quad(lambda u: abs(2 * lam * u - c) ** p * mp.exp(e * u), pts)
+        return float((val / ((b**e - a**e) / e)) ** (1 / p))
+
+
+OSCILLATION_INTERVALS = [Interval(0.5, 2.0), Interval(0.0, 3.0), Interval(1e-3, 1.0)]
+
+
+class TestLogSymbolOscillationOracle:
+    """Both L^p flavours of the log symbol take `lp_integral`'s power-log
+    route: finite, zero-based and wide (b/a = 1e3) intervals."""
+
+    @pytest.mark.parametrize("B", OSCILLATION_INTERVALS)
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    def test_triangle(self, lam, B):
+        got = triangle_oscillation(FuncExpr.log_of_mu_density(lam), BesselMeasure(lam), B)
+        assert got == pytest.approx(log_oscillation_oracle(lam, B, 1.0, 2.0 * lam), rel=1e-13)
+
+    @pytest.mark.parametrize("B", OSCILLATION_INTERVALS)
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("alpha", [-0.5, 1.5])
+    def test_weighted(self, alpha, p, B):
+        got = p_oscillation(LOGB, Weight.power(alpha), p, M1, B)
+        assert got == pytest.approx(log_oscillation_oracle(1.0, B, p, alpha), rel=1e-13)
+
+    def test_no_root_scan(self, root_scans):
+        B = Interval(0.5, 2.0)
+        triangle_oscillation(LOGB, M1, B)
+        p_oscillation(LOGB, Weight.power(1.5), 2.0, M1, B)
+        assert root_scans == []
+
+
 class TestMedianNorm:
     def test_constant_zero(self):
         assert median_oscillation(FuncExpr.constant(5.0), Weight.one(), 0.5, Interval(0, 1)) == 0.0

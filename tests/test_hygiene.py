@@ -1,5 +1,6 @@
-"""Source hygiene: every import in the package is used in its module, and
-the defaulted parameters of public functions are an audited list."""
+"""Source hygiene: every import in the package is used in its module, no
+module relies on an `assert` statement, and the defaulted parameters of
+public functions are an audited list."""
 
 import ast
 from pathlib import Path
@@ -49,6 +50,25 @@ def test_no_unused_imports_in_the_package():
         f"{path.relative_to(PACKAGE.parent)}:{line}: {name}"
         for path in sorted(PACKAGE.rglob("*.py"))
         for name, line in unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert hits == []
+
+
+def assert_lines(source: str) -> list[int]:
+    """Lines of the `assert` statements in the source; `python -O` strips them."""
+    return [n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assert)]
+
+
+def test_scan_flags_an_assert():
+    assert assert_lines("x = 1\nif x:\n    assert x > 0, 'msg'\n") == [3]
+
+
+def test_no_assert_statements_in_the_package():
+    """Checks must raise a package error, so that they still run under -O."""
+    hits = [
+        f"{path.relative_to(PACKAGE.parent)}:{line}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for line in assert_lines(path.read_text(encoding="utf-8"))
     ]
     assert hits == []
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besselweights.errors import DivergenceError, RepresentationError
+from besselweights.errors import DivergenceError, QuadratureError, RepresentationError
 from besselweights.measure import (
     DX,
     BesselMeasure,
@@ -556,13 +556,13 @@ class TestLpIntegral:
 
     def test_other_cells_keep_quadrature(self, monkeypatch):
         """A real power of a cell outside the power-log form still integrates,
-        by quadrature on that cell alone."""
+        by quadrature on that cell alone, finite or zero-based."""
         from besselweights import measure
 
         calls = []
-        quad_cell = measure.integrate_callable
+        quad_cell = measure._lp_quad
         monkeypatch.setattr(
-            measure, "integrate_callable", lambda *a, **k: calls.append(1) or quad_cell(*a, **k)
+            measure, "_lp_quad", lambda *a, **k: calls.append(1) or quad_cell(*a, **k)
         )
         f = FuncExpr(
             [Piece(1.0, 2.0, ((1.0, 0.0, 0), (1.0, 1.0, 0))), Piece(2.0, 3.0, ((2.0, 0.0, 0),))]
@@ -575,27 +575,38 @@ class TestLpIntegral:
         got = zero_based.lp_integral(1.5, FuncExpr.power(1.0, -0.5), Interval(0.0, 1.0))
         exact = mp.quad(lambda x: (1 + x) ** 1.5 / mp.sqrt(x), [0, 1])
         assert got == pytest.approx(float(exact), rel=1e-9)
-        assert len(calls) == 1  # the zero-based cell integrates in u = log x
+        assert len(calls) == 2
+
+    def test_quadrature_error_is_checked_on_zero_based_cells(self, monkeypatch):
+        """The fallback raises when quad's error estimate misses its tolerance."""
+        from besselweights import measure
+
+        quad = measure.quad
+        monkeypatch.setattr(measure, "quad", lambda *a, **k: (quad(*a, **k)[0],) * 2)
+        zero_based = FuncExpr([Piece(0.0, 1.0, ((1.0, 0.0, 0), (1.0, 1.0, 0)))])
+        with pytest.raises(QuadratureError):
+            zero_based.lp_integral(1.5, FuncExpr.power(1.0, -0.5), Interval(0.0, 1.0))
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-    def test_commutator_output_needs_no_quadrature(self, p, monkeypatch):
+    def test_commutator_output_needs_no_quadrature(self, p, monkeypatch, root_scans):
+        """Nor a root scan: power-log cells are integrated whatever their sign."""
         from besselweights import measure
         from besselweights.dyadic import canonical_major_subsets, zero_chain
         from besselweights.operators import lp_norm, oscillation_factors, sparse_commutator_apply
         from besselweights.weights import Weight
 
         calls = []
-        for name in ("integrate_callable", "_zero_cell_lp_quad"):
-            monkeypatch.setattr(measure, name, lambda *a, _n=name, **k: calls.append(_n))
+        monkeypatch.setattr(measure, "_lp_quad", lambda *a, **k: calls.append(a))
         m = BesselMeasure(1.0)
         S = canonical_major_subsets(zero_chain(list(range(12))), m)
         factors = oscillation_factors(S, FuncExpr.log_of_mu_density(1.0), m)
+        root_scans.clear()  # building the factors scans each |b - b_Q|
         f = FuncExpr.indicator(Interval(0.0, 1.0))
         for variant in ("left", "adjoint"):
             out = sparse_commutator_apply(factors, f, m, variant)
             for w in (Weight.power(-0.95), Weight.power(0.5)):
                 assert lp_norm(out, p, w, Interval(0.0, 1.0)) > 0.0
-        assert calls == []
+        assert calls == [] and root_scans == []
 
 
 class TestPowf:
