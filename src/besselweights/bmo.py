@@ -230,17 +230,10 @@ def _centre_infimum(sym: _Symbol, frac: float, strict: bool, alpha: float | None
 
 
 def _cell_table(r: FuncExpr, B: Interval, w: RefMeasure) -> list[tuple[float, float]]:
-    """(value, w-mass) of the cells of B cut at the breakpoints of a
-    piecewise-constant r = b restricted to B; gaps where r has no piece carry 0."""
-    cells, x = [], B.a
-    for p in r.pieces:
-        if p.lo > x:
-            cells.append((0.0, mass_of(w, Interval(x, p.lo))))
-        cells.append((p.atoms[0][0], mass_of(w, Interval(p.lo, p.hi))))
-        x = p.hi
-    if x < B.b:
-        cells.append((0.0, mass_of(w, Interval(x, B.b))))
-    return cells
+    """(value, w-mass) of the cells of a piecewise-constant r on B
+    (`FuncExpr.cells`); gaps where r has no piece carry 0."""
+    return [(atoms[0][0] if atoms else 0.0, mass_of(w, Interval(lo, hi)))
+            for lo, hi, atoms in r.cells(B)]
 
 
 def _step_threshold(

@@ -28,7 +28,6 @@ from .measure import BesselMeasure, FuncExpr, Interval
 __all__ = [
     "DyadicCube",
     "SparseFamily",
-    "LayeredFamily",
     "verify_sparse",
     "canonical_major_subsets",
     "layer_decompose",
@@ -137,19 +136,10 @@ class SparseFamily:
         return cls(tuple(cubes), subsets, 1.0 if eta is None else eta)
 
 
-@dataclass(frozen=True)
-class LayeredFamily:
-    """Layer v+1 cubes are the maximal cubes once layers <= v are removed."""
-
-    layers: tuple[tuple[DyadicCube, ...], ...]
-
-    def all_cubes(self) -> list[DyadicCube]:
-        return [Q for layer in self.layers for Q in layer]
-
-
-def layer_decompose(cubes: Sequence[DyadicCube]) -> LayeredFamily:
+def layer_decompose(cubes: Sequence[DyadicCube]) -> tuple[tuple[DyadicCube, ...], ...]:
     """Peel maximal cubes: layer(Q) = length of the longest chain of family
-    cubes strictly containing Q."""
+    cubes strictly containing Q, so the cubes of layer v+1 are the maximal
+    ones once layers <= v are removed."""
     cube_set = set(cubes)
     by_level = sorted(cube_set)  # level ascending: ancestors first
     min_level = by_level[0].level if by_level else 0
@@ -163,12 +153,12 @@ def layer_decompose(cubes: Sequence[DyadicCube]) -> LayeredFamily:
                 depth = max(depth, layer_of[anc] + 1)
         layer_of[Q] = depth
     if not by_level:
-        return LayeredFamily(())
+        return ()
     n_layers = max(layer_of.values()) + 1
     layers: list[list[DyadicCube]] = [[] for _ in range(n_layers)]
     for Q, v in layer_of.items():
         layers[v].append(Q)
-    return LayeredFamily(tuple(tuple(sorted(layer)) for layer in layers))
+    return tuple(tuple(sorted(layer)) for layer in layers)
 
 
 def subtract_intervals(base: Interval, holes: Sequence[Interval]) -> tuple[Interval, ...]:
@@ -192,10 +182,10 @@ def canonical_major_subsets(cubes: Sequence[DyadicCube], m: BesselMeasure) -> Sp
     The E_Q are pairwise disjoint by the layer structure; eta is the min of
     mu(E_Q)/mu(Q) as `verify_sparse` measures it (eta = 0 is allowed and
     returned)."""
-    layered = layer_decompose(cubes)
+    layers = layer_decompose(cubes)
     subsets: dict[DyadicCube, tuple[Interval, ...]] = {}
-    for v, layer in enumerate(layered.layers):
-        next_layer = layered.layers[v + 1] if v + 1 < len(layered.layers) else ()
+    for v, layer in enumerate(layers):
+        next_layer = layers[v + 1] if v + 1 < len(layers) else ()
         for Q in layer:
             holes = [P.interval for P in next_layer if Q.contains(P)]
             subsets[Q] = subtract_intervals(Q.interval, holes)

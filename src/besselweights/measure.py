@@ -19,12 +19,20 @@ integrates in closed form against any x^e dx.  That is enough to express
 every function manipulated here (powers, log x^{2*lam}, indicators,
 sparse-operator outputs) without quadrature error.
 
-`FuncExpr.sum` adds many functions in one pass over their common grid (binary
-`+` is its two-term case); `FuncExpr.envelope` is the max over covering intervals.
-`FuncExpr.sign_regions` (whose per-cell split `abs` shares) is the one routine
-that answers sign questions; on `derivative` it also decides monotonicity and
-gives `value_range` the points where extrema lie.  The per-cell split also
-takes an unbounded cell [lo, inf), whose tail it reads through x -> 1/x.
+Cells are half-open [lo, hi) and never overlap.  The constructor settles a
+sliver overlap (up to 1e-15 relative) by clipping the earlier piece at the
+later piece's lo, as evaluation reads it, and drops a piece the clip leaves
+empty; every method then reads the same cells.  `FuncExpr.cells(B)` walks
+them on an interval, clipped to it, with the gaps between them.
+
+`FuncExpr.sum` adds many functions in one pass over the union grid of their
+piece ends (binary `+` is its two-term case): each cell adds its terms' atoms
+in term order and is dropped when they cancel.  `FuncExpr.envelope` is the
+max over covering intervals.  `FuncExpr.sign_regions` (whose per-cell split
+`abs` shares) is the one routine that answers sign questions; on
+`derivative` it also decides monotonicity and gives `value_range` the points
+where extrema lie.  The per-cell split also takes an unbounded cell
+[lo, inf), whose tail it reads through x -> 1/x.
 
 Integrals over many intervals at once run on an `IntervalEnds` batch
 (`FuncExpr.integrate_many`), in one array pass per atom that equals the
@@ -93,9 +101,6 @@ class Interval:
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.a + self.b)
-
-    def contains(self, x: float) -> bool:
-        return self.a < x < self.b
 
     def intersect(self, other: "Interval") -> "Interval | None":
         lo, hi = max(self.a, other.a), min(self.b, other.b)
@@ -411,18 +416,26 @@ class FuncExpr:
     __slots__ = ("pieces", "_los")
 
     def __init__(self, pieces: Sequence[Piece]):
+        """The nonempty pieces with atoms, in order of lo.  A piece that runs
+        past the next one's lo by at most 1e-15 relative (a sliver) is clipped
+        there, and dropped when nothing is left; a larger overlap raises."""
         cleaned = sorted([p for p in pieces if p.atoms and p.lo < p.hi], key=lambda p: p.lo)
-        los = [p.lo for p in cleaned]
-        for prev, lo in zip(cleaned, los[1:]):
-            if lo < prev.hi - 1e-15 * max(1.0, abs(prev.hi)):
-                raise ValueError("overlapping pieces")
-        self.pieces = tuple(cleaned)
-        self._los = los
+        out = []
+        for p, nxt in zip(cleaned, cleaned[1:]):
+            if nxt.lo < p.hi:
+                if p.hi == math.inf or nxt.lo < p.hi - 1e-15 * max(1.0, p.hi):
+                    raise ValueError("overlapping pieces")
+                p = Piece(p.lo, nxt.lo, p.atoms)
+            if p.lo < p.hi:
+                out.append(p)
+        self.pieces = tuple(out + cleaned[-1:])
+        self._los = [p.lo for p in self.pieces]
 
     @classmethod
     def _of_cells(cls, pieces: list[Piece]) -> "FuncExpr":
-        """FuncExpr(pieces) for pieces that are already nonzero cells of one
-        grid, in order: the constructor's cleaning and checks have nothing to do."""
+        """FuncExpr(pieces) for pieces that are already nonzero, non-overlapping
+        cells in order, such as the cells of one grid: the constructor's
+        cleaning and sliver rule have nothing to do."""
         out = cls.__new__(cls)
         out.pieces, out._los = tuple(pieces), [p.lo for p in pieces]
         return out
@@ -553,23 +566,17 @@ class FuncExpr:
 
     @classmethod
     def sum(cls, terms: Iterable["FuncExpr"]) -> "FuncExpr":
-        """t_1 + ... + t_n in one pass over one grid, equal to the left fold
-        ((t_1 + t_2) + t_3) + ... piece for piece and bit for bit.  Zero atoms
-        and zero cells are dropped, so the sum of one term is that term cleaned.
+        """t_1 + ... + t_n on the union grid of their piece ends, in one pass.
 
         Each term is looked up on the cells of its own span by `_cells_on`, and
-        each cell adds the atoms up in term order, as the fold does.  From t_2
-        on, the fold's grid loses a point with a zero cell on both sides, until
-        a later term has it as a piece end again.  Only a cell that a term
-        leaves at zero brings that about, so those cells' ends are all checked.
+        each cell adds its terms' atoms in term order; zero atoms and a cell
+        whose atoms cancel are dropped, so the sum of one term is that term
+        cleaned.
         """
         terms = list(terms)
         grid = _piece_ends(terms)
-        last = len(grid) - 1
-        cells: list[dict | None] = [None] * last  # the running sum per cell
-        cancelled: list[int] = []  # cells a term's atoms left at zero
-        dropped: dict[int, int] = {}  # grid point -> last term after which the fold lost it
-        for k, t in enumerate(terms):
+        cells: list[dict | None] = [None] * (len(grid) - 1)  # the running sum per cell
+        for t in terms:
             if t.pieces:  # past the last piece's hi the midpoint rule finds no piece
                 i = bisect.bisect_left(grid, t.pieces[0].lo)
                 for atoms in t._cells_on(grid[i : bisect.bisect_left(grid, t.pieces[-1].hi) + 1]):
@@ -577,23 +584,11 @@ class FuncExpr:
                         cell = cells[i]
                         if cell is None:
                             cell = cells[i] = {}
-                        if not _add_atoms(cell, atoms):
-                            cancelled.append(i)
+                        _add_atoms(cell, atoms)
                     i += 1
-            if cancelled and k:  # t_1's ends all enter the fold's first grid
-                for j in {j for i in cancelled for j in (i, i + 1)}:
-                    if not ((j and cells[j - 1]) or (j < last and cells[j])):
-                        dropped[j] = k
-                cancelled.clear()
-        if dropped:
-            last_end = {x: k for k, t in enumerate(terms) for p in t.pieces for x in (p.lo, p.hi)}
-            keep = [i for i, x in enumerate(grid) if dropped.get(i, -1) < last_end[x]]
-            grid, cells = [grid[i] for i in keep], [cells[i] for i in keep[:-1]]
-        out = []
-        for lo, hi, cell in zip(grid, grid[1:], cells):
-            if cell:
-                out.append(Piece(lo, hi, _atoms_of(cell)))
-        return cls._of_cells(out)
+        return cls._of_cells(
+            [Piece(lo, hi, _atoms_of(cell)) for lo, hi, cell in zip(grid, grid[1:], cells) if cell]
+        )
 
     def __add__(self, other: "FuncExpr | float") -> "FuncExpr":
         if isinstance(other, (int, float)):
@@ -635,13 +630,25 @@ class FuncExpr:
 
     __rmul__ = __mul__
 
-    def restrict(self, B: Interval) -> "FuncExpr":
-        pieces = []
-        for p in self.pieces:
+    def cells(self, B: Interval) -> list[tuple[float, float, tuple[Atom, ...]]]:
+        """(lo, hi, atoms) tiling B in order: the pieces clipped to B, and ()
+        on the gaps between them."""
+        out, x = [], B.a
+        for p in self.pieces[max(bisect.bisect_right(self._los, B.a) - 1, 0) :]:
+            if p.lo >= B.b:
+                break
             lo, hi = max(p.lo, B.a), min(p.hi, B.b)
             if lo < hi:
-                pieces.append(Piece(lo, hi, p.atoms))
-        return FuncExpr(pieces)
+                if lo > x:
+                    out.append((x, lo, ()))
+                out.append((lo, hi, p.atoms))
+                x = hi
+        if x < B.b:
+            out.append((x, B.b, ()))
+        return out
+
+    def restrict(self, B: Interval) -> "FuncExpr":
+        return FuncExpr._of_cells([Piece(lo, hi, a) for lo, hi, a in self.cells(B) if a])
 
     def powf(self, s: float) -> "FuncExpr":
         """Pointwise power f^s, cell by cell (`_atom_power`): any real s on a
@@ -715,29 +722,24 @@ class FuncExpr:
     def sign_regions(self, B: Interval) -> list[tuple[Interval, int]]:
         """Partition of B into cells of constant sign (+1, -1, 0): the cells of
         f cut at their sign changes, and 0 on the gaps between them."""
-        out, x = [], B.a
-        for p in self.restrict(B).pieces:
-            if p.lo > x:
-                out.append((Interval(x, p.lo), 0))
-            out += [(Interval(lo, hi), sgn) for lo, hi, sgn in self._split(p)]
-            x = p.hi
-        if x < B.b:
-            out.append((Interval(x, B.b), 0))
+        out = []
+        for lo, hi, atoms in self.cells(B):
+            cuts = self._split(Piece(lo, hi, atoms)) if atoms else [(lo, hi, 0)]
+            out += [(Interval(a, b), sgn) for a, b, sgn in cuts]
         return out
 
     def value_range(self, B: Interval) -> tuple[float, float]:
         """(inf, sup) of f on B.  Each piece is read at the ends of its
         derivative's sign regions, where its extrema lie (at 0 through its
         limit, which may be infinite), and a gap of B contributes the value 0."""
-        vals, x = [], B.a
-        for p in self.restrict(B).pieces:
-            if p.lo > x:
+        vals = []
+        for lo, hi, atoms in self.cells(B):
+            if not atoms:
                 vals.append(0.0)
-            for iv, _ in FuncExpr([p]).derivative().sign_regions(Interval(p.lo, p.hi)):
+                continue
+            p = Piece(lo, hi, atoms)
+            for iv, _ in FuncExpr([p]).derivative().sign_regions(Interval(lo, hi)):
                 vals += [p.eval(iv.a) if iv.a > 0.0 else _limit_at_zero(p), p.eval(iv.b)]
-            x = p.hi
-        if x < B.b:
-            vals.append(0.0)
         return min(vals), max(vals)
 
     def derivative(self) -> "FuncExpr":

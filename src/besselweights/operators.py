@@ -114,11 +114,6 @@ class OperatorNormEstimate:
     p: float
     weight: Weight
 
-    def recompute(self, T: Callable[[FuncExpr], FuncExpr], domain: Interval) -> float:
-        return lp_norm(T(self.test_function), self.p, self.weight, domain) / lp_norm(
-            self.test_function, self.p, self.weight, domain
-        )
-
 
 def operator_norm_lower_bound(
     T: Callable[[FuncExpr], FuncExpr],
@@ -179,8 +174,7 @@ def sparse_layer_mass_bound(
     denom = bar.inverse((2.0 * gamma) ** (2.0**k))
     h = w.expr * FuncExpr.power(1.0, -2.0 * m.lam)  # the density w/mu
     profile = orlicz_maximal_profile(h, phi, S.intervals(), m)
-    f_abs = f.restrict(_hull(S, f)).abs()
-    psi_of_f = _apply_young_piecewise(psi, f_abs, 4.0**k)
+    psi_of_f = _apply_young_piecewise(psi, f.restrict(_hull(S, f)), 4.0**k)
     integral = (psi_of_f * profile).integrate(_hull(S, f), dmu(m))
     rhs2 = 4.0 * gamma / denom * integral
     return lhs, 2.0**k * wE + rhs2, {
@@ -199,19 +193,10 @@ def _hull(S: SparseFamily, f: FuncExpr) -> Interval:
     return Interval(min(pts), max(pts))
 
 
-def _apply_young_piecewise(psi: YoungFunction, f_abs: FuncExpr, scale: float) -> FuncExpr:
-    """psi(scale * f) for piecewise-constant nonnegative f, exactly."""
-    if not f_abs.is_piecewise_constant():
+def _apply_young_piecewise(psi: YoungFunction, f: FuncExpr, scale: float) -> FuncExpr:
+    """psi(scale * |f|) for piecewise-constant f, exactly, cell by cell."""
+    if not f.is_piecewise_constant():
         raise PreconditionError("banded mass bound expects piecewise-constant test data")
-    breaks, vals = [], []
-    for p in f_abs.pieces:
-        if not breaks:
-            breaks.append(p.lo)
-        elif p.lo > breaks[-1]:
-            vals.append(0.0)
-            breaks.append(p.lo)
-        vals.append(psi(scale * p.atoms[0][0]))
-        breaks.append(p.hi)
-    if not breaks:
-        return FuncExpr.zero()
-    return FuncExpr.piecewise_constant(breaks, vals)
+    return FuncExpr(
+        [Piece(p.lo, p.hi, ((psi(scale * abs(p.atoms[0][0])), 0.0, 0),)) for p in f.pieces]
+    )

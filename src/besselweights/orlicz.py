@@ -1,4 +1,4 @@
-"""Young functions, Luxemburg norms, and Orlicz maximal operators.
+"""Young functions, Luxemburg norms, and the Orlicz maximal profile of a family.
 
 A Young function is convex, increasing, and vanishes at 0.  Attached to a
 Young function phi and an interval B is the Luxemburg gauge
@@ -56,7 +56,6 @@ __all__ = [
     "complementary",
     "c_phi",
     "CPhiResult",
-    "orlicz_maximal",
     "orlicz_maximal_profile",
 ]
 
@@ -317,21 +316,6 @@ def c_phi(phi: YoungFunction) -> CPhiResult:
 
 
 # -- Orlicz maximal operator -------------------------------------------------------
-
-
-def orlicz_maximal(
-    h: FuncExpr,
-    phi: YoungFunction,
-    x: float,
-    intervals: Sequence[Interval],
-    m: BesselMeasure,
-) -> float:
-    """max over family intervals containing x of ||h||_{phi,B}; a certified
-    lower bound for the supremum over all intervals."""
-    containing = [B for B in intervals if B.contains(x)]
-    if not containing:
-        raise EmptyFamilyError(f"no family interval contains x={x:g}")
-    return max(luxemburg_norm(h, phi, B, m) for B in containing)
 
 
 def orlicz_maximal_profile(

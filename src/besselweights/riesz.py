@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import beta, hyp2f1
@@ -82,7 +82,7 @@ __all__ = [
 ]
 
 
-_APPLY_REL_TOL = 1e-9  # relative accuracy of each piece in riesz_apply / commutator_apply
+_APPLY_REL_TOL = 1e-9  # relative accuracy of each piece of f in commutator_apply
 
 
 def kernel_lambda1_closed_form(x: float, y: float) -> float:
@@ -143,28 +143,20 @@ class RieszKernelEvaluator:
             raise SupportError("grid touches the diagonal")
         return _kernel(self.lam, X, Y)
 
-    # -- off-support applications --------------------------------------------------
-
-    def riesz_apply(self, f: FuncExpr, x: float) -> float:
-        """int K(x, y) f(y) dmu(y) over the support of f, x off the closure."""
-        return self._off_support(lambda y: self.kernel(x, y), f, x)
+    # -- off-support application ------------------------------------------------------
 
     def commutator_apply(self, b: FuncExpr, f: FuncExpr, x: float) -> float:
-        """int (b(x) - b(y)) K(x, y) f(y) dmu(y), x off the support of f."""
-        bx = b(x)
-        return self._off_support(lambda y: (bx - b(y)) * self.kernel(x, y), f, x)
-
-    def _off_support(self, k: Callable[[float], float], f: FuncExpr, x: float) -> float:
-        """int k(y) f(y) dmu(y), piece by piece of f, with x off every piece."""
-        if f.support_bounds() is None:
-            return 0.0
+        """int (b(x) - b(y)) K(x, y) f(y) dmu(y), piece by piece of f, with x
+        off every piece; an unbounded piece raises ValueError."""
         if any(p.lo <= x <= p.hi for p in f.pieces):
             raise SupportError(f"evaluation point x={x:g} touches the support")
+        bx = b(x)
         m = BesselMeasure(self.lam)
         total = 0.0
         for p in f.pieces:
             total += integrate_callable(
-                lambda y: k(y) * f(y), Interval(p.lo, p.hi), dmu(m), rel_tol=_APPLY_REL_TOL
+                lambda y: (bx - b(y)) * self.kernel(x, y) * f(y),
+                Interval(p.lo, p.hi), dmu(m), rel_tol=_APPLY_REL_TOL,
             )
         return total
 

@@ -1,7 +1,7 @@
-"""Shared test helpers: the binary `+` that `FuncExpr.sum` replaced and the
+"""Shared test helpers: `FuncExpr.sum` written out from its contract, the
 per-pair root scan that the vectorised one in `FuncExpr._piece_roots`
-replaced, both of which must be reproduced, a comparable view of a
-function's cells, and a record of the cells the root scan is asked about."""
+replaced and must reproduce, a comparable view of a function's cells, and a
+record of the cells the root scan is asked about."""
 
 import bisect
 import math
@@ -26,17 +26,18 @@ def _reference_mid(lo, hi):
     return max(2.0 * lo, 1.0) if hi == math.inf else hi / 2.0
 
 
-def reference_add(f, g):
-    """The binary `+` that FuncExpr.sum replaced: one grid of both functions'
-    piece ends, each cell's atoms looked up at its midpoint and merged."""
-    grid = sorted({x for h in (f, g) for p in h.pieces for x in (p.lo, p.hi)})
+def reference_sum(terms):
+    """FuncExpr.sum by its contract: one grid of all the terms' piece ends,
+    each cell's atoms looked up at its midpoint and added in term order."""
+    grid = sorted({x for h in terms for p in h.pieces for x in (p.lo, p.hi)})
     pieces = []
     for lo, hi in zip(grid, grid[1:]):
         mid = _reference_mid(lo, hi)
         acc = {}
-        for c, alpha, m in _reference_atoms_at(f, mid) + _reference_atoms_at(g, mid):
-            if c != 0.0:
-                acc[(alpha, m)] = acc.get((alpha, m), 0.0) + c
+        for h in terms:
+            for c, alpha, m in _reference_atoms_at(h, mid):
+                if c != 0.0:
+                    acc[(alpha, m)] = acc.get((alpha, m), 0.0) + c
         atoms = tuple((c, alpha, m) for (alpha, m), c in sorted(acc.items()) if c != 0.0)
         if atoms:
             pieces.append(Piece(lo, hi, atoms))
@@ -75,9 +76,9 @@ def cells_of(f):
     return [(p.lo, p.hi, p.atoms) for p in f.pieces]
 
 
-@pytest.fixture(name="reference_add")
-def _reference_add_fixture():
-    return reference_add
+@pytest.fixture(name="reference_sum")
+def _reference_sum_fixture():
+    return reference_sum
 
 
 @pytest.fixture(name="reference_piece_roots")

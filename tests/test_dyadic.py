@@ -61,21 +61,19 @@ class TestGrid:
 class TestLayers:
     def test_antichain_single_layer(self):
         cubes = [DyadicCube(3, k) for k in (0, 2, 5)]
-        ld = layer_decompose(cubes)
-        assert len(ld.layers) == 1
-        assert set(ld.layers[0]) == set(cubes)
+        layers = layer_decompose(cubes)
+        assert len(layers) == 1
+        assert set(layers[0]) == set(cubes)
 
     def test_chain_one_per_layer(self):
         cubes = zero_chain([0, 1, 2])
-        ld = layer_decompose(cubes)
-        assert [len(layer) for layer in ld.layers] == [1, 1, 1]
+        assert [len(layer) for layer in layer_decompose(cubes)] == [1, 1, 1]
 
     def test_two_disjoint_chains(self):
         # chains of lengths 2 and 3 -> layer sizes 2, 2, 1
         left = [DyadicCube(1, 0), DyadicCube(2, 0)]
         right = [DyadicCube(1, 1), DyadicCube(2, 2), DyadicCube(3, 4)]
-        ld = layer_decompose(left + right)
-        assert [len(layer) for layer in ld.layers] == [2, 2, 1]
+        assert [len(layer) for layer in layer_decompose(left + right)] == [2, 2, 1]
 
     def test_unique_covering_ancestor_property(self):
         rng = np.random.default_rng(7)
@@ -83,16 +81,16 @@ class TestLayers:
             cubes = random_subtree(DyadicCube(0, 0), 6, seed=trial, keep_prob=0.5)
             if len(cubes) > 200:
                 cubes = cubes[:200]
-            ld = layer_decompose(cubes)
-            for v in range(1, len(ld.layers)):
-                for Q in ld.layers[v]:
-                    prev = [P for P in ld.layers[v - 1] if P.contains(Q)]
+            layers = layer_decompose(cubes)
+            for v in range(1, len(layers)):
+                for Q in layers[v]:
+                    prev = [P for P in layers[v - 1] if P.contains(Q)]
                     assert len(prev) == 1
 
     def test_layers_partition_family(self):
         cubes = random_subtree(DyadicCube(0, 0), 5, seed=3)
-        ld = layer_decompose(cubes)
-        assert sorted(ld.all_cubes()) == sorted(set(cubes))
+        layers = layer_decompose(cubes)
+        assert sorted(Q for layer in layers for Q in layer) == sorted(set(cubes))
 
 
 class TestSparse:

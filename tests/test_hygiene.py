@@ -1,6 +1,7 @@
 """Source hygiene: every import in the package is used in its module, no
-module relies on an `assert` statement, and the defaulted parameters of
-public functions are an audited list."""
+module relies on an `assert` statement, no condition in the package or the
+tests is a constant, and the defaulted parameters of public functions are an
+audited list."""
 
 import ast
 from pathlib import Path
@@ -69,6 +70,32 @@ def test_no_assert_statements_in_the_package():
         f"{path.relative_to(PACKAGE.parent)}:{line}"
         for path in sorted(PACKAGE.rglob("*.py"))
         for line in assert_lines(path.read_text(encoding="utf-8"))
+    ]
+    assert hits == []
+
+
+def constant_condition_lines(source: str) -> list[int]:
+    """Lines of each `if` statement or conditional expression whose test is a
+    literal constant: one branch is dead, and the code or the assert it guards
+    checks nothing."""
+    return [
+        n.lineno
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, (ast.If, ast.IfExp)) and isinstance(n.test, ast.Constant)
+    ]
+
+
+def test_scan_flags_a_constant_condition():
+    src = "if x:\n    y = 1\nif False:\n    y = 2\nz = 1 if True else 2\nw = 1 if x else 2\n"
+    assert constant_condition_lines(src) == [3, 5]
+
+
+def test_no_constant_conditions_in_the_package_or_the_tests():
+    hits = [
+        f"{path.relative_to(root.parent)}:{line}"
+        for root in (PACKAGE, Path(__file__).parent)
+        for path in sorted(root.rglob("*.py"))
+        for line in constant_condition_lines(path.read_text(encoding="utf-8"))
     ]
     assert hits == []
 

@@ -39,9 +39,10 @@ def gauss_oracle(f, a, b, n=4000):
 
 class TestMuNu:
     def test_mu_lebesgue(self):
-        assert BesselMeasure(1e-12) if False else True  # lam > 0 enforced below
+        with pytest.raises(ValueError):
+            BesselMeasure(0.0)
         m = BesselMeasure(0.5)
-        # lam = 0 not allowed; lam = 0.5 on (1,2): antiderivative x^2/2
+        # lam = 0.5 on (1,2): antiderivative x^2/2
         assert m.mu(Interval(1, 2)) == pytest.approx(1.5, rel=1e-15)
 
     def test_mu_cubic(self):
@@ -373,32 +374,29 @@ def _random_term(rng, earlier):
 
 class TestFuncExprSum:
     @pytest.mark.parametrize("block", range(4))
-    def test_sum_equals_left_fold(self, block, reference_add, cells_of):
+    def test_sum_equals_left_fold(self, block, reference_sum, cells_of):
+        """The n-ary sum against `reference_sum`, and binary `+` against the
+        two-term sum, with cancellations and sliver overlaps."""
         for seed in range(60 * block, 60 * block + 60):
             rng = random.Random(seed)
             terms = []
             for _ in range(rng.randint(0, 40)):
                 terms.append(_random_term(rng, terms))
-            if len(terms) == 1:  # one term is cleaned as 0 + t_1
-                fold = reference_add(FuncExpr.zero(), terms[0])
-            else:
-                fold = terms[0] if terms else FuncExpr.zero()
-                for t in terms[1:]:
-                    fold = reference_add(fold, t)
-            assert cells_of(FuncExpr.sum(terms)) == cells_of(fold), seed
+            assert cells_of(FuncExpr.sum(terms)) == cells_of(reference_sum(terms)), seed
             if len(terms) >= 2:
                 assert cells_of(terms[0] + terms[1]) == cells_of(
-                    reference_add(terms[0], terms[1])
+                    reference_sum(terms[:2])
                 ), seed
 
-    def test_points_dropped_by_the_fold_stay_dropped(self, reference_add, cells_of):
-        # t1's cell is zero, so the fold drops 0.5 and 1 at t2; t3 then spans them
+    def test_cancelled_cells_keep_the_union_grid(self, cells_of):
+        # t1's cell cancels; t3 spans 0.5 and 1, which stay cell ends
         t1 = FuncExpr([Piece(0.5, 1.0, ((1.0, 0.0, 0), (-1.0, 0.0, 0)))])
         t2 = FuncExpr.indicator(Interval(2.0, 4.0))
         t3 = FuncExpr.indicator(Interval(0.0, 4.0))
-        fold = reference_add(reference_add(t1, t2), t3)
-        assert cells_of(FuncExpr.sum([t1, t2, t3])) == cells_of(fold)
-        assert [(lo, hi) for lo, hi, _ in cells_of(fold)] == [(0.0, 2.0), (2.0, 4.0)]
+        one, two = ((1.0, 0.0, 0),), ((2.0, 0.0, 0),)
+        assert cells_of(FuncExpr.sum([t1, t2, t3])) == [
+            (0.0, 0.5, one), (0.5, 1.0, one), (1.0, 2.0, one), (2.0, 4.0, two)
+        ]
 
     def test_one_term_is_cleaned(self, cells_of):
         t = FuncExpr.power(2.0, 0.5)
@@ -406,6 +404,62 @@ class TestFuncExprSum:
         zero_cell = FuncExpr([Piece(0.0, 1.0, ((0.0, 0.0, 0),)), Piece(1.0, 2.0, ((1.0, 0.0, 0),))])
         assert cells_of(FuncExpr.sum([zero_cell])) == [(1.0, 2.0, ((1.0, 0.0, 0),))]
         assert FuncExpr.sum([]).is_zero()
+
+
+def _sliver_pieces(rng):
+    """Pieces on consecutive ends of _ENDS, each lo moved down by 0 to 9e-16
+    relative, so neighbours overlap by slivers the constructor accepts."""
+    ends = sorted(rng.sample(_ENDS[1:], rng.randint(2, 6)))
+    return [
+        Piece(lo * (1.0 - rng.randint(0, 9) * 1e-16), hi, ((rng.choice([1.0, -1.0, 2.5]), 0.0, 0),))
+        for lo, hi in zip(ends, ends[1:])
+    ]
+
+
+class TestSliverRule:
+    """The constructor clips an earlier piece at the later piece's lo, so
+    evaluation, integrals, sign regions and cell walks read the same cells."""
+
+    # f = 1 on [0.5, 1) and -1 on [s, 2): the two pieces share the sliver [s, 1)
+    S = 1.0 - 4e-16
+    F = FuncExpr([Piece(0.5, 1.0, ((1.0, 0.0, 0),)), Piece(1.0 - 4e-16, 2.0, ((-1.0, 0.0, 0),))])
+
+    def test_pieces_never_overlap(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            pieces = _sliver_pieces(rng)
+            f = FuncExpr(pieces)
+            assert all(p.hi <= q.lo for p, q in zip(f.pieces, f.pieces[1:])), seed
+            for q in pieces:  # each piece owns its own lo, as `__call__` reads it
+                assert f(q.lo) == q.atoms[0][0], seed
+        assert [(p.lo, p.hi) for p in self.F.pieces] == [(0.5, self.S), (self.S, 2.0)]
+        with pytest.raises(ValueError):
+            FuncExpr([Piece(0.5, 1.0, ((1.0, 0.0, 0),)), Piece(0.9, 2.0, ((1.0, 0.0, 0),))])
+        with pytest.raises(ValueError):
+            FuncExpr([Piece(0.5, math.inf, ((1.0, 0.0, 0),)), Piece(2.0, 3.0, ((1.0, 0.0, 0),))])
+
+    def test_sign_regions_tile_the_interval(self):
+        cases = [(self.F, Interval(0.25, 3.0))]
+        for seed in range(100):
+            rng = random.Random(seed)
+            cases.append((FuncExpr(_sliver_pieces(rng)), Interval(rng.choice([0.0, 0.2]), 5.0)))
+        for f, B in cases:
+            regions = [iv for iv, _ in f.sign_regions(B)]
+            assert regions[0].a == B.a and regions[-1].b == B.b
+            assert all(r.b == q.a for r, q in zip(regions, regions[1:]))
+            assert [(lo, hi) for lo, hi, _ in f.cells(B)] == [(r.a, r.b) for r in regions]
+
+    def test_every_method_gives_the_sliver_to_the_later_piece(self):
+        f, s = self.F, self.S
+        x = 1.0 - 2e-16  # inside the sliver [s, 1)
+        assert s < x < 1.0 and f(x) == -1.0
+        B = Interval(0.25, 3.0)
+        assert f.sign_regions(B) == [
+            (Interval(0.25, 0.5), 0), (Interval(0.5, s), 1), (Interval(s, 2.0), -1),
+            (Interval(2.0, 3.0), 0),
+        ]
+        assert f.integrate(B, DX) == pytest.approx((s - 0.5) - (2.0 - s), rel=0, abs=1e-16)
+        assert f.restrict(B).pieces == f.pieces
 
 
 def _reference_envelope(intervals, values):

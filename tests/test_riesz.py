@@ -12,7 +12,7 @@ import pytest
 import besselweights
 from besselweights import riesz
 from besselweights.errors import ConstructionError, PostconditionError, SupportError
-from besselweights.measure import BesselMeasure, FuncExpr, Interval
+from besselweights.measure import BesselMeasure, FuncExpr, Interval, Piece
 from besselweights.riesz import (
     MedianSplit,
     RieszKernelEvaluator,
@@ -129,15 +129,16 @@ class TestKernel:
 
 
 class TestApply:
+    B_LOG = FuncExpr.log_of_mu_density(1.0)  # b = 2 log x
+
     def test_indicator_against_closed_form_quadrature(self):
         from scipy.integrate import quad
 
-        f = FuncExpr.indicator(Interval(1.0, 2.0))
-        x = 4.0
-        val = E1.riesz_apply(f, x)
+        b, f, x = self.B_LOG, FuncExpr.indicator(Interval(1.0, 2.0)), 4.0
+        val = E1.commutator_apply(b, f, x)
         oracle, _ = quad(
-            lambda y: kernel_lambda1_closed_form(x, y) * y**2, 1.0, 2.0, limit=400,
-            epsabs=1e-15, epsrel=1e-12,
+            lambda y: (b(x) - b(y)) * kernel_lambda1_closed_form(x, y) * y**2, 1.0, 2.0,
+            limit=400, epsabs=1e-15, epsrel=1e-12,
         )
         assert val == pytest.approx(oracle, rel=1e-7)
 
@@ -145,13 +146,18 @@ class TestApply:
         f = FuncExpr.indicator(Interval(1.0, 2.0))
         g = FuncExpr.indicator(Interval(2.5, 3.0))
         x = 5.0
-        combo = E1.riesz_apply(f * 2.0 + g * (-0.5), x)
-        parts = 2.0 * E1.riesz_apply(f, x) - 0.5 * E1.riesz_apply(g, x)
+        combo = E1.commutator_apply(self.B_LOG, f * 2.0 + g * (-0.5), x)
+        parts = 2.0 * E1.commutator_apply(self.B_LOG, f, x) - 0.5 * E1.commutator_apply(
+            self.B_LOG, g, x
+        )
         assert combo == pytest.approx(parts, rel=1e-9)
 
     def test_far_field_decay(self):
+        # b vanishes off f's support, so the commutator is -int K(x, y) b f dmu
+        # and decays like the kernel, x^{-(2 lam + 1)}
         f = FuncExpr.indicator(Interval(1.0, 2.0))
-        vals = {x: abs(E1.riesz_apply(f, x)) for x in (10.0, 20.0, 40.0)}
+        b = FuncExpr.log_power(1.0, 0.0, 1).restrict(Interval(1.0, 2.0))
+        vals = {x: abs(E1.commutator_apply(b, f, x)) for x in (10.0, 20.0, 40.0)}
         for x0, x1 in ((10.0, 20.0), (20.0, 40.0)):
             measured = vals[x0] / vals[x1]
             assert measured == pytest.approx(8.0, rel=0.1)
@@ -159,9 +165,16 @@ class TestApply:
     def test_support_touching_raises(self):
         f = FuncExpr.indicator(Interval(1.0, 2.0))
         with pytest.raises(SupportError):
-            E1.riesz_apply(f, 1.5)
+            E1.commutator_apply(self.B_LOG, f, 1.5)
         with pytest.raises(SupportError):
-            E1.riesz_apply(f, 2.0)
+            E1.commutator_apply(self.B_LOG, f, 2.0)
+
+    def test_unbounded_support_raises(self):
+        # the tail (2, inf) of x^-4 is not dropped as if f were zero
+        f = FuncExpr([Piece(2.0, math.inf, ((1.0, -4.0, 0),))])
+        with pytest.raises(ValueError):
+            E1.commutator_apply(self.B_LOG, f, 1.0)
+        assert E1.commutator_apply(self.B_LOG, FuncExpr.zero(), 1.0) == 0.0
 
     def test_commutator_constant_symbol(self):
         f = FuncExpr.indicator(Interval(1.0, 2.0))
