@@ -6,6 +6,9 @@ and its mu-adjoint, with the slope budget doubled:
 
     norm lower bound <= C * ||b|| * [w]^{2 max(1, 1/(p-1))}.
 
+Both forms run over one build of each family: its oscillation factors, the
+witnesses, the weight constants and the witness norms are shared.
+
 Two structural facts are pinned exactly: a constant symbol annihilates both
 forms, and b -> 2b doubles every measured norm (positive homogeneity of the
 oscillation factor).
@@ -19,8 +22,10 @@ from ..measure import BesselMeasure, FuncExpr, Interval
 from ..operators import lp_norm, oscillation_factors, sparse_commutator_apply
 from ..weights import IntervalFamily, Weight
 from .config import ScenarioConfig
-from .sparse_scaling import run_sparse_scaling
+from .sparse_scaling import run_operator_sweeps
 from .verdict import Verdict
+
+_VARIANTS = ("left", "adjoint")
 
 
 def run_commutator_bound(cfg: ScenarioConfig) -> Verdict:
@@ -28,19 +33,15 @@ def run_commutator_bound(cfg: ScenarioConfig) -> Verdict:
     b = FuncExpr.log_of_mu_density(lam)
     m = BesselMeasure(lam)
 
-    def builder(variant):
-        def build(S, mm):
-            factors = oscillation_factors(S, b, mm)
-            return lambda f: sparse_commutator_apply(factors, f, mm, variant)
-        return build
-
-    verdict = Verdict(cfg.name)
-    for variant in ("left", "adjoint"):
-        sub = run_sparse_scaling(
-            cfg, apply_op=builder(variant), budget_factor=2.0, label=f"commutator({variant})"
+    def build(S, mm):
+        factors = oscillation_factors(S, b, mm)
+        return tuple(
+            lambda f, v=v: sparse_commutator_apply(factors, f, mm, v) for v in _VARIANTS
         )
-        verdict.checks += sub.checks
-        verdict.artifacts += sub.artifacts
+
+    verdict = run_operator_sweeps(
+        cfg, build, [f"commutator({v})" for v in _VARIANTS], budget_factor=2.0
+    )
 
     # structural checks on a fixed instance
     S = canonical_major_subsets(zero_chain(list(range(8))), m)

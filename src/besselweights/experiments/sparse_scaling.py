@@ -8,6 +8,10 @@ indicators, the dual-density direction t^{-alpha}, zero-based plateaus, and
 seeded random steps).  The chain depth grows like 1/delta with the distance
 delta to the boundary so the lower bound can follow the constant.
 
+The witnesses and their images T f depend only on the family, the witness and
+the measure, not on p: each family's operator is applied to each witness once,
+family by family, and the images serve every p.
+
 Pass criteria: the log-log slope of estimate vs [w] stays at most
 max(1, 1/(p-1)) + slack, and the per-point ratio estimate / [w]^exponent is
 bounded by one constant calibrated on the first sweep points.
@@ -75,26 +79,25 @@ def _load_replay_family(path: str, m: BesselMeasure):
     return S
 
 
-def measure_sweep(cfg: ScenarioConfig, p: float, lam: float, families):
-    """(rows, slope) for one exponent sweep at fixed p over the (delta, S,
-    operator) families."""
+def _family_rows(cfg: ScenarioConfig, ps: list[float], lam: float, delta: float, S, ops):
+    """rows[k][i]: operator k's sweep row at ps[i] for one family.  The
+    witnesses and their images do not depend on p, so each operator is
+    applied to each witness once; the images die with this call."""
     c = lam - 0.5
     fam_depth = cfg.get_int("family_depth", 25)
-    rows, logw, logn = [], [], []
-    for delta, S, op in families:
-        alpha = -1.0 + delta
-        w = Weight.power(alpha)
+    alpha = -1.0 + delta
+    w = Weight.power(alpha)
+    depth = len(S.cubes)
+    witnesses = witness_functions(alpha, depth, cfg.seed)
+    images = [[T(f) for f in witnesses] for T in ops]
+    rows: list[list[tuple]] = [[] for _ in ops]
+    for p in ps:
         wc = weight_constant(
             w, TildeAp(p, c), IntervalFamily.standard(fam_depth, seed=cfg.seed)
         )
-        depth = len(S.cubes)
-        witnesses = witness_functions(alpha, depth, cfg.seed)
-        est = operator_norm_lower_bound(op, p, w, witnesses, Interval(0.0, 2.0))
-        rows.append((p, alpha, delta, depth, S.eta, wc.value, est.value))
-        logw.append(math.log(wc.value))
-        logn.append(math.log(est.value))
-    slope = float(np.polyfit(logw, logn, 1)[0])
-    return rows, slope
+        for k, est in enumerate(operator_norm_lower_bound(witnesses, images, p, w, Interval(0.0, 2.0))):
+            rows[k].append((p, alpha, delta, depth, S.eta, wc.value, est.value))
+    return rows
 
 
 def _sparse_operator(S: SparseFamily, m: BesselMeasure):
@@ -104,7 +107,15 @@ def _sparse_operator(S: SparseFamily, m: BesselMeasure):
 def run_sparse_scaling(cfg: ScenarioConfig, apply_op=_sparse_operator, budget_factor: float = 1.0,
                        label: str = "sparse operator") -> Verdict:
     """`apply_op(S, m)` builds the operator f -> FuncExpr of one family; each
-    family is built once and serves every p and witness."""
+    family is built once and its operator serves every p and witness."""
+    return run_operator_sweeps(cfg, lambda S, m: (apply_op(S, m),), (label,), budget_factor)
+
+
+def run_operator_sweeps(cfg: ScenarioConfig, build, labels, budget_factor: float) -> Verdict:
+    """The sweep for several operators of each family at once: `build(S, m)`
+    returns one operator f -> FuncExpr per label.  The families, witnesses,
+    weight constants and witness norms are shared by every operator; each
+    label gets its own checks, CSV and replayable family."""
     verdict = Verdict(cfg.name)
     lam = cfg.get_float("lam", 1.0)
     ps = cfg.get_floats("ps", "1.5 2 3")
@@ -123,48 +134,54 @@ def run_sparse_scaling(cfg: ScenarioConfig, apply_op=_sparse_operator, budget_fa
             if replay
             else chain_family(delta, depth_growth, depth_cap, m)
         )
-        families.append((delta, S, apply_op(S, m)))
+        families.append((delta, S, build(S, m)))
     deepest = max((S for _, S, _ in families), key=lambda S: len(S.cubes), default=None)
+    # family_rows[f][k][i]: family f, operator k, ps[i]
+    family_rows = [_family_rows(cfg, ps, lam, delta, S, ops) for delta, S, ops in families]
 
-    all_rows = []
-    for p in ps:
-        exponent = budget_factor * max(1.0, 1.0 / (p - 1.0))
-        rows, slope = measure_sweep(cfg, p, lam, families)
-        ratios = [est / wc**exponent for (*_, wc, est) in rows]
-        all_rows += [r + (ratio,) for r, ratio in zip(rows, ratios)]
-        budget = exponent + slack
-        verdict.add(
-            f"{label} slope p={p:g}",
-            slope,
-            budget,
-            slope <= budget,
-            note=f"log-log slope of norm lower bound vs [w]; budget {budget_factor:g}*max(1,1/(p-1))+{slack:g}",
+    for k, label in enumerate(labels):
+        all_rows = []
+        for i, p in enumerate(ps):
+            exponent = budget_factor * max(1.0, 1.0 / (p - 1.0))
+            rows = [fr[k][i] for fr in family_rows]
+            logw = [math.log(wc) for (*_, wc, _) in rows]
+            logn = [math.log(est) for (*_, est) in rows]
+            slope = float(np.polyfit(logw, logn, 1)[0])
+            ratios = [est / wc**exponent for (*_, wc, est) in rows]
+            all_rows += [r + (ratio,) for r, ratio in zip(rows, ratios)]
+            budget = exponent + slack
+            verdict.add(
+                f"{label} slope p={p:g}",
+                slope,
+                budget,
+                slope <= budget,
+                note=f"log-log slope of norm lower bound vs [w]; budget {budget_factor:g}*max(1,1/(p-1))+{slack:g}",
+            )
+            c_cal = calib_margin * max(ratios[:calib_count])
+            verdict.add(
+                f"{label} single-constant ratio p={p:g}",
+                max(ratios),
+                c_cal,
+                max(ratios) <= c_cal,
+                note="estimate/[w]^exponent bounded by the constant calibrated on the first sweep points",
+            )
+        slug = label.replace(" ", "_").replace("(", "_").replace(")", "")
+        path = write_csv(
+            os.path.join(cfg.out_dir, f"{cfg.name}_{slug}_lam{lam:g}.csv"),
+            [
+                f"scenario={cfg.name} seed={cfg.seed} lam={lam:g}",
+                f"check: {label} norm lower bound <= C * [w]^({budget_factor:g}*max(1,1/(p-1))) "
+                "for the modified class at parameter lam-1/2",
+            ],
+            ["p", "alpha", "delta", "chain_depth", "eta", "weight_constant",
+             "norm_lower_bound", "ratio_to_envelope"],
+            all_rows,
         )
-        c_cal = calib_margin * max(ratios[:calib_count])
-        verdict.add(
-            f"{label} single-constant ratio p={p:g}",
-            max(ratios),
-            c_cal,
-            max(ratios) <= c_cal,
-            note="estimate/[w]^exponent bounded by the constant calibrated on the first sweep points",
-        )
-    slug = label.replace(" ", "_").replace("(", "_").replace(")", "")
-    path = write_csv(
-        os.path.join(cfg.out_dir, f"{cfg.name}_{slug}_lam{lam:g}.csv"),
-        [
-            f"scenario={cfg.name} seed={cfg.seed} lam={lam:g}",
-            f"check: {label} norm lower bound <= C * [w]^({budget_factor:g}*max(1,1/(p-1))) "
-            "for the modified class at parameter lam-1/2",
-        ],
-        ["p", "alpha", "delta", "chain_depth", "eta", "weight_constant",
-         "norm_lower_bound", "ratio_to_envelope"],
-        all_rows,
-    )
-    verdict.artifacts.append(path)
-    if deepest is not None:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        fam_path = os.path.join(cfg.out_dir, f"{cfg.name}_{slug}_lam{lam:g}.sparse")
-        with open(fam_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(deepest.to_lines()) + "\n")
-        verdict.artifacts.append(fam_path)
+        verdict.artifacts.append(path)
+        if deepest is not None:
+            os.makedirs(cfg.out_dir, exist_ok=True)
+            fam_path = os.path.join(cfg.out_dir, f"{cfg.name}_{slug}_lam{lam:g}.sparse")
+            with open(fam_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write("\n".join(deepest.to_lines()) + "\n")
+            verdict.artifacts.append(fam_path)
     return verdict

@@ -61,7 +61,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 from scipy.special import gamma, gammaincc
 
-from .errors import DivergenceError, QuadratureError, RepresentationError
+from .errors import DivergenceError, PreconditionError, QuadratureError, RepresentationError
 
 __all__ = [
     "Interval",
@@ -550,42 +550,57 @@ class FuncExpr:
 
     # -- arithmetic ----------------------------------------------------------
 
+    def _cell_ranges(self, grid: list[float]) -> list[tuple[int, int, tuple[Atom, ...]]]:
+        """(i, j, atoms) for each piece that meets the grid's span: the piece
+        covers cells i .. j-1 of the grid, found by two bisects.
+
+        Every piece end inside the span must be a grid point, as on the union
+        grid of `_piece_ends`; PreconditionError otherwise."""
+        if len(grid) < 2:
+            return []
+        first, last = grid[0], grid[-1]
+        out, j = [], 0
+        for p in self.pieces[max(bisect.bisect_right(self._los, first) - 1, 0) :]:
+            if p.lo >= last:
+                break
+            lo, hi = max(p.lo, first), min(p.hi, last)
+            if lo >= hi:
+                continue
+            i = bisect.bisect_left(grid, lo, j)
+            j = bisect.bisect_left(grid, hi, i)
+            if grid[i] != lo or grid[j] != hi:
+                raise PreconditionError(
+                    "a piece end inside the grid's span is not a grid point", witness=(p.lo, p.hi)
+                )
+            out.append((i, j, p.atoms))
+        return out
+
     def _cells_on(self, grid: list[float]) -> list[tuple[Atom, ...]]:
-        """The atoms on each cell of the grid: those of the piece that holds
-        the cell's midpoint, () off the pieces."""
-        out = []
-        los, pieces = self._los, self.pieces
-        for lo, hi in zip(grid, grid[1:]):
-            mid = _geometric_mid(lo, hi)
-            i = bisect.bisect_right(los, mid) - 1
-            atoms: tuple[Atom, ...] = ()
-            if i >= 0 and mid < pieces[i].hi:  # and pieces[i].lo <= mid, by bisect
-                atoms = pieces[i].atoms
-            out.append(atoms)
+        """The atoms on each cell of the grid, () off the pieces; each piece
+        fills its range of cells (`_cell_ranges`)."""
+        out: list[tuple[Atom, ...]] = [()] * max(len(grid) - 1, 0)
+        for i, j, atoms in self._cell_ranges(grid):
+            out[i:j] = repeat(atoms, j - i)
         return out
 
     @classmethod
     def sum(cls, terms: Iterable["FuncExpr"]) -> "FuncExpr":
         """t_1 + ... + t_n on the union grid of their piece ends, in one pass.
 
-        Each term is looked up on the cells of its own span by `_cells_on`, and
-        each cell adds its terms' atoms in term order; zero atoms and a cell
-        whose atoms cancel are dropped, so the sum of one term is that term
-        cleaned.
+        Each piece of each term adds its atoms to the cells of its range on
+        that grid (`_cell_ranges`), in term order; zero atoms and a cell whose
+        atoms cancel are dropped, so the sum of one term is that term cleaned.
         """
         terms = list(terms)
         grid = _piece_ends(terms)
         cells: list[dict | None] = [None] * (len(grid) - 1)  # the running sum per cell
         for t in terms:
-            if t.pieces:  # past the last piece's hi the midpoint rule finds no piece
-                i = bisect.bisect_left(grid, t.pieces[0].lo)
-                for atoms in t._cells_on(grid[i : bisect.bisect_left(grid, t.pieces[-1].hi) + 1]):
-                    if atoms:
-                        cell = cells[i]
-                        if cell is None:
-                            cell = cells[i] = {}
-                        _add_atoms(cell, atoms)
-                    i += 1
+            for i, j, atoms in t._cell_ranges(grid):
+                for k in range(i, j):
+                    cell = cells[k]
+                    if cell is None:
+                        cell = cells[k] = {}
+                    _add_atoms(cell, atoms)
         return cls._of_cells(
             [Piece(lo, hi, _atoms_of(cell)) for lo, hi, cell in zip(grid, grid[1:], cells) if cell]
         )

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .dyadic import SparseFamily
 from .errors import PreconditionError
@@ -116,24 +116,32 @@ class OperatorNormEstimate:
 
 
 def operator_norm_lower_bound(
-    T: Callable[[FuncExpr], FuncExpr],
+    witnesses: Sequence[FuncExpr],
+    images: Sequence[Sequence[FuncExpr]],
     p: float,
     w: Weight,
-    witnesses: Sequence[FuncExpr],
     domain: Interval,
-) -> OperatorNormEstimate:
-    """max over witnesses of ||T f||_{L^p(w dx)} / ||f||_{L^p(w dx)}."""
-    best, best_f = -math.inf, None
-    for f in witnesses:
-        nf = lp_norm(f, p, w, domain)
-        if nf <= 0.0:
-            continue
-        ratio = lp_norm(T(f), p, w, domain) / nf
-        if ratio > best:
-            best, best_f = ratio, f
-    if best_f is None:
-        raise PreconditionError("all witnesses have zero norm in L^p(w dx)")
-    return OperatorNormEstimate(best, best_f, p, w)
+) -> tuple[OperatorNormEstimate, ...]:
+    """For each operator T, given by its images [T f for f in witnesses], the
+    max over witnesses of ||T f||_{L^p(w dx)} / ||f||_{L^p(w dx)}.
+
+    The caller applies each T once per witness, and the images serve every
+    p; the witness norms are computed once per call and serve every T.
+    """
+    norms = [lp_norm(f, p, w, domain) for f in witnesses]
+    out = []
+    for T_fs in images:
+        best, best_f = -math.inf, None
+        for f, nf, Tf in zip(witnesses, norms, T_fs, strict=True):
+            if nf <= 0.0:
+                continue
+            ratio = lp_norm(Tf, p, w, domain) / nf
+            if ratio > best:
+                best, best_f = ratio, f
+        if best_f is None:
+            raise PreconditionError("all witnesses have zero norm in L^p(w dx)")
+        out.append(OperatorNormEstimate(best, best_f, p, w))
+    return tuple(out)
 
 
 # -- layered mass bound for banded sparse families -----------------------------------

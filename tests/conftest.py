@@ -1,4 +1,5 @@
 """Shared test helpers: `FuncExpr.sum` written out from its contract, the
+midpoint rule that `FuncExpr._cells_on` replaced and must reproduce, the
 per-pair root scan that the vectorised one in `FuncExpr._piece_roots`
 replaced and must reproduce, a comparable view of a function's cells, and a
 record of the cells the root scan is asked about."""
@@ -44,6 +45,11 @@ def reference_sum(terms):
     return FuncExpr(pieces)
 
 
+def reference_cells_on(f, grid):
+    """FuncExpr._cells_on as it looked each grid cell up at its midpoint."""
+    return [_reference_atoms_at(f, _reference_mid(lo, hi)) for lo, hi in zip(grid, grid[1:])]
+
+
 def reference_piece_roots(p):
     """FuncExpr._piece_roots as it walked the scan one pair of points at a time."""
     if len(p.atoms) == 1 and p.atoms[0][2] == 0:
@@ -79,6 +85,11 @@ def cells_of(f):
 @pytest.fixture(name="reference_sum")
 def _reference_sum_fixture():
     return reference_sum
+
+
+@pytest.fixture(name="reference_cells_on")
+def _reference_cells_on_fixture():
+    return reference_cells_on
 
 
 @pytest.fixture(name="reference_piece_roots")

@@ -121,7 +121,39 @@ class TestRunners:
         )
         assert run_sparse_scaling(cfg, apply_op=build).passed
         assert built == [10, 10, 20]  # one build per delta, shared by both p
-        assert sorted(set(applied)) == [10, 20] and len(applied) == 2 * 3 * 7  # p x delta x witness
+        # delta x witness: the images serve both p
+        assert sorted(set(applied)) == [10, 20] and len(applied) == 3 * 7
+
+    def test_commutator_bound_shares_each_familys_factors(self, tmp_path, monkeypatch):
+        """One `oscillation_factors` build per family serves both variants, and
+        each variant applies it once per witness."""
+        from besselweights.experiments import commutator_bound
+
+        built, applied = [], []
+        build, apply = commutator_bound.oscillation_factors, commutator_bound.sparse_commutator_apply
+
+        def count_build(S, b, m):
+            factors = build(S, b, m)
+            built.append((len(S.cubes), id(factors)))
+            return factors
+
+        def count_apply(factors, f, m, variant):
+            applied.append((id(factors), variant))
+            return apply(factors, f, m, variant)
+
+        monkeypatch.setattr(commutator_bound, "oscillation_factors", count_build)
+        monkeypatch.setattr(commutator_bound, "sparse_commutator_apply", count_apply)
+        cfg = ScenarioConfig(
+            "commutator-bound", 5, str(tmp_path),
+            {"lam": "1.0", "ps": "1.5 2", "deltas": "0.4 0.2 0.1", "family_depth": "12"}, {},
+        )
+        v = commutator_bound.run_commutator_bound(cfg)
+        assert len(v.checks) == 2 * 2 * 2 + 3 and len(v.artifacts) == 4
+        # one build per delta, then the three structural instances
+        assert [n for n, _ in built] == [10, 10, 20, 8, 8, 8]
+        for _, ident in built[:3]:  # delta x variant x witness, no factor for p
+            assert sorted(v for i, v in applied if i == ident) == ["adjoint"] * 7 + ["left"] * 7
+        assert len(applied) == 3 * 2 * 7 + 3
 
     def test_bmo_equivalence_default_ratio_band(self, tmp_path):
         # a config without [tolerances] gets the shipped band, not a looser one

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besselweights.errors import DivergenceError, QuadratureError, RepresentationError
+from besselweights.errors import (
+    DivergenceError,
+    PreconditionError,
+    QuadratureError,
+    RepresentationError,
+)
 from besselweights.measure import (
     DX,
     BesselMeasure,
@@ -23,7 +28,7 @@ from besselweights.measure import (
     monotone_inverse,
     power_log_integral,
 )
-from besselweights.measure import _power_log_integral_many
+from besselweights.measure import _piece_ends, _power_log_integral_many
 
 
 def gauss_oracle(f, a, b, n=4000):
@@ -404,6 +409,53 @@ class TestFuncExprSum:
         zero_cell = FuncExpr([Piece(0.0, 1.0, ((0.0, 0.0, 0),)), Piece(1.0, 2.0, ((1.0, 0.0, 0),))])
         assert cells_of(FuncExpr.sum([zero_cell])) == [(1.0, 2.0, ((1.0, 0.0, 0),))]
         assert FuncExpr.sum([]).is_zero()
+
+
+class TestCellLookup:
+    """`_cells_on` finds each piece's range of cells by two bisects, on a grid
+    that holds every piece end inside its span."""
+
+    ONE = ((1.0, 0.0, 0),)
+
+    @pytest.mark.parametrize("block", range(2))
+    def test_matches_the_midpoint_rule_on_the_callers_grids(self, block, reference_cells_on):
+        """Cell for cell against the midpoint rule, on the grids `sum`,
+        `__mul__` and `lp_integral` build, with sliver overlaps, gaps and
+        unbounded pieces."""
+        for seed in range(100 * block, 100 * block + 100):
+            rng = random.Random(seed)
+            terms = []
+            for _ in range(rng.randint(1, 12)):
+                terms.append(_random_term(rng, terms))
+            grid = _piece_ends(terms)  # sum
+            for t in terms:
+                assert t._cells_on(grid) == reference_cells_on(t, grid), seed
+            f, g = terms[0], terms[-1]
+            grid = _piece_ends((f, g))  # __mul__
+            assert f._cells_on(grid) == reference_cells_on(f, grid), seed
+            assert g._cells_on(grid) == reference_cells_on(g, grid), seed
+            a, b = sorted(rng.sample(_ENDS[:-1] + [0.7, 3.0], 2))
+            B = Interval(a, b)
+            fB = f.restrict(B)
+            grid = _piece_ends((fB, g.restrict(B)))  # lp_integral, g the weight
+            assert fB._cells_on(grid) == reference_cells_on(fB, grid), seed
+            assert g._cells_on(grid) == reference_cells_on(g, grid), seed
+
+    def test_a_piece_end_off_the_grid_raises(self):
+        f = FuncExpr.indicator(Interval(0.0, 2.0))
+        with pytest.raises(PreconditionError):
+            f._cells_on([0.0, 1.0, 3.0])
+        with pytest.raises(PreconditionError):
+            f._cells_on([0.5, 1.0, 3.0])
+        with pytest.raises(PreconditionError):
+            FuncExpr.indicator(Interval(1.5, 4.0))._cells_on([1.0, 2.0, 3.0])
+
+    def test_piece_ends_outside_the_span_need_no_grid_point(self):
+        f = FuncExpr.indicator(Interval(0.0, 5.0)) + FuncExpr.indicator(Interval(6.0, 7.0))
+        assert f._cells_on([1.0, 2.0, 3.0]) == [self.ONE, self.ONE]
+        assert f._cells_on([5.0, 6.0, 7.0, 8.0]) == [(), self.ONE, ()]
+        assert f._cells_on([8.0, 9.0]) == [()]
+        assert f._cells_on([1.0]) == [] and f._cells_on([]) == []
 
 
 def _sliver_pieces(rng):

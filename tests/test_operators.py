@@ -227,18 +227,19 @@ class TestNormEstimate:
     def test_identity_operator(self):
         w = Weight.one()
         witnesses = [FuncExpr.indicator(Interval(0, 1)), FuncExpr.power(1.0, 0.5).restrict(Interval(0, 1))]
-        est = operator_norm_lower_bound(lambda f: f, 2.0, w, witnesses, Interval(1e-12, 1.0))
+        (est,) = operator_norm_lower_bound(witnesses, [witnesses], 2.0, w, Interval(1e-12, 1.0))
         assert est.value == pytest.approx(1.0, rel=1e-10)
 
     def test_single_cube_projection(self):
         Q = DyadicCube(0, 0)
         S = family_of([Q], M1)
         w = Weight.one()
-        est = operator_norm_lower_bound(
-            lambda f: sparse_apply(S, f, M1),
+        witnesses = [FuncExpr.indicator(Q.interval)]
+        (est,) = operator_norm_lower_bound(
+            witnesses,
+            [[sparse_apply(S, f, M1) for f in witnesses]],
             2.0,
             w,
-            [FuncExpr.indicator(Q.interval)],
             Interval(1e-12, 1.0),
         )
         assert est.value == pytest.approx(1.0, rel=1e-10)
@@ -248,18 +249,33 @@ class TestNormEstimate:
         S = family_of([Q], M1)
         w = Weight.power(0.5)
         T = lambda f: sparse_apply(S, f, M1)
-        est = operator_norm_lower_bound(
-            T, 2.0, w,
-            [FuncExpr.indicator(Interval(0.0, 0.5)), FuncExpr.indicator(Q.interval)],
-            Interval(0.0, 1.0),
+        witnesses = [FuncExpr.indicator(Interval(0.0, 0.5)), FuncExpr.indicator(Q.interval)]
+        (est,) = operator_norm_lower_bound(
+            witnesses, [[T(f) for f in witnesses]], 2.0, w, Interval(0.0, 1.0)
         )
         f, D = est.test_function, Interval(0.0, 1.0)
         assert lp_norm(T(f), 2.0, w, D) / lp_norm(f, 2.0, w, D) == est.value
 
+    def test_witness_norms_serve_every_operator(self, monkeypatch):
+        import besselweights.operators as operators
+
+        Q = DyadicCube(0, 0)
+        S = family_of([Q], M1)
+        w, D = Weight.power(0.5), Interval(0.0, 1.0)
+        witnesses = [FuncExpr.indicator(Interval(0.0, 0.5)), FuncExpr.indicator(Q.interval)]
+        images = [witnesses, [sparse_apply(S, f, M1) for f in witnesses]]
+        norm, calls = operators.lp_norm, []
+        monkeypatch.setattr(operators, "lp_norm", lambda f, *a: calls.append(f) or norm(f, *a))
+        identity, projection = operator_norm_lower_bound(witnesses, images, 2.0, w, D)
+        assert len(calls) == 2 + 2 * 2  # each witness once, then each image
+        assert identity.value == pytest.approx(1.0, rel=1e-12)
+        f = projection.test_function
+        assert projection.value == norm(sparse_apply(S, f, M1), 2.0, w, D) / norm(f, 2.0, w, D)
+
     def test_zero_witnesses_raise(self):
         with pytest.raises(PreconditionError):
             operator_norm_lower_bound(
-                lambda f: f, 2.0, Weight.one(), [FuncExpr.zero()], Interval(1e-12, 1.0)
+                [FuncExpr.zero()], [[FuncExpr.zero()]], 2.0, Weight.one(), Interval(1e-12, 1.0)
             )
 
     def test_holder_split_of_major_subsets(self):
