@@ -127,17 +127,16 @@ def run_operator_sweeps(cfg: ScenarioConfig, build, labels, budget_factor: float
     replay = cfg.params.get("sparse_file")
 
     m = BesselMeasure(lam)
-    families = []
+    deepest, family_rows = None, []  # family_rows[f][k][i]: family f, operator k, ps[i]
     for delta in boundary_weights(cfg):
         S = (
             _load_replay_family(replay, m)
             if replay
             else chain_family(delta, depth_growth, depth_cap, m)
         )
-        families.append((delta, S, build(S, m)))
-    deepest = max((S for _, S, _ in families), key=lambda S: len(S.cubes), default=None)
-    # family_rows[f][k][i]: family f, operator k, ps[i]
-    family_rows = [_family_rows(cfg, ps, lam, delta, S, ops) for delta, S, ops in families]
+        family_rows.append(_family_rows(cfg, ps, lam, delta, S, build(S, m)))
+        if deepest is None or len(S.cubes) > len(deepest.cubes):
+            deepest = S
 
     for k, label in enumerate(labels):
         all_rows = []
