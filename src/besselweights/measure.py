@@ -556,14 +556,20 @@ class FuncExpr:
 
         Every piece end inside the span must be a grid point, as on the union
         grid of `_piece_ends`; PreconditionError otherwise."""
+        out: list[tuple[int, int, tuple[Atom, ...]]] = []
         if len(grid) < 2:
-            return []
+            return out
         first, last = grid[0], grid[-1]
-        out, j = [], 0
-        for p in self.pieces[max(bisect.bisect_right(self._los, first) - 1, 0) :]:
-            if p.lo >= last:
+        pieces, j = self.pieces, 0
+        for k in range(max(bisect.bisect_right(self._los, first) - 1, 0), len(pieces)):
+            p = pieces[k]
+            lo, hi = p.lo, p.hi
+            if lo >= last:
                 break
-            lo, hi = max(p.lo, first), min(p.hi, last)
+            if lo < first:
+                lo = first
+            if hi > last:
+                hi = last
             if lo >= hi:
                 continue
             i = bisect.bisect_left(grid, lo, j)
@@ -580,7 +586,7 @@ class FuncExpr:
         fills its range of cells (`_cell_ranges`)."""
         out: list[tuple[Atom, ...]] = [()] * max(len(grid) - 1, 0)
         for i, j, atoms in self._cell_ranges(grid):
-            out[i:j] = repeat(atoms, j - i)
+            out[i:j] = [atoms] * (j - i)
         return out
 
     @classmethod
