@@ -95,7 +95,8 @@ def _family_rows(cfg: ScenarioConfig, ps: list[float], lam: float, delta: float,
         wc = weight_constant(
             w, TildeAp(p, c), IntervalFamily.standard(fam_depth, seed=cfg.seed)
         )
-        for k, est in enumerate(operator_norm_lower_bound(witnesses, images, p, w, Interval(0.0, 2.0))):
+        estimates = operator_norm_lower_bound(witnesses, images, p, w, Interval(0.0, 2.0))
+        for k, est in enumerate(estimates):
             rows[k].append((p, alpha, delta, depth, S.eta, wc.value, est.value))
     return rows
 

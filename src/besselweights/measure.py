@@ -560,9 +560,8 @@ class FuncExpr:
         if len(grid) < 2:
             return out
         first, last = grid[0], grid[-1]
-        pieces, j = self.pieces, 0
-        for k in range(max(bisect.bisect_right(self._los, first) - 1, 0), len(pieces)):
-            p = pieces[k]
+        j = 0
+        for p in self.pieces[max(bisect.bisect_right(self._los, first) - 1, 0) :]:
             lo, hi = p.lo, p.hi
             if lo >= last:
                 break
@@ -584,7 +583,7 @@ class FuncExpr:
     def _cells_on(self, grid: list[float]) -> list[tuple[Atom, ...]]:
         """The atoms on each cell of the grid, () off the pieces; each piece
         fills its range of cells (`_cell_ranges`)."""
-        out: list[tuple[Atom, ...]] = [()] * max(len(grid) - 1, 0)
+        out: list[tuple[Atom, ...]] = [()] * (len(grid) - 1) if grid else []
         for i, j, atoms in self._cell_ranges(grid):
             out[i:j] = [atoms] * (j - i)
         return out

@@ -134,11 +134,11 @@ class TestRunners:
 
         def count_build(S, b, m):
             factors = build(S, b, m)
-            built.append((len(S.cubes), id(factors)))
+            built.append((len(S.cubes), factors))
             return factors
 
         def count_apply(factors, f, m, variant):
-            applied.append((id(factors), variant))
+            applied.append((factors, variant))
             return apply(factors, f, m, variant)
 
         monkeypatch.setattr(commutator_bound, "oscillation_factors", count_build)
@@ -147,12 +147,13 @@ class TestRunners:
             "commutator-bound", 5, str(tmp_path),
             {"lam": "1.0", "ps": "1.5 2", "deltas": "0.4 0.2 0.1", "family_depth": "12"}, {},
         )
-        v = commutator_bound.run_commutator_bound(cfg)
-        assert len(v.checks) == 2 * 2 * 2 + 3 and len(v.artifacts) == 4
+        verdict = commutator_bound.run_commutator_bound(cfg)
+        assert len(verdict.checks) == 2 * 2 * 2 + 3 and len(verdict.artifacts) == 4
         # one build per delta, then the three structural instances
         assert [n for n, _ in built] == [10, 10, 20, 8, 8, 8]
-        for _, ident in built[:3]:  # delta x variant x witness, no factor for p
-            assert sorted(v for i, v in applied if i == ident) == ["adjoint"] * 7 + ["left"] * 7
+        for _, factors in built[:3]:  # delta x variant x witness, no factor for p
+            variants = sorted(v for fs, v in applied if fs is factors)
+            assert variants == ["adjoint"] * 7 + ["left"] * 7
         assert len(applied) == 3 * 2 * 7 + 3
 
     def test_bmo_equivalence_default_ratio_band(self, tmp_path):
