@@ -105,11 +105,10 @@ def _sparse_operator(S: SparseFamily, m: BesselMeasure):
     return lambda f: sparse_apply(S, f, m)
 
 
-def run_sparse_scaling(cfg: ScenarioConfig, apply_op=_sparse_operator, budget_factor: float = 1.0,
-                       label: str = "sparse operator") -> Verdict:
+def run_sparse_scaling(cfg: ScenarioConfig, apply_op=_sparse_operator) -> Verdict:
     """`apply_op(S, m)` builds the operator f -> FuncExpr of one family; each
     family is built once and its operator serves every p and witness."""
-    return run_operator_sweeps(cfg, lambda S, m: (apply_op(S, m),), (label,), budget_factor)
+    return run_operator_sweeps(cfg, lambda S, m: (apply_op(S, m),), ("sparse operator",), 1.0)
 
 
 def run_operator_sweeps(cfg: ScenarioConfig, build, labels, budget_factor: float) -> Verdict:

@@ -114,8 +114,6 @@ OPTIONS = [
     "experiments.config.load_config(seed_override)",
     "experiments.config.load_default_config(seed_override)",
     "experiments.sparse_scaling.run_sparse_scaling(apply_op)",
-    "experiments.sparse_scaling.run_sparse_scaling(budget_factor)",
-    "experiments.sparse_scaling.run_sparse_scaling(label)",
     "measure.FuncExpr.indicator(value)",
     "measure.monotone_inverse(increasing)",
     "measure.integrate_callable(kind)",
