@@ -29,13 +29,23 @@ def _run_one(scenario: str, config_path, out_dir, seed) -> Verdict:
     return runner(cfg)
 
 
-def _report(verdicts: list[Verdict]) -> int:
+def _run_and_exit(scenarios, config_path, out_dir, seed) -> None:
+    """Run the scenarios, print their check lines, and exit with the status;
+    a configuration or runtime error prints one line and exits 1."""
+    try:
+        verdicts = [_run_one(n, config_path, out_dir, seed) for n in scenarios]
+    except ConfigError as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(EXIT_ERROR)
+    except BesselWeightsError as exc:
+        click.echo(f"runtime error: {exc}", err=True)
+        sys.exit(EXIT_ERROR)
     failed = False
     for v in verdicts:
         for line in v.lines():
             click.echo(line)
         failed |= not v.passed
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    sys.exit(EXIT_CHECK_FAILED if failed else EXIT_OK)
 
 
 def _common_options(fn):
@@ -67,15 +77,7 @@ def _make_command(scenario_name: str):
     @main.command(name=scenario_name, help=SCENARIOS[scenario_name][1])
     @_common_options
     def _cmd(config_path, out_dir, seed):
-        try:
-            verdict = _run_one(scenario_name, config_path, out_dir, seed)
-        except ConfigError as exc:
-            click.echo(f"config error: {exc}", err=True)
-            sys.exit(EXIT_ERROR)
-        except BesselWeightsError as exc:
-            click.echo(f"runtime error: {exc}", err=True)
-            sys.exit(EXIT_ERROR)
-        sys.exit(_report([verdict]))
+        _run_and_exit((scenario_name,), config_path, out_dir, seed)
 
     return _cmd
 
@@ -91,15 +93,7 @@ def run_all(config_path, out_dir, seed):
         click.echo("`all` uses the shipped per-scenario configs; --config is "
                    "only valid for single scenarios", err=True)
         sys.exit(EXIT_ERROR)
-    try:
-        verdicts = [_run_one(n, None, out_dir, seed) for n in SCENARIOS]
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
-    except BesselWeightsError as exc:
-        click.echo(f"runtime error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
-    sys.exit(_report(verdicts))
+    _run_and_exit(SCENARIOS, None, out_dir, seed)
 
 
 if __name__ == "__main__":

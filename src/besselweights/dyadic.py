@@ -57,9 +57,6 @@ class DyadicCube:
     def interval(self) -> Interval:
         return Interval(self.index * self.side, (self.index + 1) * self.side)
 
-    def parent(self) -> "DyadicCube":
-        return DyadicCube(self.level - 1, self.index // 2)
-
     def children(self) -> tuple["DyadicCube", "DyadicCube"]:
         return (
             DyadicCube(self.level + 1, 2 * self.index),
@@ -136,25 +133,36 @@ class SparseFamily:
         return cls(tuple(cubes), subsets, 1.0 if eta is None else eta)
 
 
+def _nesting(
+    cubes: Sequence[DyadicCube],
+) -> tuple[dict[DyadicCube, int], dict[DyadicCube, list[DyadicCube]]]:
+    """(layer, children) of each family cube, in one depth-first walk.
+
+    Sorted by (left end, level), the left end counted exactly in units of
+    2^-top at the finest level top, the cubes list each one before the cubes
+    inside it, and those before any cube to its right; so a stack of open
+    cubes holds each cube's family ancestors.  layer(Q) is their number, and
+    the children of Q are the cubes whose nearest family ancestor is Q."""
+    top = max((Q.level for Q in cubes), default=0)
+    layer: dict[DyadicCube, int] = {}
+    children: dict[DyadicCube, list[DyadicCube]] = {}
+    stack: list[DyadicCube] = []
+    for Q in sorted(set(cubes), key=lambda Q: (Q.index << (top - Q.level), Q.level)):
+        while stack and not stack[-1].contains(Q):
+            stack.pop()
+        if stack:
+            children[stack[-1]].append(Q)
+        layer[Q], children[Q] = len(stack), []
+        stack.append(Q)
+    return layer, children
+
+
 def layer_decompose(cubes: Sequence[DyadicCube]) -> tuple[tuple[DyadicCube, ...], ...]:
-    """Peel maximal cubes: layer(Q) = length of the longest chain of family
-    cubes strictly containing Q, so the cubes of layer v+1 are the maximal
-    ones once layers <= v are removed."""
-    cube_set = set(cubes)
-    by_level = sorted(cube_set)  # level ascending: ancestors first
-    min_level = by_level[0].level if by_level else 0
-    layer_of: dict[DyadicCube, int] = {}
-    for Q in by_level:
-        depth = 0
-        anc = Q
-        while anc.level > min_level:
-            anc = anc.parent()
-            if anc in cube_set:
-                depth = max(depth, layer_of[anc] + 1)
-        layer_of[Q] = depth
-    if not by_level:
-        return ()
-    n_layers = max(layer_of.values()) + 1
+    """Peel maximal cubes: layer(Q) = the number of family cubes strictly
+    containing Q, so the cubes of layer v+1 are the maximal ones once layers
+    <= v are removed."""
+    layer_of, _ = _nesting(cubes)
+    n_layers = max(layer_of.values(), default=-1) + 1
     layers: list[list[DyadicCube]] = [[] for _ in range(n_layers)]
     for Q, v in layer_of.items():
         layers[v].append(Q)
@@ -182,13 +190,11 @@ def canonical_major_subsets(cubes: Sequence[DyadicCube], m: BesselMeasure) -> Sp
     The E_Q are pairwise disjoint by the layer structure; eta is the min of
     mu(E_Q)/mu(Q) as `verify_sparse` measures it (eta = 0 is allowed and
     returned)."""
-    layers = layer_decompose(cubes)
-    subsets: dict[DyadicCube, tuple[Interval, ...]] = {}
-    for v, layer in enumerate(layers):
-        next_layer = layers[v + 1] if v + 1 < len(layers) else ()
-        for Q in layer:
-            holes = [P.interval for P in next_layer if Q.contains(P)]
-            subsets[Q] = subtract_intervals(Q.interval, holes)
+    _, children = _nesting(cubes)
+    subsets = {
+        Q: subtract_intervals(Q.interval, [P.interval for P in kids])
+        for Q, kids in children.items()
+    }
     eta, _ = verify_sparse(SparseFamily(tuple(cubes), subsets, 1.0), m)
     return SparseFamily(tuple(cubes), subsets, min(eta, 1.0))
 

@@ -519,14 +519,6 @@ class FuncExpr:
         hi = self.pieces[-1].hi
         return None if hi == math.inf else Interval(self.pieces[0].lo, hi)
 
-    def breakpoints(self) -> list[float]:
-        pts: list[float] = []
-        for p in self.pieces:
-            pts.append(p.lo)
-            if p.hi != math.inf:
-                pts.append(p.hi)
-        return sorted(set(pts))
-
     def __call__(self, x: float) -> float:
         """Evaluate at x > 0; cells are half-open [lo, hi), zero off cells."""
         if x <= 0.0:
@@ -846,7 +838,7 @@ def _limit_at_zero(p: Piece) -> float:
 
 def _geometric_mid(lo: float, hi: float) -> float:
     if lo > 0.0 and hi < math.inf:
-        return math.sqrt(lo * hi)
+        return math.sqrt(lo) * math.sqrt(hi)  # sqrt(lo * hi) underflows below 1e-308
     if hi == math.inf:
         return max(2.0 * lo, 1.0)
     return hi / 2.0
@@ -1131,20 +1123,15 @@ def integrate_callable(
     g: Callable[[float], float],
     B: Interval,
     kind: MeasureKind = DX,
-    points: Sequence[float] | None = None,
     rel_tol: float = 1e-10,
 ) -> float:
     """integral of g(x) * x^e dx over B by `_guarded_quad`."""
     e = kind.exponent
     integrand = (lambda x: g(x)) if e == 0.0 else (lambda x: g(x) * x**e)
-    interior = sorted({p for p in (points or []) if B.a < p < B.b})
-    return _guarded_quad(integrand, B.a, B.b, rel_tol, interior or None)
+    return _guarded_quad(integrand, B.a, B.b, rel_tol)
 
 
-def _guarded_quad(
-    fn: Callable[[float], float], a: float, b: float, rel_tol: float,
-    points: Sequence[float] | None = None,
-) -> float:
+def _guarded_quad(fn: Callable[[float], float], a: float, b: float, rel_tol: float) -> float:
     """integral of fn over (a, b) by adaptive quadrature.
 
     Subdivision is bounded by scipy's limit; failure to reach `rel_tol`
@@ -1154,9 +1141,7 @@ def _guarded_quad(
     with warnings.catch_warnings():
         # the explicit error check below supersedes scipy's advisory warnings
         warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(
-            fn, a, b, points=points, limit=200, epsabs=_QUAD_ABS_FLOOR, epsrel=rel_tol
-        )
+        val, err = quad(fn, a, b, limit=200, epsabs=_QUAD_ABS_FLOOR, epsrel=rel_tol)
     if not math.isfinite(val):
         raise DivergenceError("quadrature returned a non-finite value")
     if err > rel_tol * max(abs(val), 1e-12) and err > 1e-13:

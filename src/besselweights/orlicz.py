@@ -227,42 +227,40 @@ def complementary(phi: YoungFunction) -> YoungFunction:
 # -- Luxemburg norm ------------------------------------------------------------
 
 
-def _mean_of_phi(
-    g_abs: FuncExpr, phi: YoungFunction, B: Interval, m: BesselMeasure, s: float
-) -> float:
-    """(1/mu(B)) int_B phi(|f|/s) dmu; exact for piecewise-constant |f|."""
-    muB = m.mu(B)
-    if g_abs.is_piecewise_constant():
+def luxemburg_norm(f: FuncExpr, phi: YoungFunction, B: Interval, m: BesselMeasure) -> float:
+    """Luxemburg gauge of f on B with respect to dmu: the s where the
+    decreasing mean of phi(|f|/s) falls to 1, by monotone_inverse.
+
+    |f| is cut into its cells on B once.  The mean at each s sums
+    phi(v/s) mu(cell) exactly over the constant cells, then adds one
+    quadrature per other cell; an infinite phi value or an overflow makes it
+    +inf."""
+    g_abs = f.restrict(B).abs()  # its pieces are the cells of |f| on B
+    if g_abs.is_zero():
+        return 0.0
+    const, curved = [], []
+    for p in g_abs.pieces:
+        if all(alpha == 0.0 and k == 0 for _, alpha, k in p.atoms):
+            const.append((abs(p.atoms[0][0]), m.mu(Interval(p.lo, p.hi))))
+        else:
+            curved.append((Interval(p.lo, p.hi), p.eval))
+    muB, kind = m.mu(B), dmu(m)
+
+    def mean(s: float) -> float:
         total = 0.0
-        for p in g_abs.pieces:
-            lo, hi = max(p.lo, B.a), min(p.hi, B.b)
-            if lo >= hi:
-                continue
-            v = abs(p.atoms[0][0])
+        for v, mass in const:
             phival = phi(v / s)
             if math.isinf(phival):
                 return math.inf
-            total += phival * m.mu(Interval(lo, hi))
+            total += phival * mass
+        try:
+            for cell, g in curved:
+                total += integrate_callable(lambda x: phi(abs(g(x)) / s), cell, kind, rel_tol=1e-11)
+        except OverflowError:
+            return math.inf
         return total / muB
-    pts = g_abs.breakpoints()
-    try:
-        val = integrate_callable(
-            lambda x: phi(abs(g_abs(x)) / s), B, dmu(m), points=pts, rel_tol=1e-11
-        )
-    except OverflowError:
-        return math.inf
-    return val / muB
 
-
-def luxemburg_norm(f: FuncExpr, phi: YoungFunction, B: Interval, m: BesselMeasure) -> float:
-    """Luxemburg gauge of f on B with respect to dmu: the s where the
-    decreasing mean of phi(|f|/s) falls to 1, by monotone_inverse."""
-    g_abs = f.restrict(B).abs()
-    if g_abs.is_zero():
-        return 0.0
-    s = monotone_inverse(
-        lambda sv: _mean_of_phi(g_abs, phi, B, m, sv), 1.0, 0.0, math.inf, increasing=False
-    )
+    s = monotone_inverse(mean, 1.0, 0.0, math.inf, increasing=False)
     if math.isinf(s):
         raise PreconditionError("Luxemburg gauge: the mean stays above 1 up to s = exp(700)")
     return s

@@ -93,6 +93,51 @@ class TestLayers:
         assert sorted(Q for layer in layers for Q in layer) == sorted(set(cubes))
 
 
+def _families(rng, n):
+    """Seeded chains through a random point (levels skipped, some negative)
+    and thinned random subtrees under one or two roots, some with repeats."""
+    for trial in range(n):
+        if trial % 2 == 0:
+            x = float(rng.uniform(0.0, 3.0))
+            levels = sorted(rng.choice(np.arange(-2, 30), size=int(rng.integers(1, 12)),
+                                       replace=False))
+            cubes = [DyadicCube(int(j), int(x * 2.0**j)) for j in levels]
+        else:
+            cubes = []
+            for k in range(int(rng.integers(1, 3))):
+                tree = random_subtree(DyadicCube(1, int(rng.integers(0, 4))), 5,
+                                      seed=int(rng.integers(1 << 30)), keep_prob=0.75)
+                cubes += [Q for Q in tree if rng.uniform() < 0.6]
+        if cubes and rng.uniform() < 0.3:
+            cubes.append(cubes[int(rng.integers(len(cubes)))])
+        yield [cubes[i] for i in rng.permutation(len(cubes))]
+
+
+class TestNestingWalk:
+    """One stack walk gives the layers and the major subsets that the
+    ancestor climb and the all-pairs hole test gave."""
+
+    def test_layers_match_the_ancestor_climb(self, reference_layer_decompose):
+        rng = np.random.default_rng(23)
+        for cubes in _families(rng, 300):
+            assert layer_decompose(cubes) == reference_layer_decompose(cubes)
+
+    def test_major_subsets_match_the_all_pairs_test(self, reference_canonical_major_subsets):
+        rng = np.random.default_rng(29)
+        for m in (M0, M1):
+            for cubes in _families(rng, 150):
+                cubes = list(dict.fromkeys(cubes))  # a repeated cube overlaps itself
+                S, ref = canonical_major_subsets(cubes, m), reference_canonical_major_subsets(cubes, m)
+                assert S.major_subsets == ref.major_subsets
+                assert S.eta == ref.eta
+                assert S.to_lines() == ref.to_lines()
+
+    def test_empty_family(self, reference_canonical_major_subsets):
+        assert layer_decompose([]) == ()
+        S, ref = canonical_major_subsets([], M1), reference_canonical_major_subsets([], M1)
+        assert (S.cubes, S.major_subsets, S.eta) == (ref.cubes, ref.major_subsets, ref.eta)
+
+
 class TestSparse:
     def test_single_cube_full_subset(self):
         Q = DyadicCube(0, 0)

@@ -107,19 +107,20 @@ class TestRunners:
         assert all(os.path.exists(a) for a in v.artifacts)
 
     def test_sparse_scaling_builds_each_family_operator_once(self, tmp_path):
+        from besselweights.experiments.sparse_scaling import run_operator_sweeps
         from besselweights.operators import sparse_apply
 
         built, applied = [], []
 
         def build(S, m):
             built.append(len(S.cubes))
-            return lambda f: applied.append(len(S.cubes)) or sparse_apply(S, f, m)
+            return (lambda f: applied.append(len(S.cubes)) or sparse_apply(S, f, m),)
 
         cfg = ScenarioConfig(
             "sparse-scaling", 5, str(tmp_path),
             {"lam": "1.0", "ps": "1.5 2", "deltas": "0.4 0.2 0.1", "family_depth": "12"}, {},
         )
-        assert run_sparse_scaling(cfg, apply_op=build).passed
+        assert run_operator_sweeps(cfg, build, ("sparse operator",), 1.0).passed
         assert built == [10, 10, 20]  # one build per delta, shared by both p
         # delta x witness: the images serve both p
         assert sorted(set(applied)) == [10, 20] and len(applied) == 3 * 7

@@ -113,11 +113,9 @@ OPTIONS = [
     "experiments.config.parse_config_text(seed_override)",
     "experiments.config.load_config(seed_override)",
     "experiments.config.load_default_config(seed_override)",
-    "experiments.sparse_scaling.run_sparse_scaling(apply_op)",
     "measure.FuncExpr.indicator(value)",
     "measure.monotone_inverse(increasing)",
     "measure.integrate_callable(kind)",
-    "measure.integrate_callable(points)",
     "measure.integrate_callable(rel_tol)",
     "operators.lp_norm(domain)",
     "orlicz.llogl(eps)",

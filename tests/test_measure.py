@@ -340,6 +340,21 @@ class TestRootScan:
         assert counts == [3, 2, 1, 2, 3]
 
 
+class TestSignRead:
+    def test_sign_read_below_the_square_root_of_the_smallest_float(self):
+        # lo * hi underflows to 0, so a midpoint sqrt(lo * hi) took log(0)
+        B = Interval(1e-250, 1e-150)
+        f = FuncExpr([Piece(B.a, B.b, ((1.0, 0.0, 1), (460.5, 0.0, 0)))])  # log x + 460.5
+        regions = f.sign_regions(B)
+        assert [sgn for _, sgn in regions] == [-1, 1]
+        assert regions[0][0].a == B.a and regions[0][0].b == regions[1][0].a
+        assert regions[1][0].b == B.b
+        parts = f.abs().pieces
+        assert [(p.lo, p.hi) for p in parts] == [(iv.a, iv.b) for iv, _ in regions]
+        assert parts[0].atoms == ((-1.0, 0.0, 1), (-460.5, 0.0, 0))
+        assert parts[1].atoms == f.pieces[0].atoms
+
+
 _ENDS = [0.0, 0.125, 0.3, 0.5, 1.0, 1.7, 2.0, 4.0]
 
 
@@ -568,11 +583,6 @@ class TestQuadratureFallback:
         exact = f.integrate(B, dmu(m))
         numeric = integrate_callable(lambda x: f(x), B, dmu(m))
         assert numeric == pytest.approx(exact, rel=1e-10)
-
-    def test_reports_points(self):
-        f = FuncExpr.piecewise_constant([1.0, 2.0, 3.0], [1.0, -1.0])
-        val = integrate_callable(lambda x: f(x), Interval(1, 3), DX, points=[2.0])
-        assert val == pytest.approx(0.0, abs=1e-12)
 
 
 def lp_oracle(lo, hi, c0, c1, a, p, cw, b):

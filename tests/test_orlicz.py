@@ -174,6 +174,55 @@ class TestLuxemburg:
                 assert mean >= 1.0 - 1e-6
 
 
+class TestLuxemburgCells:
+    """`luxemburg_norm` walks the cells of |f| once; on an all-constant |f|
+    and on a single curved cell it does the float operations the two-route
+    mean did, so the gauges agree bit for bit."""
+
+    PHIS = (llogl(), power_young(2.0), exp_m1())
+
+    def test_all_constant_matches_the_two_route_mean(self, reference_luxemburg_norm):
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            pts = np.sort(rng.uniform(0.05, 4.0, size=5))
+            vals = list(rng.uniform(-3.0, 3.0, size=4) * 10.0 ** rng.integers(-3, 3, size=4))
+            f = FuncExpr.piecewise_constant(list(pts), vals)
+            B = Interval(float(rng.uniform(0.0, pts[1])), float(rng.uniform(pts[3], 5.0)))
+            for m in (M0, LEB):
+                for phi in self.PHIS:
+                    assert luxemburg_norm(f, phi, B, m) == reference_luxemburg_norm(f, phi, B, m)
+
+    @pytest.mark.parametrize("f, B, phis", [
+        # C9's densities; phi(x^-k / s) x^2 must stay integrable at 0
+        (FuncExpr.power(1.0, -2.0), Interval(0.0, 0.5), PHIS[:1]),
+        (FuncExpr.power(1.0, -1.0), Interval(0.0, 0.125), PHIS[:2]),
+        (FuncExpr.log_power(1.0, -0.5, 1), Interval(0.0, 0.5), PHIS[:2]),
+        (FuncExpr.power(-2.5, 0.7), Interval(0.3, 4.0), PHIS),
+        (FuncExpr.log_power(0.5, 0.3, 2), Interval(1.5, 6.0), PHIS),
+        (FuncExpr.log_power(-1.0, 0.0, 1), Interval(0.01, 0.9), PHIS),
+    ])
+    def test_one_curved_cell_matches_the_two_route_mean(self, f, B, phis, reference_luxemburg_norm):
+        for phi in phis:
+            assert luxemburg_norm(f, phi, B, M0) == reference_luxemburg_norm(f, phi, B, M0)
+
+    def test_cells_split_at_a_root_match_quadrature_across_it(self, reference_luxemburg_norm):
+        for c in (-0.7, 0.2, 0.9):
+            f = FuncExpr.log_power(1.0, 0.0, 1) - c  # |log x - c| cut at e^c
+            B = Interval(0.25, 4.0)
+            assert len(f.restrict(B).abs().pieces) == 2
+            for phi in self.PHIS:
+                assert luxemburg_norm(f, phi, B, M0) == pytest.approx(
+                    reference_luxemburg_norm(f, phi, B, M0), rel=1e-9, abs=0.0
+                )
+
+    def test_gauge_search_never_looks_cells_up(self, monkeypatch):
+        calls = []
+        call = FuncExpr.__call__
+        monkeypatch.setattr(FuncExpr, "__call__", lambda f, x: calls.append(x) or call(f, x))
+        val = luxemburg_norm(FuncExpr.power(1.0, -2.0), llogl(), Interval(0.0, 0.5), M0)
+        assert val > 0.0 and calls == []
+
+
 class TestEndpointConstants:
     def test_c_phi_llogl_half_finite(self):
         res = c_phi(llogl(0.5))
