@@ -406,14 +406,16 @@ def local_mean_oscillation(
     """
     if not (0.0 < lambda_frac < 1.0):
         raise ValueError("lambda_frac must lie in (0,1)")
-    return _local_mean(_classify(b, B, w), lambda_frac)[:2]
+    sym = _classify(b, B, w)
+    alpha, a_med = _median_threshold(sym, lambda_frac)
+    return min(_centre_infimum(sym, lambda_frac, True, alpha), a_med), a_med
 
 
-def _local_mean(sym: _Symbol, lambda_frac: float) -> tuple[float, float, float]:
-    """local_mean_oscillation of a classified symbol, and the median alpha."""
+def _median_threshold(sym: _Symbol, lambda_frac: float) -> tuple[float, float]:
+    """(alpha, a_med): the infimum median of a classified symbol, and the
+    strict lambda_frac tail threshold of |b - alpha|."""
     alpha = _median(sym)
-    a_med = _threshold(sym, alpha, lambda_frac * mass_of(sym.w, sym.B), strict=True)
-    return min(_centre_infimum(sym, lambda_frac, True, alpha), a_med), a_med, alpha
+    return alpha, _threshold(sym, alpha, lambda_frac * mass_of(sym.w, sym.B), strict=True)
 
 
 def median_stability_check(
@@ -427,7 +429,7 @@ def median_stability_check(
     the right endpoint (falling back to contraction for shrink targets) until
     w(B_eps) = (1 +/- eps) w(B)."""
     B_eps = _resize_to_mass(B, (1.0 + eps) * mass_of(w, B), w)
-    _, a_med, alpha = _local_mean(_classify(b, B, w), lambda_frac)
+    alpha, a_med = _median_threshold(_classify(b, B, w), lambda_frac)
     return abs(median(b, B_eps, w) - alpha), a_med
 
 

@@ -16,6 +16,7 @@ family repeatedly.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -189,7 +190,10 @@ def canonical_major_subsets(cubes: Sequence[DyadicCube], m: BesselMeasure) -> Sp
 
     The E_Q are pairwise disjoint by the layer structure; eta is the min of
     mu(E_Q)/mu(Q) as `verify_sparse` measures it (eta = 0 is allowed and
-    returned)."""
+    returned).  A repeated cube raises ValueError."""
+    repeated = [Q for Q, n in Counter(cubes).items() if n > 1]
+    if repeated:
+        raise ValueError(f"cube {repeated[0]} is repeated")
     _, children = _nesting(cubes)
     subsets = {
         Q: subtract_intervals(Q.interval, [P.interval for P in kids])

@@ -57,18 +57,25 @@ class ScenarioConfig:
 
 def parse_config_text(text: str, out_dir: str, seed_override: int | None = None) -> ScenarioConfig:
     cp = configparser.ConfigParser()
-    cp.read_string(text)
-    if "scenario" not in cp:
+    try:
+        cp.read_string(text)
+        sections = {title: dict(cp[title]) for title in cp.sections()}
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config: {' '.join(str(exc).split())}") from exc
+    if "scenario" not in sections:
         raise ConfigError("config needs a [scenario] section")
-    sec = dict(cp["scenario"])
+    sec = sections["scenario"]
     name = sec.pop("name", None)
     if not name:
         raise ConfigError("config needs scenario.name")
-    if "seed" not in sec and seed_override is None:
+    raw_seed = sec.pop("seed", None)
+    if raw_seed is None and seed_override is None:
         raise ConfigError(f"{name}: seeds are mandatory (scenario.seed)")
-    seed = seed_override if seed_override is not None else int(sec.pop("seed"))
-    sec.pop("seed", None)
-    tolerances = dict(cp["tolerances"]) if "tolerances" in cp else {}
+    try:
+        seed = seed_override if seed_override is not None else int(raw_seed)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: scenario.seed is not an integer: {raw_seed}") from exc
+    tolerances = sections.get("tolerances", {})
     return ScenarioConfig(name=name, seed=seed, out_dir=out_dir, params=sec, tolerances=tolerances)
 
 

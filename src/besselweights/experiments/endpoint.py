@@ -25,10 +25,10 @@ import os
 
 import numpy as np
 
-from ..bmo import bmo_triangle_norm, quantile_threshold
+from ..bmo import bmo_triangle_norm, median, quantile_threshold
 from ..measure import BesselMeasure, FuncExpr, Interval
 from ..orlicz import c_phi, compose_young, llogl
-from ..riesz import RieszKernelEvaluator, SeparatedBallPair, median_split
+from ..riesz import RieszKernelEvaluator, SeparatedBallPair
 from ..weights import IntervalFamily, Weight
 from .config import ScenarioConfig
 from .csvio import write_csv
@@ -178,8 +178,7 @@ def run_endpoint(cfg: ScenarioConfig) -> Verdict:
     # shape grid covering the admissible geometry box and asserted on seeded
     # random pairs at random scales
     def halving_threshold(pair: SeparatedBallPair) -> float:
-        split = median_split(b, pair, m)
-        return quantile_threshold(b, split.alpha, pair.B, w, 0.5)
+        return quantile_threshold(b, median(b, pair.Btilde, m), pair.B, w, 0.5)
 
     grid_vals = [
         halving_threshold(SeparatedBallPair.build(rel * 1.0, 1.0, sep))

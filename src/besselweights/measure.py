@@ -117,18 +117,17 @@ class MeasureKind:
     """A measure of the form x^exponent dx."""
 
     exponent: float
-    label: str = "dx"
 
 
-DX = MeasureKind(0.0, "dx")
+DX = MeasureKind(0.0)
 
 
 def dmu(m: "BesselMeasure") -> MeasureKind:
-    return MeasureKind(2.0 * m.lam, "dmu")
+    return MeasureKind(2.0 * m.lam)
 
 
 def dnu(class_lambda: float) -> MeasureKind:
-    return MeasureKind(2.0 * class_lambda + 1.0, f"dnu({class_lambda})")
+    return MeasureKind(2.0 * class_lambda + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +176,11 @@ def power_log_integral(beta: float, m: int, a: float, b: float) -> float:
             fact *= m - j
         return x**e1 * acc
 
-    if a == 0.0 and e1 <= 0.0:  # pragma: no cover - guarded above
-        raise DivergenceError("divergent at 0")
     return anti(b) - anti(a)
 
 
-# The array forms below take the branches of the scalar ones, op for op.  Their
+# The array forms below take the branches of the scalar ones, op for op, or call
+# the scalar routine itself on each element (a log atom off beta = -1).  Their
 # exp, log, expm1 and pow go element by element through the same scalar
 # routines, because numpy's vector versions may round differently in the last
 # bit: so every value equals the scalar one bit for bit, and an overflow raises
@@ -282,23 +280,9 @@ def _power_log_integral_many(
     e1 = beta + 1.0
     if m == 0:
         out[live] = _power_diff_many(e1, ends[live]) / e1
-        return out, divergent
-    ends = ends[live]
-    la, _, lb = ends.logs
-
-    def anti(x: np.ndarray, lx: np.ndarray) -> np.ndarray:
-        val = np.zeros(len(x))  # the antiderivative vanishes at 0 since e1 > 0
-        nz = x != 0.0
-        x, lx = x[nz], lx[nz]
-        fact = 1.0
-        acc = np.zeros(len(x))
-        for j in range(m + 1):
-            acc = acc + ((-1.0) ** j) * fact * _each(pow, lx, m - j) / e1 ** (j + 1)
-            fact *= m - j
-        val[nz] = _each(pow, x, e1) * acc
-        return val
-
-    out[live] = anti(ends.b, lb) - anti(ends.a, la)
+    else:  # a log atom: the scalar antiderivative, element by element
+        integral = lambda a, b: power_log_integral(beta, m, a, b)
+        out[live] = _each(integral, ends.a[live], ends.b[live])
     return out, divergent
 
 
@@ -679,8 +663,6 @@ class FuncExpr:
         and the roots beyond s are the reciprocals of the roots of f(1/y) =
         sum c (-1)^m y^{-a} log^m y, a sum of the same family, on (0, 1/s].
         """
-        if len(p.atoms) == 1 and p.atoms[0][2] == 0:
-            return []  # single pure power: constant sign
         lo, hi = p.lo, p.hi
         if hi == math.inf:
             s = max(lo, 1.0)

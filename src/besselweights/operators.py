@@ -182,8 +182,9 @@ def sparse_layer_mass_bound(
     denom = bar.inverse((2.0 * gamma) ** (2.0**k))
     h = w.expr * FuncExpr.power(1.0, -2.0 * m.lam)  # the density w/mu
     profile = orlicz_maximal_profile(h, phi, S.intervals(), m)
-    psi_of_f = _apply_young_piecewise(psi, f.restrict(_hull(S, f)), 4.0**k)
-    integral = (psi_of_f * profile).integrate(_hull(S, f), dmu(m))
+    hull = _hull(S, f)
+    psi_of_f = _apply_young_piecewise(psi, f.restrict(hull), 4.0**k)
+    integral = (psi_of_f * profile).integrate(hull, dmu(m))
     rhs2 = 4.0 * gamma / denom * integral
     return lhs, 2.0**k * wE + rhs2, {
         "w(E)": wE,

@@ -606,6 +606,22 @@ class TestMedianStability:
             lhs, rhs = median_stability_check(b, B, eps, lam_frac, w)
             assert lhs <= rhs * (1 + 1e-9) + 1e-12
 
+    def test_reads_no_infimum_over_centres(self, monkeypatch):
+        """The check reads the median and the threshold at it; the infimum over
+        centres, which it would discard, is never computed."""
+        calls, scan = [], bmo._centre_infimum
+        monkeypatch.setattr(bmo, "_centre_infimum", lambda *a: calls.append(a) or scan(*a))
+        rng = np.random.default_rng(17)
+        w = Weight.one()
+        for _ in range(5):
+            step = FuncExpr.piecewise_constant([0.2, 0.8, 1.4, 2.2], list(rng.uniform(-1, 1, size=3)))
+            a = float(10.0 ** rng.uniform(-2, 1))
+            for b, B in ((step, Interval(0.2, 2.2)), (LOGB, Interval(a, 3.0 * a))):
+                median_stability_check(b, B, float(rng.uniform(0.01, 0.3)), 0.3, w)
+        assert calls == []
+        local_mean_oscillation(LOGB, Interval(1.0, 2.0), 0.3, w)  # which does need it
+        assert len(calls) == 1
+
 
 class TestScaleInvarianceAndQuantileThreshold:
     def test_log_small_scale_defect_persists(self):

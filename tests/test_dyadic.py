@@ -1,5 +1,7 @@
 """Tests for the dyadic grid, sparse families, layers, and level sets."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,14 @@ class TestSparse:
         S = canonical_major_subsets(cubes, M1)
         assert S.eta == pytest.approx(1.0)
         assert all(S.major_subsets[Q] == (Q.interval,) for Q in S.cubes)
+
+    def test_repeated_cube_is_named(self):
+        Q = DyadicCube(1, 0)
+        cubes = [DyadicCube(0, 0), Q, Q]
+        with pytest.raises(ValueError, match=re.escape(f"cube {Q} is repeated")):
+            canonical_major_subsets(cubes, M1)
+        # the layers read a repeat as one cube
+        assert layer_decompose(cubes) == layer_decompose(cubes[:2]) == ((cubes[0],), (Q,))
 
     def test_disjointness_violation_detected(self):
         q1, q2 = DyadicCube(1, 0), DyadicCube(1, 1)

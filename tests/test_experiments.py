@@ -157,6 +157,21 @@ class TestRunners:
             assert variants == ["adjoint"] * 7 + ["left"] * 7
         assert len(applied) == 3 * 2 * 7 + 3
 
+    def test_endpoint_halving_reads_the_median_alone(self, tmp_path, monkeypatch):
+        """The halving threshold of each of the 28 grid and 16 seeded pairs
+        reads the median on Btilde, not a full median split."""
+        from besselweights import riesz
+        from besselweights.experiments import endpoint
+
+        splits, medians, median = [], [], endpoint.median
+        monkeypatch.setattr(riesz, "median_split", lambda *a: splits.append(a))
+        monkeypatch.setattr(endpoint, "median_split", lambda *a: splits.append(a), raising=False)
+        monkeypatch.setattr(endpoint, "median", lambda *a: medians.append(a) or median(*a))
+        verdict = endpoint.run_endpoint(load_default_config("endpoint", str(tmp_path)))
+        (check,) = [c for c in verdict.checks if c.name.startswith("median-threshold halving")]
+        assert check.passed
+        assert splits == [] and len(medians) == 28 + 16
+
     def test_bmo_equivalence_default_ratio_band(self, tmp_path):
         # a config without [tolerances] gets the shipped band, not a looser one
         cfg = ScenarioConfig("bmo-equivalence", 3, str(tmp_path), {"n_cases": "3"}, {})
@@ -198,6 +213,23 @@ class TestCli:
             main, ["power-sweep", "--config", str(cfg_file), "--out", str(tmp_path)]
         )
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        ["bogus line\n[scenario]\nname = power-sweep\nseed = 3\n",  # no section header
+         "[scenario]\nname = power-sweep\nseed = abc\n"],
+        ids=["no-section-header", "non-integer-seed"],
+    )
+    def test_malformed_config_prints_one_line(self, tmp_path, text):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(text)
+        result = CliRunner().invoke(
+            main, ["power-sweep", "--config", str(cfg_file), "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("config error: ")
+        assert "Traceback" not in result.output
 
     def test_counterexample_exit_two_documented_gate(self, tmp_path):
         # the strict per-decade gate cannot hold for the logarithmic tail

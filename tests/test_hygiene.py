@@ -1,7 +1,8 @@
-"""Source hygiene: every import in the package is used in its module, no
-module relies on an `assert` statement, no condition in the package or the
-tests is a constant, and the defaulted parameters of public functions are an
-audited list."""
+"""Source hygiene: every import in the package is used in its module, every
+module-level private name has a reader in the package, no module relies on
+an `assert` statement, no condition in the package or the tests is a
+constant, and the defaulted parameters of public functions are an audited
+list."""
 
 import ast
 from pathlib import Path
@@ -52,6 +53,59 @@ def test_no_unused_imports_in_the_package():
         for path in sorted(PACKAGE.rglob("*.py"))
         for name, line in unused_imports(path.read_text(encoding="utf-8"))
     ]
+    assert hits == []
+
+
+def _private_definitions(tree):
+    """(name, line, node) of each private function, class or constant bound at
+    module level; dunder names such as __all__ are not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            bound = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in bound if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node.lineno, node
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[tuple[str, str, int]]:
+    """(module, name, line) of each module-level private name that no module
+    of sources reads outside the name's own definition: code with no caller."""
+    trees = {key: ast.parse(src) for key, src in sources.items()}
+    reads = {}  # name -> the nodes that read it
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                reads.setdefault(n.id, []).append(n)
+            elif isinstance(n, ast.Attribute):
+                reads.setdefault(n.attr, []).append(n)
+    hits = []
+    for key, tree in trees.items():
+        for name, line, node in _private_definitions(tree):
+            own = {id(n) for n in ast.walk(node)}
+            if all(id(n) in own for n in reads.get(name, [])):
+                hits.append((key, name, line))
+    return hits
+
+
+def test_scan_flags_a_private_name_with_no_caller():
+    sources = {
+        "a": "_LIMIT = 3\n_DEAD: int = 4\ndef _loop(n):\n    return _loop(n - 1)\n"
+             "class _Unused:\n    pass\ndef _helper():\n    return _LIMIT\n__all__ = []\n",
+        "b": "from a import _helper\nimport a\nx = _helper() + a._other\ndef _other():\n    pass\n",
+    }
+    assert unreferenced_privates(sources) == [("a", "_DEAD", 2), ("a", "_loop", 3), ("a", "_Unused", 5)]
+
+
+def test_every_private_name_in_the_package_has_a_caller():
+    hits = unreferenced_privates({
+        str(path.relative_to(PACKAGE.parent)): path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.rglob("*.py"))
+    })
     assert hits == []
 
 
