@@ -404,8 +404,6 @@ def local_mean_oscillation(
     one monotone piece the tail is continuous, so the infimum is the window
     form of the median oscillation at s = lambda_frac.
     """
-    if not (0.0 < lambda_frac < 1.0):
-        raise ValueError("lambda_frac must lie in (0,1)")
     sym = _classify(b, B, w)
     alpha, a_med = _median_threshold(sym, lambda_frac)
     return min(_centre_infimum(sym, lambda_frac, True, alpha), a_med), a_med
@@ -414,6 +412,8 @@ def local_mean_oscillation(
 def _median_threshold(sym: _Symbol, lambda_frac: float) -> tuple[float, float]:
     """(alpha, a_med): the infimum median of a classified symbol, and the
     strict lambda_frac tail threshold of |b - alpha|."""
+    if not (0.0 < lambda_frac < 1.0):
+        raise ValueError("lambda_frac must lie in (0,1)")
     alpha = _median(sym)
     return alpha, _threshold(sym, alpha, lambda_frac * mass_of(sym.w, sym.B), strict=True)
 

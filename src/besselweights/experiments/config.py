@@ -83,7 +83,7 @@ def load_config(path: str, out_dir: str, seed_override: int | None = None) -> Sc
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config_text(text, out_dir, seed_override)
 

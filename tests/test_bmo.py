@@ -622,6 +622,12 @@ class TestMedianStability:
         local_mean_oscillation(LOGB, Interval(1.0, 2.0), 0.3, w)  # which does need it
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("lambda_frac", [0.0, 1.5, -1.0])
+    def test_rejects_a_fraction_outside_the_unit_interval(self, lambda_frac):
+        # as local_mean_oscillation does, instead of returning sup |b - alpha|, 0 or inf
+        with pytest.raises(ValueError, match="lambda_frac"):
+            median_stability_check(LOGB, Interval(1.0, 2.0), 0.1, lambda_frac, Weight.one())
+
 
 class TestScaleInvarianceAndQuantileThreshold:
     def test_log_small_scale_defect_persists(self):

@@ -215,14 +215,15 @@ class TestCli:
         assert result.exit_code == 1
 
     @pytest.mark.parametrize(
-        "text",
-        ["bogus line\n[scenario]\nname = power-sweep\nseed = 3\n",  # no section header
-         "[scenario]\nname = power-sweep\nseed = abc\n"],
-        ids=["no-section-header", "non-integer-seed"],
+        "raw",
+        [b"bogus line\n[scenario]\nname = power-sweep\nseed = 3\n",
+         b"[scenario]\nname = power-sweep\nseed = abc\n",
+         b"[scenario]\nname = power-sweep\nseed = 3\nnote = \xff\n"],
+        ids=["no-section-header", "non-integer-seed", "not-utf-8"],
     )
-    def test_malformed_config_prints_one_line(self, tmp_path, text):
+    def test_malformed_config_prints_one_line(self, tmp_path, raw):
         cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text(text)
+        cfg_file.write_bytes(raw)
         result = CliRunner().invoke(
             main, ["power-sweep", "--config", str(cfg_file), "--out", str(tmp_path)]
         )
