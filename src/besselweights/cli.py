@@ -23,7 +23,7 @@ EXIT_CHECK_FAILED = 2
 def _run_one(scenario: str, config_path, out_dir, seed) -> Verdict:
     runner, _ = SCENARIOS[scenario]
     if config_path:
-        cfg = load_config(config_path, out_dir, seed)
+        cfg = load_config(scenario, config_path, out_dir, seed)
     else:
         cfg = load_default_config(scenario, out_dir, seed)
     return runner(cfg)
@@ -50,7 +50,7 @@ def _run_and_exit(scenarios, config_path, out_dir, seed) -> None:
 
 def _common_options(fn):
     fn = click.option("--config", "config_path", type=click.Path(), default=None,
-                      help="scenario config file (flat key=value INI); defaults to the shipped one")(fn)
+                      help="scenario config file (flat key=value INI), laid over the shipped one")(fn)
     fn = click.option("--out", "out_dir", type=click.Path(), default="results",
                       help="output directory for CSV artifacts")(fn)
     fn = click.option("--seed", type=int, default=None, help="override the config seed")(fn)

@@ -57,12 +57,12 @@ def test_symbols(lam: float) -> list[tuple[str, FuncExpr]]:
 
 def run_bmo_equivalence(cfg: ScenarioConfig) -> Verdict:
     verdict = Verdict(cfg.name)
-    lam = cfg.get_float("lam", 1.0)
-    p = cfg.get_float("p", 2.0)
-    s = cfg.get_float("s", 0.25)
-    alpha = cfg.get_float("alpha", 1.0)
-    band = cfg.tol("ratio_band", 8.0)
-    n_cases = cfg.get_int("n_cases", 500)
+    lam = cfg.get_float("lam")
+    p = cfg.get_float("p")
+    s = cfg.get_float("s")
+    alpha = cfg.get_float("alpha")
+    band = cfg.get_float("ratio_band")
+    n_cases = cfg.get_count("n_cases")
 
     m = BesselMeasure(lam)
     w = Weight.power(alpha)

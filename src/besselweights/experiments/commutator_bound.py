@@ -29,7 +29,7 @@ _VARIANTS = ("left", "adjoint")
 
 
 def run_commutator_bound(cfg: ScenarioConfig) -> Verdict:
-    lam = cfg.get_float("lam", 1.0)
+    lam = cfg.get_float("lam")
     b = FuncExpr.log_of_mu_density(lam)
     m = BesselMeasure(lam)
 

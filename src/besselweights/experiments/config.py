@@ -1,8 +1,11 @@
 """Scenario configuration: flat key=value INI text, one scenario per file.
 
 Sections: [scenario] (name, seed, output knobs and scenario parameters),
-[tolerances] (check thresholds and calibration margins).  Seeds are
-mandatory; every run is a deterministic function of (config, seed, out dir).
+[tolerances] (check thresholds and calibration margins); both feed one
+parameter table.  Each scenario's shipped config holds the default of every
+parameter it reads; a `--config` file is laid over it, and may set only keys
+the shipped config has.  Seeds are mandatory; every run is a deterministic
+function of (config, seed, out dir).
 """
 
 from __future__ import annotations
@@ -20,50 +23,54 @@ class ScenarioConfig:
     seed: int
     out_dir: str
     params: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
 
     # -- typed accessors ------------------------------------------------------
 
-    def get(self, key: str, default=None) -> str:
-        if key in self.params:
-            return self.params[key]
-        if default is None:
+    def get(self, key: str) -> str:
+        if key not in self.params:
             raise ConfigError(f"{self.name}: missing config key '{key}'")
-        return default
+        return self.params[key]
 
-    def get_float(self, key: str, default: float | None = None) -> float:
-        raw = self.get(key, None if default is None else str(default))
+    def get_float(self, key: str) -> float:
+        raw = self.get(key)
         try:
             return float(raw)
         except ValueError as exc:
             raise ConfigError(f"{self.name}: key '{key}' is not a number: {raw}") from exc
 
-    def get_int(self, key: str, default: int | None = None) -> int:
-        return int(self.get_float(key, None if default is None else float(default)))
+    def get_int(self, key: str) -> int:
+        value = self.get_float(key)
+        if not value.is_integer():  # also rejects nan and inf
+            raise ConfigError(f"{self.name}: key '{key}' is not a whole number: {self.get(key)}")
+        return int(value)
 
-    def get_floats(self, key: str, default: str | None = None) -> list[float]:
-        raw = self.get(key, default)
+    def get_count(self, key: str) -> int:
+        value = self.get_int(key)
+        if value < 1:
+            raise ConfigError(f"{self.name}: key '{key}' must be at least 1: {self.get(key)}")
+        return value
+
+    def get_floats(self, key: str) -> list[float]:
+        raw = self.get(key)
         try:
-            return [float(tok) for tok in raw.split()]
+            values = [float(tok) for tok in raw.split()]
         except ValueError as exc:
             raise ConfigError(f"{self.name}: key '{key}' is not a number list: {raw}") from exc
-
-    def tol(self, key: str, default: float) -> float:
-        try:
-            return float(self.tolerances.get(key, default))
-        except ValueError as exc:
-            raise ConfigError(f"{self.name}: tolerance '{key}' malformed") from exc
+        if not values:
+            raise ConfigError(f"{self.name}: key '{key}' is an empty list")
+        return values
 
 
 def parse_config_text(text: str, out_dir: str, seed_override: int | None = None) -> ScenarioConfig:
-    cp = configparser.ConfigParser()
+    # no section plays configparser's DEFAULT, so a [DEFAULT] header is an unknown section
+    cp = configparser.ConfigParser(default_section="")
     try:
         cp.read_string(text)
         sections = {title: dict(cp[title]) for title in cp.sections()}
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {' '.join(str(exc).split())}") from exc
-    if "scenario" not in sections:
-        raise ConfigError("config needs a [scenario] section")
+    if "scenario" not in sections or not sections.keys() <= {"scenario", "tolerances"}:
+        raise ConfigError(f"config takes [scenario] and an optional [tolerances], found: {', '.join(sections)}")
     sec = sections["scenario"]
     name = sec.pop("name", None)
     if not name:
@@ -75,17 +82,26 @@ def parse_config_text(text: str, out_dir: str, seed_override: int | None = None)
         seed = seed_override if seed_override is not None else int(raw_seed)
     except ValueError as exc:
         raise ConfigError(f"{name}: scenario.seed is not an integer: {raw_seed}") from exc
-    tolerances = sections.get("tolerances", {})
-    return ScenarioConfig(name=name, seed=seed, out_dir=out_dir, params=sec, tolerances=tolerances)
+    params = {**sec, **sections.get("tolerances", {})}
+    return ScenarioConfig(name=name, seed=seed, out_dir=out_dir, params=params)
 
 
-def load_config(path: str, out_dir: str, seed_override: int | None = None) -> ScenarioConfig:
+def load_config(scenario: str, path: str, out_dir: str, seed_override: int | None = None) -> ScenarioConfig:
+    """The file at `path` laid over the scenario's shipped config."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config_text(text, out_dir, seed_override)
+    cfg = parse_config_text(text, out_dir, seed_override)
+    if cfg.name != scenario:
+        raise ConfigError(f"{path} configures scenario '{cfg.name}', not '{scenario}'")
+    shipped = load_default_config(scenario, out_dir).params
+    unknown = sorted(cfg.params.keys() - shipped.keys())
+    if unknown:
+        raise ConfigError(f"{scenario}: unknown config key(s): {', '.join(unknown)}")
+    cfg.params = {**shipped, **cfg.params}
+    return cfg
 
 
 def load_default_config(scenario: str, out_dir: str, seed_override: int | None = None) -> ScenarioConfig:

@@ -42,12 +42,12 @@ from .verdict import Verdict
 
 def run_counterexample(cfg: ScenarioConfig) -> Verdict:
     verdict = Verdict(cfg.name)
-    lams = cfg.get_floats("lams", "0.5 1.0")
-    eps = cfg.get_float("eps", 1e-3)
-    t_lo_exp = cfg.get_int("t_low_exponent", -10)
-    t_hi_exp = cfg.get_int("t_high_exponent", -2)
-    gate = cfg.tol("per_decade_gate", 1.5)
-    growth_gate = cfg.tol("total_growth_gate", 1.5)
+    lams = cfg.get_floats("lams")
+    eps = cfg.get_float("eps")
+    t_lo_exp = cfg.get_int("t_low_exponent")
+    t_hi_exp = cfg.get_int("t_high_exponent")
+    gate = cfg.get_float("per_decade_gate")
+    growth_gate = cfg.get_float("total_growth_gate")
 
     for lam in lams:
         ts = [10.0**k for k in range(t_hi_exp, t_lo_exp - 1, -1)]

@@ -26,6 +26,7 @@ import os
 import numpy as np
 
 from ..bmo import bmo_triangle_norm, median, quantile_threshold
+from ..errors import ConfigError
 from ..measure import BesselMeasure, FuncExpr, Interval
 from ..orlicz import c_phi, compose_young, llogl
 from ..riesz import RieszKernelEvaluator, SeparatedBallPair
@@ -65,15 +66,20 @@ def exceedance_mass(profiles, t: float, w: Weight) -> float:
 
 def run_endpoint(cfg: ScenarioConfig) -> Verdict:
     verdict = Verdict(cfg.name)
-    lam = cfg.get_float("lam", 1.0)
-    eps = cfg.get_float("eps", 1e-4)
-    alpha = cfg.get_float("alpha", 2.0 * lam)  # weight exponent, in (-1, 2 lam]
-    decades = cfg.get_float("decades", 6.0)
-    per_decade = cfg.get_int("points_per_decade", 2)
-    x_max = cfg.get_float("x_max", 2.0)
-    margin = cfg.tol("single_constant_margin", 1.3)
-    drift_gate = cfg.tol("l1_drift_gate", 2.0)
-    phi_eps = cfg.get_float("phi_eps", 0.5)
+    lam = cfg.get_float("lam")
+    eps = cfg.get_float("eps")
+    alpha = cfg.get_float("alpha")  # weight exponent
+    if not -1.0 < alpha <= 2.0 * lam:  # the limiting class at c = lam - 1/2
+        raise ConfigError(f"{cfg.name}: alpha = {alpha:g} is outside (-1, 2 lam] = (-1, {2 * lam:g}]")
+    decades = cfg.get_float("decades")
+    per_decade = cfg.get_count("points_per_decade")
+    x_max = cfg.get_float("x_max")
+    n_right, n_left = cfg.get_count("n_right"), cfg.get_count("n_left")
+    n_pairs = cfg.get_count("n_pairs")
+    margin = cfg.get_float("single_constant_margin")
+    drift_gate = cfg.get_float("l1_drift_gate")
+    split_margin = cfg.get_float("median_split_margin")
+    phi_eps = cfg.get_float("phi_eps")
 
     m = BesselMeasure(lam)
     ev = RieszKernelEvaluator(lam)
@@ -84,9 +90,7 @@ def run_endpoint(cfg: ScenarioConfig) -> Verdict:
     norm_b = bmo_triangle_norm(b, m, IntervalFamily.standard(10, seed=cfg.seed)).norm_estimate
     Phi = lambda u: u * math.log(math.e + u)
 
-    profiles = sampled_profile(
-        ev, b, f, atom, x_max, cfg.get_int("n_right", 72), cfg.get_int("n_left", 24)
-    )
+    profiles = sampled_profile(ev, b, f, atom, x_max, n_right, n_left)
     vmax = max(v for prof in profiles for _, v in prof)
     n_pts = int(decades * per_decade) + 1
     ts = [0.5 * vmax * 10.0 ** (-k / per_decade) for k in range(n_pts)]
@@ -185,10 +189,10 @@ def run_endpoint(cfg: ScenarioConfig) -> Verdict:
         for rel in (1.2, 1.5, 2.0, 4.0, 8.0, 16.0, 24.0)
         for sep in (3.0, 6.0, 9.0, 12.0)
     ]
-    A_cal = max(grid_vals) * cfg.tol("median_split_margin", 1.05)
+    A_cal = max(grid_vals) * split_margin
     rng = np.random.default_rng(cfg.seed)
     validation = []
-    for _ in range(cfg.get_int("n_pairs", 16)):
+    for _ in range(n_pairs):
         r = float(10.0 ** rng.uniform(-2, 1))
         center = r * float(rng.uniform(1.5, 20.0))
         sep = float(rng.uniform(3.0, 12.0))

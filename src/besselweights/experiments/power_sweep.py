@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 
+from ..errors import ConfigError
 from ..weights import ApMu, TildeAp, power_dichotomy, power_weight_range
 from .config import ScenarioConfig
 from .csvio import write_csv
@@ -42,16 +43,22 @@ def sample_exponents(lower: float, upper: float, margin: float) -> list[tuple[fl
 
 def run_power_weight_sweep(cfg: ScenarioConfig) -> Verdict:
     verdict = Verdict(cfg.name)
-    pairs = cfg.get("pairs", "2:1 1.5:0.5 3:1")
-    depth = cfg.get_int("depth", 20)
-    margin = cfg.get_float("exterior_margin", 0.5)
-    band = cfg.tol("stabilization_band", 1.05)
-    growth = cfg.tol("divergence_ratio", 2.0)
-    n_random = cfg.get_int("n_random", 40)
+    pairs = []
+    for token in cfg.get("pairs").split():
+        p_str, _, lam_str = token.partition(":")
+        try:
+            pairs.append((float(p_str), float(lam_str)))
+        except ValueError:
+            raise ConfigError(f"{cfg.name}: pairs token '{token}' is not p:lam") from None
+    if not pairs:
+        raise ConfigError(f"{cfg.name}: key 'pairs' is an empty list")
+    depth = cfg.get_count("depth")
+    margin = cfg.get_float("exterior_margin")
+    band = cfg.get_float("stabilization_band")
+    growth = cfg.get_float("divergence_ratio")
+    n_random = cfg.get_int("n_random")
 
-    for token in pairs.split():
-        p_str, lam_str = token.split(":")
-        p, lam = float(p_str), float(lam_str)
+    for p, lam in pairs:
         rows = []
         correct = total = 0
         for tag_name, tag in (("classical", ApMu(p, lam)), ("modified", TildeAp(p, lam))):

@@ -34,10 +34,6 @@ from .csvio import write_csv
 from .verdict import Verdict
 
 
-def boundary_weights(cfg: ScenarioConfig) -> list[float]:
-    return cfg.get_floats("deltas", "0.4 0.2 0.1 0.05 0.025")
-
-
 def chain_family(delta: float, depth_growth: float, depth_cap: int, m: BesselMeasure):
     depth = min(depth_cap, max(10, int(math.ceil(depth_growth / delta))))
     cubes = zero_chain(list(range(depth)))
@@ -79,22 +75,18 @@ def _load_replay_family(path: str, m: BesselMeasure):
     return S
 
 
-def _family_rows(cfg: ScenarioConfig, ps: list[float], lam: float, delta: float, S, ops):
+def _family_rows(seed: int, ps: list[float], c: float, fam: IntervalFamily, delta: float, S, ops):
     """rows[k][i]: operator k's sweep row at ps[i] for one family.  The
     witnesses and their images do not depend on p, so each operator is
     applied to each witness once; the images die with this call."""
-    c = lam - 0.5
-    fam_depth = cfg.get_int("family_depth", 25)
     alpha = -1.0 + delta
     w = Weight.power(alpha)
     depth = len(S.cubes)
-    witnesses = witness_functions(alpha, depth, cfg.seed)
+    witnesses = witness_functions(alpha, depth, seed)
     images = [[T(f) for f in witnesses] for T in ops]
     rows: list[list[tuple]] = [[] for _ in ops]
     for p in ps:
-        wc = weight_constant(
-            w, TildeAp(p, c), IntervalFamily.standard(fam_depth, seed=cfg.seed)
-        )
+        wc = weight_constant(w, TildeAp(p, c), fam)
         estimates = operator_norm_lower_bound(witnesses, images, p, w, Interval(0.0, 2.0))
         for k, est in enumerate(estimates):
             rows[k].append((p, alpha, delta, depth, S.eta, wc.value, est.value))
@@ -115,24 +107,27 @@ def run_operator_sweeps(cfg: ScenarioConfig, build, labels, budget_factor: float
     weight constants and witness norms are shared by every operator; each
     label gets its own checks, CSV and replayable family."""
     verdict = Verdict(cfg.name)
-    lam = cfg.get_float("lam", 1.0)
-    ps = cfg.get_floats("ps", "1.5 2 3")
-    slack = cfg.tol("slope_slack", 0.1)
-    calib_margin = cfg.tol("ratio_margin", 1.25)
-    calib_count = cfg.get_int("calibration_points", 2)
-    depth_growth = cfg.get_float("depth_growth", 2.0)
-    depth_cap = cfg.get_int("depth_cap", 120)
-    replay = cfg.params.get("sparse_file")
+    lam = cfg.get_float("lam")
+    ps = cfg.get_floats("ps")
+    deltas = cfg.get_floats("deltas")
+    slack = cfg.get_float("slope_slack")
+    calib_margin = cfg.get_float("ratio_margin")
+    calib_count = cfg.get_count("calibration_points")
+    depth_growth = cfg.get_float("depth_growth")
+    depth_cap = cfg.get_count("depth_cap")
+    fam_depth = cfg.get_count("family_depth")
+    replay = cfg.get("sparse_file")
 
     m = BesselMeasure(lam)
+    fam = IntervalFamily.standard(fam_depth, seed=cfg.seed)
     deepest, family_rows = None, []  # family_rows[f][k][i]: family f, operator k, ps[i]
-    for delta in boundary_weights(cfg):
+    for delta in deltas:
         S = (
             _load_replay_family(replay, m)
             if replay
             else chain_family(delta, depth_growth, depth_cap, m)
         )
-        family_rows.append(_family_rows(cfg, ps, lam, delta, S, build(S, m)))
+        family_rows.append(_family_rows(cfg.seed, ps, lam - 0.5, fam, delta, S, build(S, m)))
         if deepest is None or len(S.cubes) > len(deepest.cubes):
             deepest = S
 

@@ -37,7 +37,8 @@ class Verdict:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        """True when every check passed; a verdict with no checks checked nothing."""
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
     def add(self, *args, **kwargs) -> Check:
         check = Check(*args, **kwargs)

@@ -1,6 +1,7 @@
 """Tests for the experiment harness: configs, determinism, CLI contract."""
 
 import os
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -10,6 +11,8 @@ from besselweights.errors import ConfigError
 from besselweights.experiments import (
     SCENARIOS,
     ScenarioConfig,
+    Verdict,
+    load_config,
     load_default_config,
 )
 from besselweights.experiments.bmo_equivalence import run_bmo_equivalence
@@ -19,6 +22,13 @@ from besselweights.experiments.power_sweep import run_power_weight_sweep
 from besselweights.experiments.sparse_scaling import run_sparse_scaling
 
 SMALL_SWEEP = {"pairs": "2:1", "depth": "6", "n_random": "10"}
+
+
+def shipped(name: str, seed: int, out_dir, **params) -> ScenarioConfig:
+    """The scenario's shipped config at `seed`, with `params` laid over it."""
+    cfg = load_default_config(name, str(out_dir), seed)
+    cfg.params.update(params)
+    return cfg
 
 
 class TestConfig:
@@ -36,7 +46,7 @@ slope_slack = 0.2
         assert cfg.name == "demo"
         assert cfg.seed == 5
         assert cfg.get_float("lam") == 1.5
-        assert cfg.tol("slope_slack", 0.1) == 0.2
+        assert cfg.get_float("slope_slack") == 0.2
 
     def test_seed_mandatory(self):
         with pytest.raises(ConfigError):
@@ -56,6 +66,29 @@ slope_slack = 0.2
             cfg = load_default_config(name, "/tmp/x")
             assert cfg.name == name
             assert isinstance(cfg.seed, int)
+
+    def test_file_overlays_the_shipped_config(self, tmp_path):
+        # the README's example: every key it leaves out keeps its shipped value
+        cfg_file = tmp_path / "s.cfg"
+        cfg_file.write_text(
+            "[scenario]\nname = sparse-scaling\nseed = 7\nlam = 1.0\nps = 1.5 2 3\n"
+            "deltas = 0.4 0.2 0.1 0.05 0.025\n\n[tolerances]\nslope_slack = 0.1\n"
+            "ratio_margin = 1.25\n"
+        )
+        cfg = load_config("sparse-scaling", str(cfg_file), "/tmp/x")
+        assert cfg.params == load_default_config("sparse-scaling", "/tmp/x").params
+        cfg_file.write_text("[scenario]\nname = sparse-scaling\nseed = 2\nps = 2\n")
+        cfg = load_config("sparse-scaling", str(cfg_file), "/tmp/x")
+        assert (cfg.seed, cfg.get("ps"), cfg.get("depth_cap"), cfg.get("sparse_file")) == (2, "2", "120", "")
+        assert cfg.get_float("ratio_margin") == 1.25
+
+    @pytest.mark.parametrize("raw,value", [("20", 20), ("1e3", 1000), ("-10", -10)])
+    def test_whole_numbers_read(self, raw, value):
+        assert shipped("power-sweep", 1, "/tmp/x", n_random=raw).get_int("n_random") == value
+
+    def test_verdict_without_checks_does_not_pass(self):
+        assert not Verdict("demo").passed
+        assert Verdict("demo").lines() == ["scenario demo: FAIL"]
 
 
 class TestCsv:
@@ -78,7 +111,7 @@ class TestDeterminism:
     def test_byte_identical_artifacts(self, tmp_path):
         d1, d2 = str(tmp_path / "one"), str(tmp_path / "two")
         for d in (d1, d2):
-            cfg = ScenarioConfig("power-sweep", 3, d, dict(SMALL_SWEEP), {})
+            cfg = shipped("power-sweep", 3, d, **SMALL_SWEEP)
             run_power_weight_sweep(cfg)
         for name in sorted(os.listdir(d1)):
             b1 = open(os.path.join(d1, name), "rb").read()
@@ -86,21 +119,16 @@ class TestDeterminism:
             assert b1 == b2
 
     def test_seed_changes_random_family_not_verdict(self, tmp_path):
-        cfg1 = ScenarioConfig("power-sweep", 3, str(tmp_path / "a"), dict(SMALL_SWEEP), {})
-        cfg2 = ScenarioConfig("power-sweep", 4, str(tmp_path / "b"), dict(SMALL_SWEEP), {})
+        cfg1 = shipped("power-sweep", 3, tmp_path / "a", **SMALL_SWEEP)
+        cfg2 = shipped("power-sweep", 4, tmp_path / "b", **SMALL_SWEEP)
         assert run_power_weight_sweep(cfg1).passed
         assert run_power_weight_sweep(cfg2).passed
 
 
 class TestRunners:
     def test_sparse_scaling_small(self, tmp_path):
-        cfg = ScenarioConfig(
-            "sparse-scaling",
-            5,
-            str(tmp_path),
-            {"lam": "1.0", "ps": "2", "deltas": "0.4 0.2 0.1", "family_depth": "12"},
-            {},
-        )
+        cfg = shipped("sparse-scaling", 5, tmp_path, lam="1.0", ps="2", deltas="0.4 0.2 0.1",
+                      family_depth="12")
         v = run_sparse_scaling(cfg)
         assert v.passed
         assert len(v.artifacts) == 2  # CSV sweep plus the replayable family
@@ -116,10 +144,8 @@ class TestRunners:
             built.append(len(S.cubes))
             return (lambda f: applied.append(len(S.cubes)) or sparse_apply(S, f, m),)
 
-        cfg = ScenarioConfig(
-            "sparse-scaling", 5, str(tmp_path),
-            {"lam": "1.0", "ps": "1.5 2", "deltas": "0.4 0.2 0.1", "family_depth": "12"}, {},
-        )
+        cfg = shipped("sparse-scaling", 5, tmp_path, lam="1.0", ps="1.5 2", deltas="0.4 0.2 0.1",
+                      family_depth="12")
         assert run_operator_sweeps(cfg, build, ("sparse operator",), 1.0).passed
         assert built == [10, 10, 20]  # one build per delta, shared by both p
         # delta x witness: the images serve both p
@@ -144,10 +170,8 @@ class TestRunners:
 
         monkeypatch.setattr(commutator_bound, "oscillation_factors", count_build)
         monkeypatch.setattr(commutator_bound, "sparse_commutator_apply", count_apply)
-        cfg = ScenarioConfig(
-            "commutator-bound", 5, str(tmp_path),
-            {"lam": "1.0", "ps": "1.5 2", "deltas": "0.4 0.2 0.1", "family_depth": "12"}, {},
-        )
+        cfg = shipped("commutator-bound", 5, tmp_path, lam="1.0", ps="1.5 2",
+                      deltas="0.4 0.2 0.1", family_depth="12")
         verdict = commutator_bound.run_commutator_bound(cfg)
         assert len(verdict.checks) == 2 * 2 * 2 + 3 and len(verdict.artifacts) == 4
         # one build per delta, then the three structural instances
@@ -173,15 +197,15 @@ class TestRunners:
         assert splits == [] and len(medians) == 28 + 16
 
     def test_bmo_equivalence_default_ratio_band(self, tmp_path):
-        # a config without [tolerances] gets the shipped band, not a looser one
-        cfg = ScenarioConfig("bmo-equivalence", 3, str(tmp_path), {"n_cases": "3"}, {})
-        v = run_bmo_equivalence(cfg)
+        # a config file without [tolerances] gets the shipped band, not a looser one
+        cfg_file = tmp_path / "b.cfg"
+        cfg_file.write_text("[scenario]\nname = bmo-equivalence\nseed = 3\nn_cases = 3\n")
+        v = run_bmo_equivalence(load_config("bmo-equivalence", str(cfg_file), str(tmp_path)))
         (check,) = [c for c in v.checks if c.name == "six-flavor ratio band"]
         assert check.bound == 8.0
 
     def test_verdict_lines_format(self, tmp_path):
-        cfg = ScenarioConfig("power-sweep", 3, str(tmp_path), dict(SMALL_SWEEP), {})
-        v = run_power_weight_sweep(cfg)
+        v = run_power_weight_sweep(shipped("power-sweep", 3, tmp_path, **SMALL_SWEEP))
         lines = v.lines()
         assert lines[0].startswith("scenario power-sweep:")
         assert any(line.strip().startswith("[PASS]") for line in lines)
@@ -215,22 +239,41 @@ class TestCli:
         assert result.exit_code == 1
 
     @pytest.mark.parametrize(
-        "raw",
-        [b"bogus line\n[scenario]\nname = power-sweep\nseed = 3\n",
-         b"[scenario]\nname = power-sweep\nseed = abc\n",
-         b"[scenario]\nname = power-sweep\nseed = 3\nnote = \xff\n"],
-        ids=["no-section-header", "non-integer-seed", "not-utf-8"],
+        "scenario,raw,message",
+        [
+            ("power-sweep", b"bogus line\n[scenario]\nname = power-sweep\nseed = 3\n", "malformed"),
+            ("power-sweep", b"[scenario]\nname = power-sweep\nseed = abc\n", "seed is not an integer"),
+            ("power-sweep", b"[scenario]\nname = power-sweep\nseed = 3\nnote = \xff\n", "cannot read"),
+            ("counterexample", b"[scenario]\nname = power-sweep\nseed = 3\n", "configures scenario 'power-sweep'"),
+            ("power-sweep", b"[scenario]\nname = power-sweep\nseed = 3\nn_case = 2\n", "unknown config key.*n_case"),
+            ("power-sweep", b"[scenario]\nname = power-sweep\nseed = 3\n[extra]\nx = 1\n", "found: scenario, extra"),
+            ("power-sweep", b"[DEFAULT]\npairs = 2:1\n[scenario]\nname = power-sweep\nseed = 3\n", "found: DEFAULT, scenario"),
+            ("bmo-equivalence", b"[scenario]\nname = bmo-equivalence\nseed = 3\nn_cases = 0\n", "n_cases.*at least 1"),
+            ("bmo-equivalence", b"[scenario]\nname = bmo-equivalence\nseed = 3\nn_cases = 1.9\n", "n_cases.*whole"),
+            ("bmo-equivalence", b"[scenario]\nname = bmo-equivalence\nseed = 3\nn_cases = nan\n", "n_cases.*whole"),
+            ("bmo-equivalence", b"[scenario]\nname = bmo-equivalence\nseed = 3\nn_cases = inf\n", "n_cases.*whole"),
+            ("sparse-scaling", b"[scenario]\nname = sparse-scaling\nseed = 3\nps =\n", "'ps' is an empty list"),
+            ("power-sweep", b"[scenario]\nname = power-sweep\nseed = 3\npairs = 2:1 2\n", "token '2' is not p:lam"),
+            ("power-sweep", b"[scenario]\nname = power-sweep\nseed = 3\npairs =\n", "'pairs' is an empty list"),
+            ("endpoint", b"[scenario]\nname = endpoint\nseed = 3\nn_pairs = 0\n", "n_pairs.*at least 1"),
+            ("endpoint", b"[scenario]\nname = endpoint\nseed = 3\nlam = 0.5\n", r"alpha = 2 is outside .* \(-1, 1\]"),
+            ("endpoint", b"[scenario]\nname = endpoint\nseed = 3\nalpha = -1\n", "alpha = -1 is outside"),
+        ],
+        ids=["no-section-header", "non-integer-seed", "not-utf-8", "other-scenario", "unknown-key",
+             "unknown-section", "default-section", "n_cases-0", "n_cases-1.9", "n_cases-nan",
+             "n_cases-inf", "empty-ps", "pair-without-lam", "empty-pairs", "n_pairs-0",
+             "lam-without-alpha", "alpha-at-minus-one"],
     )
-    def test_malformed_config_prints_one_line(self, tmp_path, raw):
+    def test_malformed_config_prints_one_line(self, tmp_path, scenario, raw, message):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_bytes(raw)
         result = CliRunner().invoke(
-            main, ["power-sweep", "--config", str(cfg_file), "--out", str(tmp_path)]
+            main, [scenario, "--config", str(cfg_file), "--out", str(tmp_path / "out")]
         )
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
         assert len(result.stderr.splitlines()) == 1
-        assert result.stderr.startswith("config error: ")
-        assert "Traceback" not in result.output
+        assert re.match(f"config error: .*{message}", result.stderr)
+        assert "Traceback" not in result.output and result.stdout == ""
 
     def test_counterexample_exit_two_documented_gate(self, tmp_path):
         # the strict per-decade gate cannot hold for the logarithmic tail
@@ -247,22 +290,15 @@ class TestSparseReplay:
     def test_family_artifact_roundtrips_and_replays(self, tmp_path):
         from besselweights.dyadic import SparseFamily
 
-        cfg = ScenarioConfig(
-            "sparse-scaling", 5, str(tmp_path),
-            {"lam": "1.0", "ps": "2", "deltas": "0.4 0.2", "family_depth": "10"}, {},
-        )
-        v = run_sparse_scaling(cfg)
+        params = {"lam": "1.0", "ps": "2", "deltas": "0.4 0.2", "family_depth": "10"}
+        v = run_sparse_scaling(shipped("sparse-scaling", 5, tmp_path, **params))
         fam_files = [a for a in v.artifacts if a.endswith(".sparse")]
         assert len(fam_files) == 1
         with open(fam_files[0], encoding="utf-8") as fh:
             S = SparseFamily.from_lines(fh)
         assert len(S.cubes) >= 10
         # replay: feed the stored family back in place of the generator
-        cfg2 = ScenarioConfig(
-            "sparse-scaling", 5, str(tmp_path / "replay"),
-            {"lam": "1.0", "ps": "2", "deltas": "0.4 0.2", "family_depth": "10",
-             "sparse_file": fam_files[0]}, {},
-        )
+        cfg2 = shipped("sparse-scaling", 5, tmp_path / "replay", **params, sparse_file=fam_files[0])
         v2 = run_sparse_scaling(cfg2)
         assert v2.passed
 
@@ -270,11 +306,8 @@ class TestSparseReplay:
     def _replay(tmp_path, lines):
         path = tmp_path / "family.sparse"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        cfg = ScenarioConfig(
-            "sparse-scaling", 5, str(tmp_path / "out"),
-            {"lam": "1.0", "ps": "2", "deltas": "0.4 0.2", "family_depth": "10",
-             "sparse_file": str(path)}, {},
-        )
+        cfg = shipped("sparse-scaling", 5, tmp_path / "out", lam="1.0", ps="2", deltas="0.4 0.2",
+                      family_depth="10", sparse_file=str(path))
         return run_sparse_scaling(cfg)
 
     @staticmethod

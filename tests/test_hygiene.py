@@ -1,10 +1,11 @@
 """Source hygiene: every import in the package is used in its module, every
 module-level private name has a reader in the package, no module relies on
 an `assert` statement, no condition in the package or the tests is a
-constant, and the defaulted parameters of public functions are an audited
-list."""
+constant, the defaulted parameters of public functions are an audited
+list, and a scenario parameter's default lives in its shipped config alone."""
 
 import ast
+import configparser
 from pathlib import Path
 
 import besselweights
@@ -160,10 +161,6 @@ def test_no_constant_conditions_in_the_package_or_the_tests():
 OPTIONS = [
     "bmo.rearrangement(hull)",
     "dyadic.random_subtree(keep_prob)",
-    "experiments.config.ScenarioConfig.get(default)",
-    "experiments.config.ScenarioConfig.get_float(default)",
-    "experiments.config.ScenarioConfig.get_int(default)",
-    "experiments.config.ScenarioConfig.get_floats(default)",
     "experiments.config.parse_config_text(seed_override)",
     "experiments.config.load_config(seed_override)",
     "experiments.config.load_default_config(seed_override)",
@@ -227,3 +224,50 @@ def test_options_audit():
         )
     ]
     assert sorted(found) == sorted(OPTIONS)
+
+
+ACCESSORS = {"get", "get_float", "get_int", "get_count", "get_floats"}
+
+
+def config_reads(source: str) -> tuple[set[str], list[int]]:
+    """The keys that `cfg.<accessor>("key")` or `self.<accessor>(key)` calls
+    read, and the lines of the calls that pass more than the key: a default
+    kept in code next to the shipped one."""
+    keys, extra = set(), []
+    for n in ast.walk(ast.parse(source)):
+        if (
+            isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute)
+            and n.func.attr in ACCESSORS
+            and isinstance(n.func.value, ast.Name)
+            and n.func.value.id in ("cfg", "self")
+        ):
+            if len(n.args) + len(n.keywords) != 1:
+                extra.append(n.lineno)
+            if n.args and isinstance(n.args[0], ast.Constant):
+                keys.add(n.args[0].value)
+    return keys, extra
+
+
+def test_scan_flags_an_accessor_default():
+    src = (
+        'lam = cfg.get_float("lam")\nps = cfg.get_floats("ps", "2 3")\n'
+        'n = cfg.get_count(key="n")\nx = d.get("x", 1)\nv = self.get(key)\n'
+    )
+    assert config_reads(src) == ({"lam", "ps"}, [2])
+
+
+def test_scenario_parameters_default_in_the_shipped_config_alone():
+    """No accessor call passes a default, and every shipped key is read."""
+    read, hits = set(), []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        keys, extra = config_reads(path.read_text(encoding="utf-8"))
+        read |= keys
+        hits += [f"{path.relative_to(PACKAGE.parent)}:{line}" for line in extra]
+    assert hits == []
+    shipped = set()
+    for path in sorted((PACKAGE / "experiments" / "configs").glob("*.cfg")):
+        cp = configparser.ConfigParser()
+        cp.read_string(path.read_text(encoding="utf-8"))
+        shipped |= {key for title in cp.sections() for key in cp[title]}
+    assert len(shipped) > 30 and shipped - {"name", "seed"} - read == set()
