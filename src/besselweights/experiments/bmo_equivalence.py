@@ -19,6 +19,7 @@ by [w]^{1/p} times the weighted p-oscillation.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -63,6 +64,9 @@ def run_bmo_equivalence(cfg: ScenarioConfig) -> Verdict:
     alpha = cfg.get_float("alpha")
     band = cfg.get_float("ratio_band")
     n_cases = cfg.get_count("n_cases")
+    cfg.require("lam", lam > 0.0, "be > 0")
+    cfg.require("p", p > 1.0, "be > 1")
+    cfg.require("s", 0.0 < s <= 0.5, "lie in (0, 1/2]")
 
     m = BesselMeasure(lam)
     w = Weight.power(alpha)
@@ -90,9 +94,7 @@ def run_bmo_equivalence(cfg: ScenarioConfig) -> Verdict:
         norms.append(flavors)
     verdict.add(
         "six-flavor ratio band",
-        worst_band,
-        band,
-        worst_band <= band,
+        worst_band, "<=", band,
         note="max pairwise ratio of family norm estimates across all flavors "
         "and test symbols stays inside the recorded band",
     )
@@ -107,28 +109,21 @@ def run_bmo_equivalence(cfg: ScenarioConfig) -> Verdict:
         ok_norm_level &= lhsw <= rhsw * (1 + 1e-9) and lhs1 <= rhs1 * (1 + 1e-9)
     verdict.add(
         "norm-level quantile bound",
-        float(ok_norm_level),
-        1.0,
-        ok_norm_level,
-        relation="==",
+        float(ok_norm_level), "==", 1.0,
         note="s^{1/p} * median norm <= weighted p-norm for every test symbol",
     )
 
     # per-interval reverse embedding via the weight constant
     cw = weight_constant(w, TildeAp(p, lam - 0.5), IntervalFamily.standard(10, seed=cfg.seed))
-    ok_rev = not cw.divergent
-    worst_rev = 0.0
+    worst_rev = math.inf if cw.divergent else 0.0
     b = FuncExpr.log_of_mu_density(lam)
     for B in fam.intervals:
         lhs = triangle_oscillation(b, m, B)
         rhs = cw.value ** (1.0 / p) * p_oscillation(b, w, p, m, B)
-        worst_rev = max(worst_rev, lhs / rhs if rhs > 0 else 0.0)
-        ok_rev &= lhs <= rhs * (1 + 1e-9)
+        worst_rev = max(worst_rev, lhs / rhs if rhs > 0 else math.inf if lhs > 0 else 0.0)
     verdict.add(
         "per-interval reverse embedding",
-        worst_rev,
-        1.0,
-        ok_rev,
+        worst_rev, "<=", 1 + 1e-9,  # the slack of the per-interval test; prints bound=1
         note="triangle-oscillation <= [w]^{1/p} * weighted p-oscillation on "
         "every family interval",
     )
@@ -162,10 +157,7 @@ def run_bmo_equivalence(cfg: ScenarioConfig) -> Verdict:
     for key, n_bad in fails.items():
         verdict.add(
             f"exact inequality suite: {key}",
-            float(n_bad),
-            0.0,
-            n_bad == 0,
-            relation="==",
+            float(n_bad), "==", 0.0,
             note=f"violations among {n_cases} seeded instances",
         )
 

@@ -30,6 +30,7 @@ _VARIANTS = ("left", "adjoint")
 
 def run_commutator_bound(cfg: ScenarioConfig) -> Verdict:
     lam = cfg.get_float("lam")
+    cfg.require("lam", lam > 0.0, "be > 0")
     b = FuncExpr.log_of_mu_density(lam)
     m = BesselMeasure(lam)
 
@@ -53,27 +54,20 @@ def run_commutator_bound(cfg: ScenarioConfig) -> Verdict:
     zero_out = left(FuncExpr.constant(3.0))
     verdict.add(
         "constant symbol annihilates",
-        lp_norm(zero_out, p, w, dom) if not zero_out.is_zero() else 0.0,
-        1e-12,
-        (zero_out.is_zero() or lp_norm(zero_out, p, w, dom) <= 1e-12),
+        0.0 if zero_out.is_zero() else lp_norm(zero_out, p, w, dom), "<=", 1e-12,
         note="|b - b_Q| = 0 for constant b",
     )
     base = lp_norm(left(b), p, w, dom)
     doubled = lp_norm(left(b * 2.0), p, w, dom)
     verdict.add(
         "positive homogeneity in the symbol",
-        abs(doubled - 2.0 * base) / (2.0 * base),
-        1e-9,
-        abs(doubled - 2.0 * base) <= 1e-9 * 2.0 * base,
+        abs(doubled - 2.0 * base) / (2.0 * base), "<=", 1e-9,
         note="scaling b -> 2b doubles the measured norm exactly",
     )
     norm_b = bmo_triangle_norm(b, m, IntervalFamily.standard(10, seed=cfg.seed)).norm_estimate
     verdict.add(
         "oscillation-norm prefactor recorded",
-        norm_b,
-        float("inf"),
-        norm_b > 0.0,
-        relation="finite",
+        norm_b, "finite", float("inf"),
         note="estimates scale linearly in the symbol's oscillation norm",
     )
     return verdict

@@ -60,6 +60,11 @@ class ScenarioConfig:
             raise ConfigError(f"{self.name}: key '{key}' is an empty list")
         return values
 
+    def require(self, key: str, holds: bool, rule: str) -> None:
+        """Reject the value read from `key` unless it obeys `rule`, before any work."""
+        if not holds:
+            raise ConfigError(f"{self.name}: key '{key}' must {rule}: {self.get(key)}")
+
 
 def parse_config_text(text: str, out_dir: str, seed_override: int | None = None) -> ScenarioConfig:
     # no section plays configparser's DEFAULT, so a [DEFAULT] header is an unknown section

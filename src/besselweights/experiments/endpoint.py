@@ -80,6 +80,8 @@ def run_endpoint(cfg: ScenarioConfig) -> Verdict:
     drift_gate = cfg.get_float("l1_drift_gate")
     split_margin = cfg.get_float("median_split_margin")
     phi_eps = cfg.get_float("phi_eps")
+    cfg.require("eps", eps > 0.0, "be > 0")
+    cfg.require("phi_eps", 0.0 < phi_eps <= 1.0, "lie in (0, 1]")
 
     m = BesselMeasure(lam)
     ev = RieszKernelEvaluator(lam)
@@ -108,45 +110,31 @@ def run_endpoint(cfg: ScenarioConfig) -> Verdict:
     calib = max(r_phi[: 2 * per_decade]) * margin
     verdict.add(
         "LlogL single constant",
-        max(r_phi),
-        calib,
-        max(r_phi) <= calib,
+        max(r_phi), "<=", calib,
         note="exceedance w-mass <= C * Phi(||b|| |f|/t)-integral with one C "
         "across all decades (C calibrated on the top two)",
     )
     calib_l1 = max(r_l1[: 2 * per_decade]) * margin
     verdict.add(
         "L1 analogue rejected",
-        max(r_l1),
-        calib_l1,
-        max(r_l1) > calib_l1,
-        relation=">",
+        max(r_l1), ">", calib_l1,
         note="the identity-scale ratio escapes its calibrated constant",
     )
     nonzero = [r for r, row in zip(r_l1, rows) if row[1] > 0]
     drift = max(nonzero) / min(nonzero) if nonzero else 0.0
     verdict.add(
         "L1 ratio drift",
-        drift,
-        drift_gate,
-        drift >= drift_gate,
-        relation=">=",
+        drift, ">=", drift_gate,
         note="max/min of the L1-normalised ratio over the sampled decades",
     )
     verdict.add(
         "superlinearity of the L log L gauge",
-        rows[-1][2] / rows[0][2],
-        10.0 ** decades,
-        rows[-1][2] / rows[0][2] > 10.0 ** decades,
-        relation=">",
+        rows[-1][2] / rows[0][2], ">", 10.0 ** decades,
         note="rhs grows faster than 1/t across the sweep",
     )
     verdict.add(
         "zero exceedance above the peak",
-        exceedance_mass(profiles, 2.0 * vmax, w),
-        0.0,
-        exceedance_mass(profiles, 2.0 * vmax, w) == 0.0,
-        relation="==",
+        exceedance_mass(profiles, 2.0 * vmax, w), "==", 0.0,
         note="thresholds above max |commutator| give the empty set",
     )
 
@@ -154,9 +142,7 @@ def run_endpoint(cfg: ScenarioConfig) -> Verdict:
     res = c_phi(llogl(phi_eps))
     verdict.add(
         f"c-constant finite for LlogL^{phi_eps:g}",
-        res.value,
-        1e6,
-        res.finite,
+        res.value, "<=", 1e6,  # inf when c_phi calls the integral divergent
         note="integral of phi^{-1}(t)/(t^2 log(e+t)) converges",
     )
     # full maximal-form right side recorded for the density-weight case
@@ -170,9 +156,7 @@ def run_endpoint(cfg: ScenarioConfig) -> Verdict:
         ratios_full = [lhs / rhs for _, lhs, rhs in full_rows if rhs > 0]
         verdict.add(
             "maximal-form right side dominates",
-            max(ratios_full),
-            margin * max(ratios_full[: 2 * per_decade]),
-            max(ratios_full) <= margin * max(ratios_full[: 2 * per_decade]),
+            max(ratios_full), "<=", margin * max(ratios_full[: 2 * per_decade]),
             note="C * Phi(2||b|| |f|/t) * M-profile integral, density weight",
         )
 
@@ -199,9 +183,7 @@ def run_endpoint(cfg: ScenarioConfig) -> Verdict:
         validation.append(halving_threshold(SeparatedBallPair.build(center, r, sep)))
     verdict.add(
         "median-threshold halving at one calibrated level",
-        max(validation),
-        A_cal,
-        max(validation) <= A_cal,
+        max(validation), "<=", A_cal,
         note="w({x in B : |b - alpha(Btilde)| > A}) <= w(B)/2 at a single A "
         "calibrated on the unit-scale shape grid",
     )

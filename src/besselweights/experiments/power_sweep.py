@@ -52,6 +52,8 @@ def run_power_weight_sweep(cfg: ScenarioConfig) -> Verdict:
             raise ConfigError(f"{cfg.name}: pairs token '{token}' is not p:lam") from None
     if not pairs:
         raise ConfigError(f"{cfg.name}: key 'pairs' is an empty list")
+    cfg.require("pairs", all(p > 1.0 and lam > 0.0 for p, lam in pairs),
+                "hold p:lam with p > 1 and lam > 0")
     depth = cfg.get_count("depth")
     margin = cfg.get_float("exterior_margin")
     band = cfg.get_float("stabilization_band")
@@ -106,10 +108,7 @@ def run_power_weight_sweep(cfg: ScenarioConfig) -> Verdict:
         verdict.artifacts.append(path)
         verdict.add(
             f"dichotomy p={p:g} lam={lam:g}",
-            float(correct),
-            float(total),
-            correct == total,
-            relation="== (all classified)",
+            float(correct), "==", float(total),
             note="stabilisation vs divergence against the exact power ranges",
         )
 
@@ -120,10 +119,7 @@ def run_power_weight_sweep(cfg: ScenarioConfig) -> Verdict:
                   for tag in (ApMu(2.0, 1.0), TildeAp(2.0, 1.0)))
         verdict.add(
             f"cross-membership alpha={alpha:g}",
-            float(rc.member == cls_member and rm.member == mod_member),
-            1.0,
-            rc.member == cls_member and rm.member == mod_member,
-            relation="classified",
+            float(rc.member == cls_member and rm.member == mod_member), "==", 1.0,
             note="neither weight class contains the other on the power scale",
         )
     return verdict

@@ -117,16 +117,16 @@ def run_operator_sweeps(cfg: ScenarioConfig, build, labels, budget_factor: float
     depth_cap = cfg.get_count("depth_cap")
     fam_depth = cfg.get_count("family_depth")
     replay = cfg.get("sparse_file")
+    cfg.require("lam", lam > 0.0, "be > 0")
+    cfg.require("ps", all(p > 1.0 for p in ps), "hold values > 1")
+    cfg.require("deltas", all(d > 0.0 for d in deltas), "hold values > 0")
 
     m = BesselMeasure(lam)
     fam = IntervalFamily.standard(fam_depth, seed=cfg.seed)
+    replayed = _load_replay_family(replay, m) if replay else None
     deepest, family_rows = None, []  # family_rows[f][k][i]: family f, operator k, ps[i]
     for delta in deltas:
-        S = (
-            _load_replay_family(replay, m)
-            if replay
-            else chain_family(delta, depth_growth, depth_cap, m)
-        )
+        S = replayed if replay else chain_family(delta, depth_growth, depth_cap, m)
         family_rows.append(_family_rows(cfg.seed, ps, lam - 0.5, fam, delta, S, build(S, m)))
         if deepest is None or len(S.cubes) > len(deepest.cubes):
             deepest = S
@@ -144,17 +144,13 @@ def run_operator_sweeps(cfg: ScenarioConfig, build, labels, budget_factor: float
             budget = exponent + slack
             verdict.add(
                 f"{label} slope p={p:g}",
-                slope,
-                budget,
-                slope <= budget,
+                slope, "<=", budget,
                 note=f"log-log slope of norm lower bound vs [w]; budget {budget_factor:g}*max(1,1/(p-1))+{slack:g}",
             )
             c_cal = calib_margin * max(ratios[:calib_count])
             verdict.add(
                 f"{label} single-constant ratio p={p:g}",
-                max(ratios),
-                c_cal,
-                max(ratios) <= c_cal,
+                max(ratios), "<=", c_cal,
                 note="estimate/[w]^exponent bounded by the constant calibrated on the first sweep points",
             )
         slug = label.replace(" ", "_").replace("(", "_").replace(")", "")

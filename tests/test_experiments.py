@@ -1,5 +1,6 @@
 """Tests for the experiment harness: configs, determinism, CLI contract."""
 
+import math
 import os
 import re
 
@@ -89,6 +90,39 @@ slope_slack = 0.2
     def test_verdict_without_checks_does_not_pass(self):
         assert not Verdict("demo").passed
         assert Verdict("demo").lines() == ["scenario demo: FAIL"]
+
+
+class TestVerdictAdd:
+    """A check passes exactly when the relation it prints holds."""
+
+    @pytest.mark.parametrize(
+        "relation,holds,fails",
+        [("<=", 2.0, 2.5), (">=", 2.0, 1.5), (">", 2.5, 2.0), ("==", 2.0, 2.5), ("finite", 7.0, 0.0)],
+    )
+    def test_each_relation_on_both_sides_of_its_bound(self, relation, holds, fails):
+        v = Verdict("demo")
+        assert v.add("yes", holds, relation, 2.0, note="").passed
+        assert not v.add("no", fails, relation, 2.0, note="").passed
+        assert [c.relation for c in v.checks] == [relation] * 2 and not v.passed
+
+    @pytest.mark.parametrize("relation", ["<=", ">=", ">", "==", "finite"])
+    def test_nan_fails_every_relation(self, relation):
+        assert not Verdict("demo").add("g", math.nan, relation, 1.5, note="").passed
+
+    @pytest.mark.parametrize("measured", [0.0, -1.0, math.inf, -math.inf])
+    def test_finite_rejects_zero_negatives_and_inf(self, measured):
+        assert not Verdict("demo").add("g", measured, "finite", math.inf, note="").passed
+
+    def test_unknown_relation_raises(self):
+        v = Verdict("demo")
+        with pytest.raises(ValueError, match="unknown relation '=<'"):
+            v.add("g", 1.0, "=<", 2.0, note="")
+        assert v.checks == []
+
+    def test_nan_line_reads_fail(self):
+        v = Verdict("demo")
+        v.add("g", math.nan, ">=", 1.5, note="")
+        assert v.lines() == ["scenario demo: FAIL", "  [FAIL] g: measured=nan >= bound=1.5"]
 
 
 class TestCsv:
@@ -196,6 +230,32 @@ class TestRunners:
         assert check.passed
         assert splits == [] and len(medians) == 28 + 16
 
+    def test_counterexample_gate_fails_on_zero_products(self, tmp_path, monkeypatch):
+        """With every mass product zero the window has no ratio, so the
+        per-decade gate has nothing to pass on and fails, as does the growth."""
+        from besselweights.experiments import counterexample
+
+        monkeypatch.setattr(counterexample, "counterexample_profile",
+                            lambda lam, eps, ts: [(t, 0.0) for t in ts])
+        verdict = counterexample.run_counterexample(
+            load_default_config("counterexample", str(tmp_path)))
+        gates = [c for c in verdict.checks if c.name.startswith(("strict per-decade", "divergence"))]
+        assert len(gates) == 4 and not any(c.passed for c in gates)
+        assert "[FAIL] strict per-decade gate lam=0.5: measured=nan >= bound=1.5" in gates[0].line()
+
+    def test_replay_family_is_loaded_once(self, tmp_path, monkeypatch):
+        """The stored family is read and verified once, and serves every delta."""
+        from besselweights.experiments import sparse_scaling
+
+        params = {"lam": "1.0", "ps": "2", "family_depth": "10"}
+        v = run_sparse_scaling(shipped("sparse-scaling", 5, tmp_path, **params, deltas="0.4 0.2"))
+        (fam_file,) = [a for a in v.artifacts if a.endswith(".sparse")]
+        verified, verify = [], sparse_scaling.verify_sparse
+        monkeypatch.setattr(sparse_scaling, "verify_sparse", lambda *a: verified.append(a) or verify(*a))
+        cfg = shipped("sparse-scaling", 5, tmp_path / "replay", **params, sparse_file=fam_file,
+                      deltas="0.4 0.2 0.1 0.05 0.025")
+        assert run_sparse_scaling(cfg).passed and len(verified) == 1
+
     def test_bmo_equivalence_default_ratio_band(self, tmp_path):
         # a config file without [tolerances] gets the shipped band, not a looser one
         cfg_file = tmp_path / "b.cfg"
@@ -258,11 +318,28 @@ class TestCli:
             ("endpoint", b"[scenario]\nname = endpoint\nseed = 3\nn_pairs = 0\n", "n_pairs.*at least 1"),
             ("endpoint", b"[scenario]\nname = endpoint\nseed = 3\nlam = 0.5\n", r"alpha = 2 is outside .* \(-1, 1\]"),
             ("endpoint", b"[scenario]\nname = endpoint\nseed = 3\nalpha = -1\n", "alpha = -1 is outside"),
+            # parameters outside the domain of the scenario's mathematics
+            ("sparse-scaling", b"[scenario]\nname = sparse-scaling\nseed = 3\nps = 1 2\n", "key 'ps' must hold values > 1"),
+            ("bmo-equivalence", b"[scenario]\nname = bmo-equivalence\nseed = 3\np = 1\n", "key 'p' must be > 1"),
+            ("sparse-scaling", b"[scenario]\nname = sparse-scaling\nseed = 3\ndeltas = 0\n", "key 'deltas' must hold values > 0"),
+            ("counterexample", b"[scenario]\nname = counterexample\nseed = 3\neps = 0\n", "key 'eps' must be > 0"),
+            ("endpoint", b"[scenario]\nname = endpoint\nseed = 3\neps = 0\n", "key 'eps' must be > 0"),
+            ("bmo-equivalence", b"[scenario]\nname = bmo-equivalence\nseed = 3\nlam = 0\n", "key 'lam' must be > 0"),
+            ("commutator-bound", b"[scenario]\nname = commutator-bound\nseed = 3\nlam = -1\n", "key 'lam' must be > 0"),
+            ("counterexample", b"[scenario]\nname = counterexample\nseed = 3\nlams = 0\n", "key 'lams' must hold values > 0"),
+            ("power-sweep", b"[scenario]\nname = power-sweep\nseed = 3\npairs = 2:0\n", "key 'pairs' must hold .* lam > 0"),
+            ("power-sweep", b"[scenario]\nname = power-sweep\nseed = 3\npairs = 1:1\n", "key 'pairs' must hold .*p > 1"),
+            ("bmo-equivalence", b"[scenario]\nname = bmo-equivalence\nseed = 3\ns = 0.7\n", r"key 's' must lie in \(0, 1/2\]"),
+            ("endpoint", b"[scenario]\nname = endpoint\nseed = 3\nphi_eps = 2\n", r"key 'phi_eps' must lie in \(0, 1\]"),
+            ("counterexample", b"[scenario]\nname = counterexample\nseed = 3\nt_low_exponent = -1\nt_high_exponent = -2\n",
+             "key 't_low_exponent' must be below t_high_exponent"),
         ],
         ids=["no-section-header", "non-integer-seed", "not-utf-8", "other-scenario", "unknown-key",
              "unknown-section", "default-section", "n_cases-0", "n_cases-1.9", "n_cases-nan",
              "n_cases-inf", "empty-ps", "pair-without-lam", "empty-pairs", "n_pairs-0",
-             "lam-without-alpha", "alpha-at-minus-one"],
+             "lam-without-alpha", "alpha-at-minus-one", "ps-1", "bmo-p-1", "deltas-0",
+             "counterexample-eps-0", "endpoint-eps-0", "bmo-lam-0", "commutator-lam-minus-1", "lams-0",
+             "pair-lam-0", "pair-p-1", "s-0.7", "phi_eps-2", "empty-decade-window"],
     )
     def test_malformed_config_prints_one_line(self, tmp_path, scenario, raw, message):
         cfg_file = tmp_path / "bad.cfg"
@@ -274,6 +351,7 @@ class TestCli:
         assert len(result.stderr.splitlines()) == 1
         assert re.match(f"config error: .*{message}", result.stderr)
         assert "Traceback" not in result.output and result.stdout == ""
+        assert not (tmp_path / "out").exists()  # rejected before any work
 
     def test_counterexample_exit_two_documented_gate(self, tmp_path):
         # the strict per-decade gate cannot hold for the logarithmic tail

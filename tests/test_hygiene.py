@@ -2,13 +2,15 @@
 module-level private name has a reader in the package, no module relies on
 an `assert` statement, no condition in the package or the tests is a
 constant, the defaulted parameters of public functions are an audited
-list, and a scenario parameter's default lives in its shipped config alone."""
+list, a scenario parameter's default lives in its shipped config alone, and
+every check states a relation that `Verdict.add` knows."""
 
 import ast
 import configparser
 from pathlib import Path
 
 import besselweights
+from besselweights.experiments.verdict import RELATIONS
 
 PACKAGE = Path(besselweights.__file__).parent
 
@@ -271,3 +273,42 @@ def test_scenario_parameters_default_in_the_shipped_config_alone():
         cp.read_string(path.read_text(encoding="utf-8"))
         shipped |= {key for title in cp.sections() for key in cp[title]}
     assert len(shipped) > 30 and shipped - {"name", "seed"} - read == set()
+
+
+def verdict_add_misuses(source: str) -> list[int]:
+    """Lines of the `verdict.add(...)` calls that do not pass exactly name,
+    measured, relation and bound positionally, with the relation a string
+    literal that `Verdict.add` knows; a misspelt relation would otherwise
+    raise only when a config reaches its check."""
+    return [
+        n.lineno
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "add"
+        and isinstance(n.func.value, ast.Name)
+        and n.func.value.id == "verdict"
+        and not (
+            len(n.args) == 4
+            and isinstance(n.args[2], ast.Constant)
+            and n.args[2].value in RELATIONS
+        )
+    ]
+
+
+def test_scan_flags_a_verdict_add_without_a_known_relation():
+    src = (
+        'verdict.add("a", x, "<=", 1.0, note="")\nverdict.add("b", x, "=<", 1.0, note="")\n'
+        'verdict.add("c", x, rel, 1.0, note="")\nverdict.add("d", x, 1.0, True, relation=">=", note="")\n'
+        'verdict.add("e", x, "finite", inf, "")\nseen.add(x)\n'
+    )
+    assert verdict_add_misuses(src) == [2, 3, 4, 5]
+
+
+def test_every_verdict_add_in_the_package_states_a_known_relation():
+    calls = hits = 0
+    for path in sorted(PACKAGE.rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        calls += source.count("verdict.add(")
+        hits += len(verdict_add_misuses(source))
+    assert calls > 20 and hits == 0
