@@ -13,22 +13,22 @@ certified lower bound of the corresponding supremum.  Medians follow the
 infimum convention: alpha = inf{ g : w({f > g} ∩ B) <= w(B)/2 }, which makes
 both defining half-mass inequalities hold exactly and fixes determinism.
 
-Superlevel sets of family functions are exact interval unions (sign
-splitting), so all set measures below are closed-form, not sampled.  The
-triangle and weighted Lp flavours are one `FuncExpr.lp_integral` each, at
-p = 1 against x^{2 lam} dx and at p against w dx.
+Superlevel sets are exact interval unions, so all set measures below are
+closed-form, not sampled.  The triangle and weighted Lp flavours are one
+`FuncExpr.lp_integral` each, at p = 1 against x^{2 lam} dx and at p against
+w dx.
 
-Each public call classifies its (symbol, interval, measure) once, and the
-three kinds take three exact routes.  A piecewise-constant symbol cuts B
-once into a table of (value, w-mass) cells: its median, tail thresholds,
-rearrangement, median oscillation and local mean oscillation are all scans
-of that table.  A symbol whose derivative has one nonzero sign on B
-(`FuncExpr.sign_regions`) is one monotone piece: its level sets [x1, x2]
-come from `measure.monotone_inverse`, the one scalar inverse, and its
-median oscillation is half the smallest spread |b(x2) - b(x1)| over windows
-of w-mass (1 - s) w(B), a scalar minimisation over x1.  Any other symbol
-falls back to sign splitting, with its median a scalar inverse over its
-value range and its infima over the centre c a scan around the median.
+Each public call classifies its (symbol, interval, measure) once.  A
+piecewise-constant symbol cuts B once into a table of (value, w-mass) cells:
+its median, tail thresholds, rearrangement, median oscillation and local
+mean oscillation are all scans of that table.  Any other symbol is cut once
+into its monotone runs on B (`FuncExpr.monotone_runs`), and each level set
+{b > g} is every run cut at g by `measure.monotone_inverse`, the one scalar
+inverse.  When B is one run, the median is b at the point that halves w(B),
+and the median oscillation is half the smallest spread |b(x2) - b(x1)| over
+windows of w-mass (1 - s) w(B), a scalar minimisation over x1.  Otherwise
+the median is a scalar inverse over the value range, and the infima over
+the centre c are a scan around it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, PostconditionError, ZeroMassError
-from .measure import BesselMeasure, FuncExpr, Interval, monotone_inverse
+from .measure import BesselMeasure, FuncExpr, Interval, Piece, monotone_inverse
 from .weights import IntervalFamily, Weight
 
 __all__ = [
@@ -77,65 +77,54 @@ def _mass(ref: RefMeasure, lo: float, hi: float) -> float:
 
 
 def superlevel_set(f: FuncExpr, gamma: float, B: Interval) -> tuple[Interval, ...]:
-    """{x in B : f(x) > gamma} as a disjoint interval union (strict >).
-
-    One monotone piece on B is cut where it crosses gamma, however close to
-    0 that is; other functions are split at their sign changes.
-    """
-    mono = _monotone_piece(f, B)
-    if mono is not None:
-        p, inc = mono
-        cut = monotone_inverse(p.eval, gamma, B.a, B.b, inc)
-        lo, hi = (cut, B.b) if inc else (B.a, cut)
-        return (Interval(lo, hi),) if lo < hi else ()
-    regions = (f - gamma).sign_regions(B)
-    return tuple(iv for iv, sgn in regions if sgn > 0)
+    """{x in B : f(x) > gamma} as a disjoint interval union (strict >): the
+    monotone runs of f on B cut at gamma (`_beyond`), however close to 0."""
+    return tuple(Interval(lo, hi) for lo, hi in _beyond(f.monotone_runs(B), gamma, 1))
 
 
 def superlevel_measure(f: FuncExpr, gamma: float, B: Interval, ref: RefMeasure) -> float:
     return sum(mass_of(ref, iv) for iv in superlevel_set(f, gamma, B))
 
 
-def _monotone_piece(g: FuncExpr, B: Interval):
-    """(piece, increasing) when g restricted to B is a single piece covering B
-    whose derivative has one nonzero sign on it; None otherwise."""
-    r = g.restrict(B)
-    if len(r.pieces) != 1:
-        return None
-    p = r.pieces[0]
-    if p.lo > B.a + 1e-15 * B.b or p.hi < B.b * (1 - 1e-15):
-        return None
-    signs = {sgn for _, sgn in r.derivative().sign_regions(Interval(p.lo, p.hi))}
-    return (p, signs == {1}) if signs in ({1}, {-1}) else None
-
-
-def _monotone_tail(p, inc: bool, B: Interval, ref: RefMeasure, c: float, t: float) -> float:
-    """ref({x in B : |p(x) - c| > t}) for a piece p monotone on B."""
-    cut = lambda y: monotone_inverse(p.eval, y, B.a, B.b, inc)
-    up, down = cut(c + t), cut(c - t)  # crossings of p = c + t and p = c - t
-    if inc:  # {p > c + t} = (up, b), {p < c - t} = (a, down)
-        return _mass(ref, up, B.b) + _mass(ref, B.a, down)
-    return _mass(ref, B.a, up) + _mass(ref, down, B.b)
+def _beyond(runs: list, g: float, side: int) -> list[tuple[float, float]]:
+    """The parts (lo, hi) of the span of b's monotone runs where side * (b - g)
+    > 0, in order: each monotone run cut where it crosses g, each flat run (a
+    constant cell or a gap) kept whole or dropped, and the parts of one piece
+    that meet at a turning point joined."""
+    parts: list[tuple[float, float, Piece]] = []
+    for lo, hi, p, d in runs:
+        if d:
+            cut = monotone_inverse(p.eval, g, lo, hi, d > 0)
+            lo, hi = (cut, hi) if d * side > 0 else (lo, cut)
+        elif side * (p.eval(hi) - g) <= 0.0:
+            continue
+        if lo < hi:
+            if parts and parts[-1][1] == lo and parts[-1][2] is p:
+                lo = parts.pop()[0]
+            parts.append((lo, hi, p))
+    return [(lo, hi) for lo, hi, _ in parts]
 
 
 @dataclass(frozen=True)
 class _Symbol:
     """b on B under w, classified once: a step symbol carries its (value,
-    w-mass) `cells`, one monotone piece its (piece, increasing) `mono`, and a
-    generic symbol neither."""
+    w-mass) `cells`, any other symbol its `FuncExpr.monotone_runs` on B, and
+    `mono` is b's piece when B is one monotone run of it."""
 
     b: FuncExpr
     B: Interval
     w: RefMeasure
     cells: list[tuple[float, float]] | None
-    mono: tuple | None
+    runs: list[tuple[float, float, Piece, int]] | None
+    mono: Piece | None
 
 
 def _classify(b: FuncExpr, B: Interval, w: RefMeasure) -> _Symbol:
     r = b.restrict(B)
     if r.is_piecewise_constant():
-        return _Symbol(b, B, w, _cell_table(r, B, w), None)
-    return _Symbol(b, B, w, None, _monotone_piece(r, B))
+        return _Symbol(b, B, w, _cell_table(r, B, w), None, None)
+    runs = r.monotone_runs(B)
+    return _Symbol(b, B, w, None, runs, runs[0][2] if len(runs) == 1 and runs[0][3] else None)
 
 
 def median(b: FuncExpr, B: Interval, ref: RefMeasure) -> float:
@@ -160,11 +149,11 @@ def _median(sym: _Symbol) -> float:
     elif sym.mono is not None:
         # alpha = b at the point splitting B into two ref-halves
         cut = monotone_inverse(lambda x: _mass(ref, B.a, x), half, B.a, B.b)
-        alpha = sym.mono[0].eval(cut)
+        alpha = sym.mono.eval(cut)
     else:
         # ref({b > g}) falls to 0 over the value range: search from a finite end
         lo, hi = b.value_range(B)
-        above = lambda g: superlevel_measure(b, g, B, ref)
+        above = lambda g: sum(_mass(ref, *part) for part in _beyond(sym.runs, g, 1))
         if lo > -math.inf:
             alpha = lo + monotone_inverse(lambda d: above(lo + d), half, 0.0, hi - lo, False)
         else:
@@ -195,17 +184,14 @@ def _threshold(sym: _Symbol, c: float, level: float, strict: bool) -> float:
     """inf{ t >= 0 : w({x in B : |b - c| > t}) <= level } (< level when strict).
 
     A step symbol scans its cell table, with the relative slack 1e-12 (or
-    -1e-14 when strict) against ties.  Otherwise the tail is continuous in
-    t, so the infimum is where it crosses level.
+    -1e-14 when strict) against ties.  Otherwise the tail, the mass above
+    c + t plus that below c - t, falls in t: the infimum is where it crosses.
     """
     if sym.cells is not None:
         limit = level * (1 - 1e-14) if strict else level * (1 + 1e-12)
         return _step_threshold(sym.cells, c, limit, strict)
-    if sym.mono is not None:
-        tail = lambda t: _monotone_tail(*sym.mono, sym.B, sym.w, c, t)
-    else:
-        dev = (sym.b - c).restrict(sym.B).abs()
-        tail = lambda t: superlevel_measure(dev, t, sym.B, sym.w)
+    parts = lambda t: _beyond(sym.runs, c + t, 1) + _beyond(sym.runs, c - t, -1)
+    tail = lambda t: sum(_mass(sym.w, *part) for part in parts(t))
     return monotone_inverse(tail, level, 0.0, math.inf, increasing=False)
 
 
@@ -215,7 +201,7 @@ def _centre_infimum(sym: _Symbol, frac: float, strict: bool, alpha: float | None
     alpha + T], T the threshold at the median alpha; the threshold is
     1-Lipschitz in c and, for frac <= 1/2, at least |c - alpha|."""
     if sym.mono is not None:
-        return _window_oscillation(sym.mono[0], sym.B, sym.w, frac)
+        return _window_oscillation(sym.mono, sym.B, sym.w, frac)
     level = frac * mass_of(sym.w, sym.B)
     at = lambda c: _threshold(sym, c, level, strict)
     if sym.cells is not None:

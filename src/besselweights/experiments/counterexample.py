@@ -50,6 +50,11 @@ def run_counterexample(cfg: ScenarioConfig) -> Verdict:
     growth_gate = cfg.get_float("total_growth_gate")
     cfg.require("lams", all(lam > 0.0 for lam in lams), "hold values > 0")
     cfg.require("eps", eps > 0.0, "be > 0")
+    anchor_ts = (1e-7, 1e-9, 1e-11)  # t of the slope anchors, largest first
+    # t X_t^k = eps^{2 lam} log(X_t / eps) has a root X_t > x0 only for t < g(x0) (< 0 if eps >= 2 > x0)
+    peaks = [g(x0) for g, x0 in (counterexample_g(lam, min(eps, 2.0)) for lam in lams)]
+    cfg.require("eps", min(peaks) > anchor_ts[0],
+                f"leave g(x0) above the largest slope anchor t = {anchor_ts[0]:g} for every lam")
     cfg.require("t_low_exponent", t_lo_exp < t_hi_exp, "be below t_high_exponent")
 
     for lam in lams:
@@ -82,7 +87,7 @@ def run_counterexample(cfg: ScenarioConfig) -> Verdict:
         # analytic slope anchor: t * X_t^{2 lam + 1} gains eps^{2 lam} per e-fold
         g, x0 = counterexample_g(lam, eps)
         anchors = []
-        for t in (1e-7, 1e-9, 1e-11):
+        for t in anchor_ts:
             X = counterexample_inverse(g, x0, t)
             anchors.append((t * X ** (2 * lam + 1), math.log(X)))
         slopes = [

@@ -29,10 +29,10 @@ them on an interval, clipped to it, with the gaps between them.
 piece ends (binary `+` is its two-term case): each cell adds its terms' atoms
 in term order and is dropped when they cancel.  `FuncExpr.envelope` is the
 max over covering intervals.  `FuncExpr.sign_regions` (whose per-cell split
-`abs` shares) is the one routine that answers sign questions; on
-`derivative` it also decides monotonicity and gives `value_range` the points
-where extrema lie.  The per-cell split also takes an unbounded cell
-[lo, inf), whose tail it reads through x -> 1/x.
+`abs` shares) is the one routine that answers sign questions; on the
+derivative it cuts f into monotone runs (`FuncExpr.monotone_runs`), whose
+ends hold the extremes of `value_range` and which bmo cuts at a level.  The
+split also takes an unbounded cell [lo, inf), reading its tail via x -> 1/x.
 
 Integrals over many intervals at once run on an `IntervalEnds` batch
 (`FuncExpr.integrate_many`), in one array pass per atom that equals the
@@ -722,18 +722,33 @@ class FuncExpr:
             out += [(Interval(a, b), sgn) for a, b, sgn in cuts]
         return out
 
-    def value_range(self, B: Interval) -> tuple[float, float]:
-        """(inf, sup) of f on B.  Each piece is read at the ends of its
-        derivative's sign regions, where its extrema lie (at 0 through its
-        limit, which may be infinite), and a gap of B contributes the value 0."""
-        vals = []
+    def monotone_runs(self, B: Interval) -> list[tuple[float, float, Piece, int]]:
+        """(lo, hi, piece, direction) tiling B in order: the cells of f on B
+        (`piece`, with no atoms on a gap) cut where f' changes sign, with
+        direction +1 or -1 where f increases or decreases, 0 on a constant
+        cell or a gap.  Neighbouring regions of one piece with one direction
+        form one run, so a double root of f' does not split it; f' read as 0
+        at a region's geometric midpoint is read again at its arithmetic one."""
+        runs: list[tuple[float, float, Piece, int]] = []
         for lo, hi, atoms in self.cells(B):
-            if not atoms:
-                vals.append(0.0)
-                continue
             p = Piece(lo, hi, atoms)
-            for iv, _ in FuncExpr([p]).derivative().sign_regions(Interval(lo, hi)):
-                vals += [p.eval(iv.a) if iv.a > 0.0 else _limit_at_zero(p), p.eval(iv.b)]
+            slope = FuncExpr([p]).derivative().pieces  # () on a constant cell or a gap
+            for a, b, d in FuncExpr._split(slope[0]) if slope else [(lo, hi, 0)]:
+                if not d and slope:
+                    v = slope[0].eval(0.5 * (a + b))
+                    d = (v > 0.0) - (v < 0.0)
+                if runs and runs[-1][2] is p and runs[-1][3] == d:
+                    a = runs.pop()[0]
+                runs.append((a, b, p, d))
+        return runs
+
+    def value_range(self, B: Interval) -> tuple[float, float]:
+        """(inf, sup) of f on B, read at the ends of its monotone runs, where
+        its extrema lie (at 0 through its limit, which may be infinite); a gap
+        of B contributes the value 0."""
+        vals = []
+        for lo, hi, p, _ in self.monotone_runs(B):
+            vals += [p.eval(lo) if lo > 0.0 else _limit_at_zero(p), p.eval(hi)] if p.atoms else [0.0]
         return min(vals), max(vals)
 
     def derivative(self) -> "FuncExpr":

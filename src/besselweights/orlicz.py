@@ -273,9 +273,6 @@ def luxemburg_norm(f: FuncExpr, phi: YoungFunction, B: Interval, m: BesselMeasur
 class CPhiResult:
     value: float
     finite: bool
-    partial: float
-    increments: tuple[float, ...]
-    tail_estimate: float
 
 
 _CHECKPOINTS = (1.0, 1e3, 1e6, 1e12, 1e24)  # ends of the log-doubling windows of c_phi
@@ -304,13 +301,11 @@ def c_phi(phi: YoungFunction) -> CPhiResult:
             )
         )
     partial = sum(increments)
-    if partial > _DIVERGENCE_CAP:
-        return CPhiResult(math.inf, False, partial, tuple(increments), math.inf)
     ratio = increments[-1] / increments[-2] if increments[-2] > 0 else 0.0
-    if ratio >= _DECAY_THRESHOLD:
-        return CPhiResult(math.inf, False, partial, tuple(increments), math.inf)
+    if partial > _DIVERGENCE_CAP or ratio >= _DECAY_THRESHOLD:
+        return CPhiResult(math.inf, False)
     tail = increments[-1] * ratio / (1.0 - ratio) if ratio > 0 else 0.0
-    return CPhiResult(partial + tail, True, partial, tuple(increments), tail)
+    return CPhiResult(partial + tail, True)
 
 
 # -- Orlicz maximal operator -------------------------------------------------------

@@ -283,8 +283,6 @@ class WeightConstantReport:
 
     value: float
     argmax_interval: Interval | None
-    family_size: int
-    class_tag: ClassTag
     divergent: bool
     finite_value: float
     finite_argmax: Interval | None
@@ -315,8 +313,8 @@ def weight_constant(w: Weight, tag: ClassTag, family: IntervalFamily) -> WeightC
     best_B = family.intervals[i] if best > -math.inf else None
     if divergent.any():
         witness = family.intervals[int(np.argmax(divergent))]
-        return WeightConstantReport(math.inf, witness, len(family), tag, True, best, best_B)
-    return WeightConstantReport(best, best_B, len(family), tag, False, best, best_B)
+        return WeightConstantReport(math.inf, witness, True, best, best_B)
+    return WeightConstantReport(best, best_B, False, best, best_B)
 
 
 # -- dual weights -------------------------------------------------------------------

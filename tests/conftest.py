@@ -2,7 +2,8 @@
 midpoint rule that `FuncExpr._cells_on` replaced and must reproduce, the
 per-pair root scan that the vectorised one in `FuncExpr._piece_roots`
 replaced and must reproduce, the two-route Orlicz mean and the two family
-nesting routines that `luxemburg_norm` and `dyadic._nesting` replaced, a
+nesting routines that `luxemburg_norm` and `dyadic._nesting` replaced, the
+region walk that `FuncExpr.value_range` replaced with its monotone runs, a
 comparable view of a function's cells, and a record of the cells the root
 scan is asked about."""
 
@@ -22,6 +23,7 @@ from besselweights.measure import (
     FuncExpr,
     Interval,
     Piece,
+    _limit_at_zero,
     dmu,
     integrate_callable,
     monotone_inverse,
@@ -173,6 +175,20 @@ def reference_canonical_major_subsets(cubes, m):
     return SparseFamily(tuple(cubes), subsets, min(eta, 1.0))
 
 
+def reference_value_range(f, B):
+    """FuncExpr.value_range as it read each piece at every end of its
+    derivative's sign regions, and a gap as the value 0."""
+    vals = []
+    for lo, hi, atoms in f.cells(B):
+        if not atoms:
+            vals.append(0.0)
+            continue
+        p = Piece(lo, hi, atoms)
+        for iv, _ in FuncExpr([p]).derivative().sign_regions(Interval(lo, hi)):
+            vals += [p.eval(iv.a) if iv.a > 0.0 else _limit_at_zero(p), p.eval(iv.b)]
+    return min(vals), max(vals)
+
+
 def cells_of(f):
     return [(p.lo, p.hi, p.atoms) for p in f.pieces]
 
@@ -190,6 +206,11 @@ def _reference_cells_on_fixture():
 @pytest.fixture(name="reference_piece_roots")
 def _reference_piece_roots_fixture():
     return reference_piece_roots
+
+
+@pytest.fixture(name="reference_value_range")
+def _reference_value_range_fixture():
+    return reference_value_range
 
 
 @pytest.fixture(name="cells_of")

@@ -67,6 +67,23 @@ class TestSuperlevel:
             assert iv.a == pytest.approx(lo, rel=1e-12)
             assert iv.b == pytest.approx(hi, rel=1e-12)
 
+    def test_crossing_far_below_one(self):
+        # b = (u - 100)(u + 60), u = log x, falls on (1e-40, e^20) and rises on
+        # (e^20, e^30) without reaching 0 again, so {b > 0} = (1e-40, e^-60)
+        b = FuncExpr.log_power(1.0, 0.0, 2) - FuncExpr.log_power(40.0, 0.0, 1) - 6000.0
+        (iv,) = superlevel_set(b, 0.0, Interval(1e-40, math.exp(30.0)))
+        assert iv.a == pytest.approx(1e-40, rel=1e-12, abs=0.0)
+        assert iv.b == pytest.approx(math.exp(-60.0), rel=1e-12, abs=0.0)
+
+    def test_flat_point_keeps_one_monotone_piece(self):
+        # (log x)^3 is flat at x = 1 and increasing on B; on (1/39, 39) its
+        # derivative also reads 0 at the geometric midpoint 1
+        b = FuncExpr.log_power(1.0, 0.0, 3)
+        for B in (Interval(0.1, 10.0), Interval(1.0 / 39.0, 39.0)):
+            assert bmo._classify(b, B, Weight.one()).mono is not None
+            (iv,) = superlevel_set(b, 0.0, B)
+            assert iv.a == pytest.approx(1.0, rel=1e-12) and iv.b == B.b
+
     def test_measure_exact(self):
         B = Interval(0.5, 4.0)
         val = superlevel_measure(LOGB, 0.0, B, M1)

@@ -323,6 +323,10 @@ class TestCli:
             ("bmo-equivalence", b"[scenario]\nname = bmo-equivalence\nseed = 3\np = 1\n", "key 'p' must be > 1"),
             ("sparse-scaling", b"[scenario]\nname = sparse-scaling\nseed = 3\ndeltas = 0\n", "key 'deltas' must hold values > 0"),
             ("counterexample", b"[scenario]\nname = counterexample\nseed = 3\neps = 0\n", "key 'eps' must be > 0"),
+            ("counterexample", b"[scenario]\nname = counterexample\nseed = 3\neps = 5\n",
+             r"key 'eps' must leave g\(x0\) above the largest slope anchor t = 1e-07 for every lam: 5"),
+            ("counterexample", b"[scenario]\nname = counterexample\nseed = 3\neps = 1e200\n",
+             r"key 'eps' must leave g\(x0\) above the largest slope anchor t = 1e-07 for every lam: 1e200"),
             ("endpoint", b"[scenario]\nname = endpoint\nseed = 3\neps = 0\n", "key 'eps' must be > 0"),
             ("bmo-equivalence", b"[scenario]\nname = bmo-equivalence\nseed = 3\nlam = 0\n", "key 'lam' must be > 0"),
             ("commutator-bound", b"[scenario]\nname = commutator-bound\nseed = 3\nlam = -1\n", "key 'lam' must be > 0"),
@@ -338,7 +342,8 @@ class TestCli:
              "unknown-section", "default-section", "n_cases-0", "n_cases-1.9", "n_cases-nan",
              "n_cases-inf", "empty-ps", "pair-without-lam", "empty-pairs", "n_pairs-0",
              "lam-without-alpha", "alpha-at-minus-one", "ps-1", "bmo-p-1", "deltas-0",
-             "counterexample-eps-0", "endpoint-eps-0", "bmo-lam-0", "commutator-lam-minus-1", "lams-0",
+             "counterexample-eps-0", "counterexample-eps-5", "counterexample-eps-1e200",
+             "endpoint-eps-0", "bmo-lam-0", "commutator-lam-minus-1", "lams-0",
              "pair-lam-0", "pair-p-1", "s-0.7", "phi_eps-2", "empty-decade-window"],
     )
     def test_malformed_config_prints_one_line(self, tmp_path, scenario, raw, message):

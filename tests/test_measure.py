@@ -28,7 +28,7 @@ from besselweights.measure import (
     monotone_inverse,
     power_log_integral,
 )
-from besselweights.measure import _piece_ends, _power_log_integral_many
+from besselweights.measure import _limit_at_zero, _piece_ends, _power_log_integral_many
 
 
 def gauss_oracle(f, a, b, n=4000):
@@ -754,3 +754,63 @@ class TestTripleRoot:
         (p1, p2) = f.pieces
         assert p1.hi == p2.lo == pytest.approx(1.0, abs=1e-11)
         assert f(0.5) == pytest.approx(-0.5 * math.log(0.5) ** 3, rel=1e-14) and f(2.0) > 0.0
+
+
+class TestMonotoneRuns:
+    """`FuncExpr.monotone_runs` on seeded power-log cells of one to three
+    atoms: some with a double root of f' at x = 1 (x^a log^3 x) that the
+    root scan cuts at, some zero-based, some next to a constant cell, some
+    with B wider than the support."""
+
+    @staticmethod
+    def _cases(n, seed):
+        rng = np.random.default_rng(seed)
+        for i in range(n):
+            k = int(rng.integers(1, 4))
+            atoms = [(float(rng.uniform(-2.0, 2.0)), float(rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])),
+                      int(rng.integers(0, 4))) for _ in range(k)]
+            if i % 4 == 1:  # f' = c x^{a-1} log^2 x (a log x + 3), plus a constant
+                atoms = [(float(rng.uniform(0.5, 2.0)), float(rng.choice([0.0, 0.5, -1.0])), 3)]
+                atoms += [(float(rng.uniform(-1.0, 1.0)), 0.0, 0)][: k - 1]
+            lo = 0.0 if i % 4 == 2 else float(rng.uniform(0.05, 0.9))
+            hi = float(rng.uniform(1.1, 8.0))
+            if i % 4 == 1:  # the root scan's middle point, where f' reads 0, is 1
+                hi = 1.0 / lo
+            pieces = [Piece(lo, hi, tuple(atoms))]
+            if i % 2:
+                pieces.append(Piece(hi, hi + 1.0, ((float(rng.uniform(-2.0, 2.0)), 0.0, 0),)))
+            top = pieces[-1].hi
+            B = Interval(lo * 0.5, top + 0.5) if i % 4 == 3 else Interval(lo, top)
+            yield FuncExpr(pieces), B
+
+    @staticmethod
+    def _end(p, x):
+        return p.eval(x) if x > 0.0 else _limit_at_zero(p)
+
+    def test_runs_tile_and_order_their_end_values(self):
+        for f, B in self._cases(120, seed=21):
+            runs = f.monotone_runs(B)
+            assert runs[0][0] == B.a and runs[-1][1] == B.b
+            assert all(lo < hi for lo, hi, _, _ in runs)
+            assert all(r[1] == q[0] for r, q in zip(runs, runs[1:]))
+            for lo, hi, p, d in runs:
+                flat = all(a == 0.0 and m == 0 for _, a, m in p.atoms)  # also a gap
+                assert (d == 0) == flat
+                assert p.lo <= lo < hi <= p.hi
+                if d:
+                    assert d * self._end(p, lo) <= d * self._end(p, hi)
+                else:
+                    assert p.eval(lo or hi) == p.eval(hi)
+            for r, q in zip(runs, runs[1:]):
+                if r[2] is q[2]:  # one piece: its runs alternate
+                    assert r[3] == -q[3] != 0
+
+    def test_value_range_reads_the_run_ends(self, reference_value_range):
+        for f, B in self._cases(120, seed=22):
+            assert f.value_range(B) == reference_value_range(f, B)
+
+    def test_a_double_root_of_the_slope_does_not_split_a_run(self):
+        # on (1/39, 39) f' also reads 0 at the geometric midpoint 1
+        f = FuncExpr.log_power(1.0, 0.0, 3)
+        for B in (Interval(0.1, 10.0), Interval(1.0 / 39.0, 39.0)):
+            assert [(lo, hi, d) for lo, hi, _, d in f.monotone_runs(B)] == [(B.a, B.b, 1)]

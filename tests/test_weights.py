@@ -197,8 +197,8 @@ def _scalar_weight_constant(w, tag, family):
         if q > best:
             best, best_B = q, B
     if witness is not None:
-        return WeightConstantReport(math.inf, witness, len(family), tag, True, best, best_B)
-    return WeightConstantReport(best, best_B, len(family), tag, False, best, best_B)
+        return WeightConstantReport(math.inf, witness, True, best, best_B)
+    return WeightConstantReport(best, best_B, False, best, best_B)
 
 
 class TestFamilyScan:
