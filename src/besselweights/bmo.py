@@ -18,17 +18,16 @@ closed-form, not sampled.  The triangle and weighted Lp flavours are one
 `FuncExpr.lp_integral` each, at p = 1 against x^{2 lam} dx and at p against
 w dx.
 
-Each public call classifies its (symbol, interval, measure) once.  A
-piecewise-constant symbol cuts B once into a table of (value, w-mass) cells:
-its median, tail thresholds, rearrangement, median oscillation and local
-mean oscillation are all scans of that table.  Any other symbol is cut once
-into its monotone runs on B (`FuncExpr.monotone_runs`), and each level set
-{b > g} is every run cut at g by `measure.monotone_inverse`, the one scalar
-inverse.  When B is one run, the median is b at the point that halves w(B),
-and the median oscillation is half the smallest spread |b(x2) - b(x1)| over
-windows of w-mass (1 - s) w(B), a scalar minimisation over x1.  Otherwise
-the median is a scalar inverse over the value range, and the infima over
-the centre c are a scan around it.
+Each public call classifies its (symbol, interval, measure) once: a
+piecewise-constant symbol into a table of (value, w-mass) cells, any other
+into its monotone runs on B (`FuncExpr.monotone_runs`), each level set
+{b > g} being every run cut at g by `measure.monotone_inverse`.  Every median
+is Q(w(B)/2) of the increasing rearrangement Q(m) = inf{ g : w({b > g}) <=
+w(B) - m }, read from the table, from the closed-form mass cut of one run,
+or by a scalar inverse over the value range.  An infimum over centres c is
+half the shortest value window of mass w(B) - level (the shorth): for a step
+symbol the least threshold at each lower value's shortest window's midpoint,
+found by two pointers; otherwise half the least Q(m + w(B) - level) - Q(m).
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, PostconditionError, ZeroMassError
-from .measure import BesselMeasure, FuncExpr, Interval, Piece, monotone_inverse
+from .measure import BesselMeasure, FuncExpr, Interval, Piece, _run_range, _value_at, monotone_inverse
 from .weights import IntervalFamily, Weight
 
 __all__ = [
@@ -60,9 +59,6 @@ __all__ = [
 ]
 
 RefMeasure = BesselMeasure | Weight
-
-_C_SAMPLES = 64  # centres scanned for a symbol that is neither step nor monotone
-
 
 def mass_of(ref: RefMeasure, iv: Interval) -> float:
     """Mass of an interval under mu (BesselMeasure) or w dx (Weight)."""
@@ -107,11 +103,10 @@ def _beyond(runs: list, g: float, side: int) -> list[tuple[float, float]]:
 
 @dataclass(frozen=True)
 class _Symbol:
-    """b on B under w, classified once: a step symbol carries its (value,
-    w-mass) `cells`, any other symbol its `FuncExpr.monotone_runs` on B, and
-    `mono` is b's piece when B is one monotone run of it."""
+    """A symbol b on B under w, classified once: a step symbol carries its
+    (value, w-mass) `cells`, any other symbol its `FuncExpr.monotone_runs` on
+    B, and `mono` is b's piece when B is one monotone run of it."""
 
-    b: FuncExpr
     B: Interval
     w: RefMeasure
     cells: list[tuple[float, float]] | None
@@ -122,9 +117,9 @@ class _Symbol:
 def _classify(b: FuncExpr, B: Interval, w: RefMeasure) -> _Symbol:
     r = b.restrict(B)
     if r.is_piecewise_constant():
-        return _Symbol(b, B, w, _cell_table(r, B, w), None, None)
+        return _Symbol(B, w, _cell_table(r, B, w), None, None)
     runs = r.monotone_runs(B)
-    return _Symbol(b, B, w, None, runs, runs[0][2] if len(runs) == 1 and runs[0][3] else None)
+    return _Symbol(B, w, None, runs, runs[0][2] if len(runs) == 1 and runs[0][3] else None)
 
 
 def median(b: FuncExpr, B: Interval, ref: RefMeasure) -> float:
@@ -137,40 +132,72 @@ def median(b: FuncExpr, B: Interval, ref: RefMeasure) -> float:
 
 
 def _median(sym: _Symbol) -> float:
-    b, B, ref = sym.b, sym.B, sym.w
-    total = mass_of(ref, B)
+    total = mass_of(sym.w, sym.B)
     half = 0.5 * total
-    if sym.cells is not None:
-        # ref({b > g}) is a step function of g with jumps at the cell values
-        alpha = next(
-            v for v in sorted({v for v, _ in sym.cells})
-            if sum(mass for u, mass in sym.cells if u > v) <= half * (1 + 1e-12)
-        )
-    elif sym.mono is not None:
-        # alpha = b at the point splitting B into two ref-halves
-        cut = monotone_inverse(lambda x: _mass(ref, B.a, x), half, B.a, B.b)
-        alpha = sym.mono.eval(cut)
-    else:
-        # ref({b > g}) falls to 0 over the value range: search from a finite end
-        lo, hi = b.value_range(B)
-        above = lambda g: sum(_mass(ref, *part) for part in _beyond(sym.runs, g, 1))
-        if lo > -math.inf:
-            alpha = lo + monotone_inverse(lambda d: above(lo + d), half, 0.0, hi - lo, False)
-        else:
-            alpha = hi - monotone_inverse(lambda d: above(hi - d), half, 0.0, math.inf)
-    if sym.cells is not None:
-        above = sum(mass for u, mass in sym.cells if u > alpha)
-        below = sum(mass for u, mass in sym.cells if u < alpha)
-    else:
-        above = superlevel_measure(b, alpha, B, ref)
-        below = superlevel_measure(-b, -alpha, B, ref)  # mass of {b < alpha}
+    alpha = _quantile(sym)(half)
+    above, below = _side_masses(sym, alpha)
     slack = 1e-9 * total
     if above > half + slack or below > half + slack:
         raise PostconditionError(
-            f"median {alpha:g} on ({B.a:g}, {B.b:g}) leaves masses "
+            f"median {alpha:g} on ({sym.B.a:g}, {sym.B.b:g}) leaves masses "
             f"{above:g} above and {below:g} below, over half of {total:g}"
         )
     return alpha
+
+
+def _side_masses(sym: _Symbol, alpha: float) -> tuple[float, float]:
+    """(w({b > alpha}), w({b < alpha})) on B, from the cell table or the runs."""
+    if sym.cells is not None:
+        return tuple(sum(mass for u, mass in sym.cells if side * (u - alpha) > 0.0) for side in (1, -1))
+    return tuple(sum(_mass(sym.w, *part) for part in _beyond(sym.runs, alpha, side)) for side in (1, -1))
+
+
+def _quantile(sym: _Symbol):
+    """The increasing rearrangement Q(m) = inf{ g : w({b > g}) <= w(B) - m } of
+    b on B: from the cell table, the mass cut of one run, or else a search over
+    the values, which returns the value v of a flat run (a constant cell or a
+    gap, where w({b > g}) jumps) when it lands within 1e-12 (1 + |v|) of v."""
+    total = mass_of(sym.w, sym.B)
+    if sym.cells is not None:
+        vals = sorted({v for v, _ in sym.cells})
+        return lambda m: next(v for v in vals if sum(
+            mass for u, mass in sym.cells if u > v) <= (total - m) * (1 + 1e-12))
+    if sym.mono is not None:
+        up = sym.runs[0][3] > 0
+        return lambda m: _value_at(sym.mono, _cut(sym.w, sym.B.a, m if up else total - m, sym.B.b))
+    lo, hi = _run_range(sym.runs)
+    end, sign = (lo, 1.0) if lo > -math.inf else (hi, -1.0)  # search from a finite end
+    flats = [p.eval(x) if p.atoms else 0.0 for _, x, p, d in sym.runs if not d]
+    above = lambda g: sum(_mass(sym.w, *part) for part in _beyond(sym.runs, g, 1))
+
+    def q(m: float) -> float:
+        g = end + sign * monotone_inverse(
+            lambda t: above(end + sign * t), total - m, 0.0, hi - lo, sign < 0)
+        return next((v for v in flats if abs(g - v) <= 1e-12 * (1 + abs(v)) and above(v) <= total - m), g)
+
+    return q
+
+
+def _cut(ref: RefMeasure, a: float, target: float, hi: float) -> float:
+    """x in [a, hi] with ref((a, x)) = target: a for a target <= 0, hi for one
+    out of reach.  For ref = c x^e dx on R_+ (mu and every power weight) the
+    mass c (x^k - a^k)/k, k = e + 1, or c log(x/a) at k = 0, inverts in closed
+    form; any other measure goes through `monotone_inverse` of the mass."""
+    if target <= 0.0:
+        return a
+    match ref:
+        case BesselMeasure(lam=lam):
+            c, k = 1.0, 2.0 * lam + 1.0
+        case Weight(expr=FuncExpr(pieces=(Piece(lo=0.0, hi=math.inf, atoms=((c, e, 0),)),))):
+            k = e + 1.0
+        case _:
+            return monotone_inverse(lambda x: _mass(ref, a, x), target, a, hi)
+    try:
+        base = a**k + k * target / c
+        x = a * math.exp(target / c) if k == 0.0 else base ** (1.0 / k) if base > 0.0 else hi
+    except OverflowError:
+        return hi
+    return min(x, hi)
 
 
 def quantile_threshold(
@@ -195,21 +222,17 @@ def _threshold(sym: _Symbol, c: float, level: float, strict: bool) -> float:
     return monotone_inverse(tail, level, 0.0, math.inf, increasing=False)
 
 
-def _centre_infimum(sym: _Symbol, frac: float, strict: bool, alpha: float | None = None) -> float:
-    """inf over c of `_threshold` at level frac * w(B): a scan of the step
-    centres, the window scan, or for a generic symbol a scan of [alpha - T,
-    alpha + T], T the threshold at the median alpha; the threshold is
-    1-Lipschitz in c and, for frac <= 1/2, at least |c - alpha|."""
-    if sym.mono is not None:
-        return _window_oscillation(sym.mono, sym.B, sym.w, frac)
-    level = frac * mass_of(sym.w, sym.B)
-    at = lambda c: _threshold(sym, c, level, strict)
+def _centre_infimum(sym: _Symbol, frac: float, strict: bool) -> float:
+    """inf over c of `_threshold` at level frac * w(B), half the shortest value
+    window of mass w(B) - level: at the step centres, or half the least
+    Q(m + w(B) - level) - Q(m), m in [0, level], by a scan.  The threshold is
+    1-Lipschitz in c: a scan of c with spacing h encloses it in [min - h/2, min]."""
+    total = mass_of(sym.w, sym.B)
+    level = frac * total
     if sym.cells is not None:
-        return min(map(at, _step_centres(sym.cells)))
-    if alpha is None:
-        alpha = _median(sym)
-    t = at(alpha)
-    return min(t, _scan_minimum(at, alpha - t, alpha + t, _C_SAMPLES)) if t > 0.0 else 0.0
+        return min(_threshold(sym, c, level, strict) for c in _window_centres(sym.cells, level))
+    q, need = _quantile(sym), total - level
+    return 0.5 * _scan_minimum(lambda m: q(m + need) - q(m), 0.0, level, 17)
 
 
 # -- piecewise-constant cell table -------------------------------------------------
@@ -239,11 +262,20 @@ def _step_threshold(
     return max(d for d, _ in devs)
 
 
-def _step_centres(cells: list[tuple[float, float]]) -> set[float]:
-    """Cell values and their pairwise midpoints: the centres c at which
-    inf_c of a step-symbol tail threshold is attained."""
+def _window_centres(cells: list[tuple[float, float]], level: float) -> set[float]:
+    """The O(n) centres among which inf_c of a step threshold at level is
+    attained: by two pointers over the sorted values, the midpoints of each
+    lower value's shortest window leaving mass at most level outside it, and
+    of its two neighbours, which cover the ties and slack of the threshold."""
     vals = sorted({v for v, _ in cells})
-    return {0.5 * (v1 + v2) for v1 in vals for v2 in vals}
+    mass = [sum(m for u, m in cells if u == v) for v in vals]
+    centres, j, inside, total = set(), 0, 0.0, sum(mass)
+    for i, v in enumerate(vals):
+        while j < len(vals) and total - inside > level:
+            inside, j = inside + mass[j], j + 1
+        centres.update(0.5 * (v + u) for u in vals[max(i, j - 2) : j + 1])
+        inside -= mass[i]
+    return centres
 
 
 # -- reports -------------------------------------------------------------------
@@ -338,23 +370,6 @@ def _scan_minimum(f, lo: float, hi: float, samples: int) -> float:
     return min(min(coarse), float(refined.fun))
 
 
-def _window_oscillation(p, B: Interval, w: RefMeasure, s: float) -> float:
-    """Half the smallest spread |p(x2) - p(x1)| of the monotone piece p over
-    windows [x1, x2] in B of w-mass (1 - s) w(B), x1 in [B.a, x1max]."""
-    total = mass_of(w, B)
-    need = (1.0 - s) * total
-    cum = lambda x: _mass(w, B.a, x)
-
-    def spread(x1: float) -> float:
-        if x1 == 0.0:  # p(0+) may be infinite; the minimiser nears 0 from inside
-            return math.inf
-        x2 = monotone_inverse(cum, cum(x1) + need, x1, B.b)
-        return abs(p.eval(x2) - p.eval(x1))
-
-    x1max = monotone_inverse(cum, total - need, B.a, B.b)
-    return 0.5 * _scan_minimum(spread, B.a, x1max, 17)
-
-
 def bmo_median_norm(
     b: FuncExpr, w: RefMeasure, s: float, family: IntervalFamily
 ) -> BmoReport:
@@ -386,13 +401,13 @@ def local_mean_oscillation(
     """(inf over c of ((b-c) chi_B)*(lambda_frac w(B)),
         the same with c = the infimum median).
 
-    The first is at most the second, which is at most twice the first.  For
-    one monotone piece the tail is continuous, so the infimum is the window
-    form of the median oscillation at s = lambda_frac.
+    The first is at most the second, which is at most twice the first.  Off
+    step symbols the tail is continuous but at flat runs, and the infimum is
+    the shortest-window form of the median oscillation at s = lambda_frac.
     """
     sym = _classify(b, B, w)
-    alpha, a_med = _median_threshold(sym, lambda_frac)
-    return min(_centre_infimum(sym, lambda_frac, True, alpha), a_med), a_med
+    _, a_med = _median_threshold(sym, lambda_frac)
+    return min(_centre_infimum(sym, lambda_frac, True), a_med), a_med
 
 
 def _median_threshold(sym: _Symbol, lambda_frac: float) -> tuple[float, float]:
@@ -414,13 +429,8 @@ def median_stability_check(
     """(|alpha(B_eps) - alpha(B)|, a_{lambda_frac}(b; B)) where B_eps extends
     the right endpoint (falling back to contraction for shrink targets) until
     w(B_eps) = (1 +/- eps) w(B)."""
-    B_eps = _resize_to_mass(B, (1.0 + eps) * mass_of(w, B), w)
-    alpha, a_med = _median_threshold(_classify(b, B, w), lambda_frac)
-    return abs(median(b, B_eps, w) - alpha), a_med
-
-
-def _resize_to_mass(B: Interval, target: float, w: RefMeasure) -> Interval:
-    x = monotone_inverse(lambda x: _mass(w, B.a, x), target, B.a, math.inf)
+    x = _cut(w, B.a, (1.0 + eps) * mass_of(w, B), math.inf)
     if math.isinf(x):
         raise ConstructionError("cannot reach the enlarged mass target")
-    return Interval(B.a, x)
+    alpha, a_med = _median_threshold(_classify(b, B, w), lambda_frac)
+    return abs(median(b, Interval(B.a, x), w) - alpha), a_med

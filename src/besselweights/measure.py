@@ -746,10 +746,7 @@ class FuncExpr:
         """(inf, sup) of f on B, read at the ends of its monotone runs, where
         its extrema lie (at 0 through its limit, which may be infinite); a gap
         of B contributes the value 0."""
-        vals = []
-        for lo, hi, p, _ in self.monotone_runs(B):
-            vals += [p.eval(lo) if lo > 0.0 else _limit_at_zero(p), p.eval(hi)] if p.atoms else [0.0]
-        return min(vals), max(vals)
+        return _run_range(self.monotone_runs(B))
 
     def derivative(self) -> "FuncExpr":
         """f' inside each cell, by d/dx c x^a log^m x = c x^{a-1} (a log^m x +
@@ -831,6 +828,17 @@ def _limit_at_zero(p: Piece) -> float:
     if a > 0.0:
         return 0.0
     return c if (a, neg_m) == (0.0, 0) else math.copysign(math.inf, c * (-1) ** neg_m)
+
+
+def _value_at(p: Piece, x: float) -> float:
+    """p(x), read at x = 0 as its limit from the right."""
+    return p.eval(x) if x > 0.0 else _limit_at_zero(p)
+
+
+def _run_range(runs: list[tuple[float, float, Piece, int]]) -> tuple[float, float]:
+    """(inf, sup) over monotone runs, read at their ends; a gap has the value 0."""
+    vals = [_value_at(p, x) if p.atoms else 0.0 for lo, hi, p, _ in runs for x in (lo, hi)]
+    return min(vals), max(vals)
 
 
 def _geometric_mid(lo: float, hi: float) -> float:

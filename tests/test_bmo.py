@@ -28,8 +28,8 @@ from besselweights.bmo import (
     triangle_oscillation,
     weighted_bmo_norm,
 )
-from besselweights.errors import PostconditionError
-from besselweights.measure import BesselMeasure, FuncExpr, Interval, dmu
+from besselweights.errors import ConstructionError, PostconditionError
+from besselweights.measure import BesselMeasure, FuncExpr, Interval, dmu, monotone_inverse
 from besselweights.weights import IntervalFamily, TildeAp, Weight, weight_constant
 
 M1 = BesselMeasure(1.0)
@@ -114,7 +114,7 @@ class TestMedian:
             assert math.isfinite(alpha)
 
     def test_postcondition_raises_package_error(self, monkeypatch):
-        monkeypatch.setattr(bmo, "superlevel_measure", lambda *args: math.inf)
+        monkeypatch.setattr(bmo, "_side_masses", lambda *args: (math.inf, math.inf))
         with pytest.raises(PostconditionError):
             median(LOGB, Interval(1, 3), M1)
 
@@ -125,7 +125,7 @@ class TestMedian:
             "from besselweights.errors import PostconditionError\n"
             "from besselweights.measure import BesselMeasure, FuncExpr, Interval\n"
             "print(__debug__)\n"
-            "bmo.superlevel_measure = lambda *args: math.inf\n"
+            "bmo._side_masses = lambda *args: (math.inf, math.inf)\n"
             "try:\n"
             "    bmo.median(FuncExpr.log_of_mu_density(1.0), Interval(1, 3), BesselMeasure(1.0))\n"
             "except PostconditionError:\n"
@@ -369,6 +369,53 @@ class TestMassNearZero:
         assert val == pytest.approx(100 * math.log(4), rel=1e-12)
 
 
+class TestMassCut:
+    """`_cut` inverts c x^e dx on R_+ in closed form, agreeing with the
+    `monotone_inverse` route that every other measure takes."""
+
+    REFS = [BesselMeasure(0.5), BesselMeasure(1.0), BesselMeasure(2.5)] + [
+        Weight.power(alpha) for alpha in (-0.99, -1.0, -2.0, 0.0, 1.0)]
+
+    @staticmethod
+    def _inverse(ref, a, target, hi):
+        return monotone_inverse(lambda x: bmo._mass(ref, a, x), target, a, hi)
+
+    def test_closed_form_matches_the_inverse(self, monkeypatch):
+        cases = []
+        for ref in self.REFS:
+            finite_at_zero = isinstance(ref, BesselMeasure) or ref.expr.pieces[0].atoms[0][1] > -1
+            for a in (0.0, 0.3, 2.0) if finite_at_zero else (0.3, 2.0):
+                hi = 4.0 * a + 1.0
+                total = mass_of(ref, Interval(a, hi))
+                for target in (1e-300, 1e-100, 1e-12 * total, 0.3 * total, 0.9 * total):
+                    cases += [(ref, a, target, end) for end in (hi, math.inf)]
+                cases += [(ref, a, 0.0, hi), (ref, a, 2.0 * total, hi)]
+        expected = [self._inverse(*case) for case in cases]
+        monkeypatch.setattr(bmo, "monotone_inverse", None)  # the closed form takes no inverse
+        for case, x in zip(cases, expected):
+            assert bmo._cut(*case) == pytest.approx(x, rel=1e-12, abs=0.0)
+            if case[2] == 0.0:
+                assert bmo._cut(*case) == case[1]  # a target of 0 returns a
+
+    def test_unreachable_mass(self):
+        # x^-2 carries mass 1 on (1, inf)
+        w = Weight.power(-2.0)
+        assert bmo._cut(w, 1.0, 1.5, math.inf) == math.inf == self._inverse(w, 1.0, 1.5, math.inf)
+        with pytest.raises(ConstructionError):  # w((1, 2)) = 1/2, enlarged to 5/4
+            median_stability_check(LOGB, Interval(1.0, 2.0), 1.5, 0.25, w)
+
+    def test_other_measures_take_the_inverse(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bmo, "monotone_inverse",
+                            lambda *args: calls.append(args) or monotone_inverse(*args))
+        w1 = Weight(FuncExpr.piecewise_constant([0.0, 1.0, 3.0], [1.0, 2.0]))
+        w2 = Weight(FuncExpr.power(1.0, 1.0).restrict(Interval(0.0, 5.0)))
+        for w in (w1, w2):
+            for target in (0.2, 1.5, 3.0):
+                assert bmo._cut(w, 0.5, target, 4.0) == self._inverse(w, 0.5, target, 4.0)
+        assert len(calls) == 6
+
+
 class TestGenericSymbol:
     """(log x)^2 on (1/e, e) under dx is neither a step nor monotone.  With
     u = log x in (-1, 1) and dx = e^u du, {b > g} has mass
@@ -423,6 +470,45 @@ class TestGenericSymbol:
         exact = mp.findroot(lambda g: mass_cubic(g) - half, (0.01, 0.38), solver="anderson")
         b = FuncExpr.log_power(1.0, 0.0, 3) + FuncExpr.log_power(-1.0, 0.0, 1)
         assert median(b, B, w) == pytest.approx(float(exact), rel=1e-10)
+
+    def test_median_at_a_flat_run(self):
+        # L = log x on (0.5, 1) and (2, 2.5), a gap between: under dx the
+        # median is the gap's value 0, where w({b > g}) jumps; a value search
+        # lands a few ulps off it and the post-condition used to raise
+        L = FuncExpr.log_power(1.0, 0.0, 1)
+        b = L.restrict(Interval(0.5, 1.0)) + L.restrict(Interval(2.0, 2.5))
+        assert median(b, Interval(0.5, 2.5), Weight.one()) == 0.0
+        assert median(b, Interval(0.5, 2.0), Weight.one()) == 0.0
+
+
+class TestStepPlusCurve:
+    """Symbols mixing a scaled log x cell, a constant cell and a (log x)^2
+    cell, with gaps between them: neither a step nor one monotone run."""
+
+    @staticmethod
+    def _cases(n, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            pts = [float(x) for x in np.sort(rng.uniform(0.1, 4.0, size=6))]
+            cells = [FuncExpr.log_power(float(rng.uniform(-2, 2)), 0.0, 1),
+                     FuncExpr.constant(float(rng.uniform(-1, 1))),
+                     FuncExpr.log_power(float(rng.uniform(-2, 2)), 0.0, 2)]
+            rng.shuffle(cells)
+            b = FuncExpr.sum(f.restrict(Interval(pts[2 * i], pts[2 * i + 1]))
+                             for i, f in enumerate(cells))
+            w = Weight.one() if rng.uniform() < 0.5 else Weight.power(1.0)
+            yield b, Interval(pts[0], pts[5]), w, float(rng.uniform(0.05, 0.5))
+
+    def test_median_and_centre_infima(self):
+        # the threshold is 1-Lipschitz in c, so a scan of c with spacing h
+        # encloses the infimum over c in [min - h/2, min]
+        for b, B, w, s in self._cases(20, seed=5):
+            median(b, B, w)  # checks its own post-conditions
+            lo, hi = b.value_range(B)
+            h = (hi - lo) / 200
+            scan = min(quantile_threshold(b, lo + k * h, B, w, s) for k in range(201))
+            for val in (median_oscillation(b, w, s, B), local_mean_oscillation(b, B, s, w)[0]):
+                assert scan - h / 2 <= val <= scan + 1e-12
 
 
 def _per_candidate_threshold(b, c, B, w, limit, strict):

@@ -561,7 +561,7 @@ class TestMonotoneInverse:
     def test_relative_precision_from_zero(self):
         # the lower end 0 is walked out in log x; no absolute floor swamps 1e-51
         x = monotone_inverse(math.log, math.log(1e-51), 0.0, 1.0)
-        assert x == pytest.approx(1e-51, rel=1e-13)
+        assert x == pytest.approx(1e-51, rel=1e-13, abs=0.0)
 
     def test_open_upper_end_decreasing(self):
         x = monotone_inverse(lambda x: 1.0 / x, 1e-3, 1.0, math.inf, increasing=False)
