@@ -44,6 +44,12 @@ sign (an incomplete gamma, or its series next to the root and Gauss-Legendre
 away from it, with a-priori error bounds); any other cell is cut at its sign
 changes.  Guarded quadrature (`integrate_callable`, `_lp_quad`) handles what
 leaves the family, e.g. phi(|f|) for a Young function phi.
+
+Every root and inverse takes one bracketed solver, `_brentq`, which computes
+scipy.optimize.brentq's iterates bit for bit: `_piece_roots` on each bracket
+its scan finds, and `monotone_inverse`.  With it and the incomplete gamma of
+`_scaled_gamma_tail` summed here, the family's paths load no scipy; guarded
+quadrature imports it on its first call.
 """
 
 from __future__ import annotations
@@ -57,9 +63,6 @@ from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq
-from scipy.special import gamma, gammaincc
 
 from .errors import DivergenceError, PreconditionError, QuadratureError, RepresentationError
 
@@ -332,7 +335,7 @@ class BesselMeasure:
 Atom = tuple[float, float, int]  # (coef, alpha, logpow)
 
 _ROOT_SCAN = 257  # log-spaced points per cell that `_piece_roots` scans for sign changes
-_ROOT_ITER = 200  # brentq iterations per bracket: a triple root takes about 100
+_ROOT_ITER = 200  # `_brentq` iterations per bracket: a triple root takes about 100
 
 
 def _add_atoms(acc: dict[tuple[float, int], float], atoms: Iterable[Atom]) -> dict:
@@ -677,7 +680,7 @@ class FuncExpr:
         # scan points where the sum is 0, and brackets where it changes sign
         head, tail = vals[:-1], vals[1:]
         roots = [
-            float(brentq(p.eval, xs[i], xs[i + 1], rtol=1e-15, maxiter=_ROOT_ITER))
+            _brentq(p.eval, xs[i], xs[i + 1], rtol=1e-15, maxiter=_ROOT_ITER)
             if head[i]
             else float(xs[i])
             for i in np.flatnonzero((head == 0.0) | (head * tail < 0.0))
@@ -959,13 +962,40 @@ def _legendre(p: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scaled_gamma_tail(a: float, z: float) -> float:
-    """e^z Gamma(a, z) for z >= 0 (DLMF 8.2.2).  Past max(50, 2a) it is
-    z^{a-1} sum_k (a-1)...(a-k) / z^k (DLMF 8.11.2), summed to below
-    1e-17 of the total: each term is at most half the one before while k < a
-    + z/2, and once they alternate the remainder is below the first one left
-    out (DLMF 8.11(i))."""
+    """e^z Gamma(a, z) for z >= 0, a > 1 (DLMF 8.2.2), in three forms.
+    - Below z = a + 1: e^z Gamma(a) - z^a sum_n z^n / (a)_{n+1} (DLMF 8.7.1),
+      stopped at a term below 2^-56 of the sum once the next ratio z / (a + n
+      + 1) is below 1/2.  Gamma(a, z) / Gamma(a) > Gamma(1, 2) = 0.135 there,
+      so the difference loses at most three bits.
+    - Up to max(50, 2a): z^a times Legendre's continued fraction (DLMF 8.9.2)
+      by the modified Lentz method, to a last factor within 2^-53 of 1.
+    - Past that: z^{a-1} sum_k (a-1)...(a-k) / z^k (DLMF 8.11.2), summed to
+      below 1e-17 of the total: each term is at most half the one before while
+      k < a + z/2, and once they alternate the remainder is below the first
+      one left out (DLMF 8.11(i)).
+    """
+    if z < a + 1.0:
+        term = total = 1.0 / a
+        n = 0
+        while term > 2.0**-56 * total or 2.0 * z > a + n + 1.0:
+            n += 1
+            term *= z / (a + n)
+            total += term
+        return math.exp(z) * math.gamma(a) - z**a * total
     if z <= max(_GAMMA_SERIES_Z, 2.0 * a):
-        return math.exp(z) * gammaincc(a, z) * gamma(a)
+        tiny = 1e-300  # stands in for a zero denominator
+        b = z + 1.0 - a
+        c, d = 1.0 / tiny, 1.0 / b
+        h, k, factor = d, 0, 0.0
+        while abs(factor - 1.0) >= 2.0**-53:
+            k += 1
+            an, b = k * (a - k), b + 2.0
+            d = an * d + b
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = b + an / c
+            factor = d * (c if abs(c) > tiny else tiny)
+            h *= factor
+        return z**a * h
     term = total = 1.0
     k = 1
     while abs(term) > 1e-17 * total:
@@ -1000,7 +1030,7 @@ def _power_log_lp(c0: float, c1: float, p: float, s: float, u0: float, u1: float
         if r >= u1:
             tail = _scaled_gamma_tail(p + 1.0, s * (r - u1))
             return c1p * math.exp(s * u1) * tail / s ** (p + 1.0)
-        head = c1p * math.exp(s * r) * gamma(p + 1.0) / s ** (p + 1.0)
+        head = c1p * math.exp(s * r) * math.gamma(p + 1.0) / s ** (p + 1.0)
         return head + _power_log_lp(c0, c1, p, s, max(r, u1 - _LP_TAIL / s), u1)
     h = 1.0 / abs(s) if s else math.inf  # the segment width in u
     width = u1 - u0
@@ -1052,10 +1082,73 @@ def _legendre_sum(
 
 
 # ---------------------------------------------------------------------------
-# The scalar inverse of monotone functions.
+# The bracketed root solver and the scalar inverse of monotone functions.
 # ---------------------------------------------------------------------------
 
 _LOG_X_RANGE = 700.0  # exp(+-700) stays inside the double range
+
+
+def _brentq(
+    f: Callable[[float], float], a: float, b: float,
+    xtol: float = 2e-12, rtol: float = 2.0**-50, maxiter: int = 100,
+) -> float:
+    """A root of f in [a, b], f(a) and f(b) of opposite signs, to within
+    xtol + rtol |x|, by Brent's method (Brent, Algorithms for Minimization
+    without Derivatives, 1973, ch. 4): inverse quadratic or secant steps,
+    bisection whenever a step is not short enough.
+
+    A line-for-line port of scipy.optimize.brentq, with its defaults (rtol is
+    4 eps) and its iterates bit for bit.  Its C code divides by zero to inf
+    or nan, which fails the short-step test; here a ZeroDivisionError bisects
+    instead.  ValueError for ends of one sign or a NaN value, RuntimeError
+    after maxiter iterations.
+    """
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless an interpolated step is short enough
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's inf or nan, which fails the test below
+                pass
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def monotone_inverse(
@@ -1106,8 +1199,8 @@ def monotone_inverse(
                 return hi if up else lo
             near, step = u, min(2.0 * step, reach)
         a, b = (near, u) if up else (u, near)
-    u = brentq(g, a, b, xtol=1e-15)
-    d = 2e-15 * (1.0 + abs(u))  # twice brentq's bound on the distance to the root
+    u = _brentq(g, a, b, xtol=1e-15)
+    d = 2e-15 * (1.0 + abs(u))  # twice `_brentq`'s bound on the distance to the root
     ua, ub = max(u - d, a), min(u + d, b)
     ga, gb = g(ua), g(ub)
     if ga < 0.0 < gb:  # f is linear to within eps across so narrow a bracket
@@ -1141,8 +1234,11 @@ def _guarded_quad(fn: Callable[[float], float], a: float, b: float, rel_tol: flo
 
     Subdivision is bounded by scipy's limit; failure to reach `rel_tol`
     relative accuracy (with a tiny absolute floor) raises QuadratureError
-    reporting the achieved error estimate.
+    reporting the achieved error estimate.  scipy is imported here, on the
+    first call, so that only runs that leave the family load it.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     with warnings.catch_warnings():
         # the explicit error check below supersedes scipy's advisory warnings
         warnings.simplefilter("ignore", IntegrationWarning)

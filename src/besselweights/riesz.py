@@ -55,7 +55,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import beta, hyp2f1
 
 from .bmo import median, superlevel_set
 from .dyadic import subtract_intervals
@@ -96,7 +95,11 @@ def kernel_lambda1_closed_form(x: float, y: float) -> float:
 
 
 def _kernel(lam: float, x, y):
-    """K(x, y) by the 2F1 closed form, elementwise over broadcast x != y."""
+    """K(x, y) by the 2F1 closed form, elementwise over broadcast x != y.
+    scipy is imported here, on the first call, so that runs without a kernel
+    never load it."""
+    from scipy.special import beta, hyp2f1
+
     M = np.maximum(x, y)
     m = np.minimum(x, y)
     r = m / M

@@ -28,7 +28,13 @@ from besselweights.measure import (
     monotone_inverse,
     power_log_integral,
 )
-from besselweights.measure import _limit_at_zero, _piece_ends, _power_log_integral_many
+from besselweights.measure import (
+    _brentq,
+    _limit_at_zero,
+    _piece_ends,
+    _power_log_integral_many,
+    _scaled_gamma_tail,
+)
 
 
 def gauss_oracle(f, a, b, n=4000):
@@ -695,10 +701,10 @@ class TestLpIntegral:
 
     def test_quadrature_error_is_checked_on_zero_based_cells(self, monkeypatch):
         """The fallback raises when quad's error estimate misses its tolerance."""
-        from besselweights import measure
+        import scipy.integrate
 
-        quad = measure.quad
-        monkeypatch.setattr(measure, "quad", lambda *a, **k: (quad(*a, **k)[0],) * 2)
+        quad = scipy.integrate.quad  # `_guarded_quad` imports it at call time
+        monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: (quad(*a, **k)[0],) * 2)
         zero_based = FuncExpr([Piece(0.0, 1.0, ((1.0, 0.0, 0), (1.0, 1.0, 0)))])
         with pytest.raises(QuadratureError):
             zero_based.lp_integral(1.5, FuncExpr.power(1.0, -0.5), Interval(0.0, 1.0))
@@ -814,3 +820,89 @@ class TestMonotoneRuns:
         f = FuncExpr.log_power(1.0, 0.0, 3)
         for B in (Interval(0.1, 10.0), Interval(1.0 / 39.0, 39.0)):
             assert [(lo, hi, d) for lo, hi, _, d in f.monotone_runs(B)] == [(B.a, B.b, 1)]
+
+
+def _solve(solver, f, a, b, **tol):
+    """The root's bits, or the class of the error raised."""
+    try:
+        return solver(f, a, b, **tol).hex()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+class TestBrentq:
+    """`_brentq` against scipy.optimize.brentq, bit for bit, at the
+    tolerances of `_piece_roots` and of `monotone_inverse`."""
+
+    TOLS = [dict(rtol=1e-15, maxiter=200), dict(xtol=1e-15)]
+
+    @staticmethod
+    def _brackets(n, seed):
+        """Seeded brackets around a power-log, an exponential, a cubic and a
+        flat-stretch root, in either order."""
+        rng = random.Random(seed)
+        for i in range(n):
+            kind = i % 4
+            if kind == 0:  # x^k (log x + c)
+                k, c = rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0)
+                f, r = (lambda x, k=k, c=c: x**k * (math.log(x) + c)), math.exp(-c)
+                a, b = r * math.exp(-rng.uniform(0.01, 3.0)), r * math.exp(rng.uniform(0.01, 3.0))
+            elif kind == 1:  # e^{k u} - y
+                k, y = rng.uniform(0.1, 5.0), rng.uniform(0.1, 10.0)
+                f, r = (lambda u, k=k, y=y: math.exp(k * u) - y), math.log(y) / k
+                a, b = r - rng.uniform(0.01, 3.0), r + rng.uniform(0.01, 3.0)
+            elif kind == 2:  # (x - r)^3 + q (x - r)
+                r, q = rng.uniform(-2.0, 2.0), rng.uniform(0.0, 3.0)
+                f = lambda x, r=r, q=q: (x - r) ** 3 + q * (x - r)
+                a, b = r - rng.uniform(0.01, 3.0), r + rng.uniform(0.01, 3.0)
+            else:  # a slope through r between flat stretches, scaled so far
+                # down that the interpolation's product underflows to 0 / 0
+                r, scale = rng.uniform(0.5, 2.0), 10.0 ** rng.uniform(-320.0, -250.0)
+                f = lambda x, r=r, scale=scale: scale * min(max(x - r, -0.3), 0.3)
+                a, b = r - rng.uniform(0.01, 3.0), r + rng.uniform(0.01, 3.0)
+            yield (f, b, a) if rng.random() < 0.5 else (f, a, b)
+
+    @pytest.mark.parametrize("tol", TOLS, ids=["rtol", "xtol"])
+    def test_matches_scipy_bit_for_bit(self, tol):
+        from scipy.optimize import brentq
+
+        for f, a, b in self._brackets(400, seed=24):
+            assert _solve(_brentq, f, a, b, **tol) == _solve(brentq, f, a, b, **tol), (a, b)
+
+    @pytest.mark.parametrize("tol", TOLS, ids=["rtol", "xtol"])
+    def test_edge_cases_match_scipy(self, tol):
+        from scipy.optimize import brentq
+
+        cube = lambda x: math.log(x) ** 3  # a triple root at 1
+        cases = [
+            (cube, 0.005, 32.0, tol),
+            (cube, 0.005, 32.0, {**tol, "maxiter": 5}),  # RuntimeError
+            (lambda x: x - 1.0, 1.0, 2.0, tol),  # a zero at an end
+            (lambda x: x - 1.0, 0.0, 1.0, tol),
+            (lambda x: x + 1.0, 0.0, 1.0, tol),  # ValueError: ends of one sign
+            (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0, tol),  # ValueError: NaN
+        ]
+        outcomes = [_solve(_brentq, f, a, b, **t) for f, a, b, t in cases]
+        assert outcomes == [_solve(brentq, f, a, b, **t) for f, a, b, t in cases]
+        assert outcomes[1:] == [RuntimeError, "0x1.0000000000000p+0", "0x1.0000000000000p+0", ValueError, ValueError]
+
+    def test_triple_root_converges_within_the_root_scans_iterations(self):
+        assert _brentq(lambda x: math.log(x) ** 3, 0.005, 32.0, rtol=1e-15, maxiter=200) == pytest.approx(1.0, abs=1e-11)
+
+
+class TestScaledGammaTail:
+    def test_against_mpmath(self):
+        """e^z Gamma(a, z) on each of its three forms' ranges that a in
+        [1.01, 8] reaches below z = 50, next to 0 and next to a + 1."""
+        rng = np.random.default_rng(24)
+        cases = []
+        for a in rng.uniform(1.01, 8.0, 60):
+            zs = [0.0, a + 1.0, math.nextafter(a + 1.0, 0.0)]
+            zs += list(10.0 ** rng.uniform(-9.0, -3.0, 3))
+            zs += list(a + 1.0 + rng.uniform(-0.05, 0.05, 4))
+            zs += list(rng.uniform(0.0, 50.0, 6))
+            cases += [(float(a), float(z)) for z in zs]
+        with mp.workdps(30):
+            for a, z in cases:
+                exact = mp.exp(z) * mp.gammainc(a, z)
+                assert _scaled_gamma_tail(a, z) == pytest.approx(float(exact), rel=1e-14, abs=0.0), (a, z)
