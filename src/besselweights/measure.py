@@ -42,14 +42,15 @@ interval-by-interval integrals bit for bit.
 x^a (c1 log x + c0) against powers of x takes `_power_log_lp` whatever its
 sign (an incomplete gamma, or its series next to the root and Gauss-Legendre
 away from it, with a-priori error bounds); any other cell is cut at its sign
-changes.  Guarded quadrature (`integrate_callable`, `_lp_quad`) handles what
-leaves the family, e.g. phi(|f|) for a Young function phi.
+changes.  What leaves the family takes composite Gauss-Legendre
+(`_gauss_legendre`) when it is analytic on the closed cell, and guarded
+adaptive quadrature (`integrate_callable`, `_lp_quad`) otherwise.
 
 Every root and inverse takes one bracketed solver, `_brentq`, which computes
 scipy.optimize.brentq's iterates bit for bit: `_piece_roots` on each bracket
 its scan finds, and `monotone_inverse`.  With it and the incomplete gamma of
 `_scaled_gamma_tail` summed here, the family's paths load no scipy; guarded
-quadrature imports it on its first call.
+adaptive quadrature imports it on its first call.
 """
 
 from __future__ import annotations
@@ -944,13 +945,17 @@ def _legendre(p: float) -> tuple[np.ndarray, np.ndarray]:
     error is at most (64/15) M rho^{-2n} / (rho^2 - 1) (Trefethen,
     Approximation Theory and Approximation Practice, Thm 19.3).  The integral
     is at least 2 (|y*| - 1)^p e^{-|kappa|}; the ratio is largest at |y*| = 3.
-    The nodes are Newton's from Tricomi's first guesses on the three-term
-    recurrence of P_n, with no eigenvalue solver.
     """
     rho, semi = 4.0, 17.0 / 8.0
     ratio = ((3.0 + semi) / 2.0) ** p * math.exp((semi + 1.0) / 2.0)
     bound = 32.0 / 15.0 / (rho**2 - 1.0) * ratio
-    n = math.ceil(math.log(bound / _LP_TOL) / (2.0 * math.log(rho)))
+    return _gauss_nodes(math.ceil(math.log(bound / _LP_TOL) / (2.0 * math.log(rho))))
+
+
+@cache
+def _gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1]: Newton's from
+    Tricomi's guesses on the recurrence of P_n, with no eigenvalue solver."""
     y = np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
     for _ in range(8):  # quadratic convergence from guesses within 1/n^2
         q0, q1 = np.ones(n), y
@@ -1215,6 +1220,8 @@ def monotone_inverse(
 
 
 _QUAD_ABS_FLOOR = 1e-300  # absolute accuracy asked of quad next to rel_tol
+_QUAD_LIMIT = 200  # subintervals of `_guarded_quad`, panels of `_gauss_legendre`
+_NARROW_PANEL = 100 * 2.0**-52  # a panel this narrow, relative to its midpoint, is not halved
 
 
 def integrate_callable(
@@ -1242,7 +1249,12 @@ def _guarded_quad(fn: Callable[[float], float], a: float, b: float, rel_tol: flo
     with warnings.catch_warnings():
         # the explicit error check below supersedes scipy's advisory warnings
         warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(fn, a, b, limit=200, epsabs=_QUAD_ABS_FLOOR, epsrel=rel_tol)
+        val, err = quad(fn, a, b, limit=_QUAD_LIMIT, epsabs=_QUAD_ABS_FLOOR, epsrel=rel_tol)
+    return _checked(val, err, rel_tol)
+
+
+def _checked(val: float, err: float, rel_tol: float) -> float:
+    """val; DivergenceError if it is not finite, QuadratureError if err misses rel_tol."""
     if not math.isfinite(val):
         raise DivergenceError("quadrature returned a non-finite value")
     if err > rel_tol * max(abs(val), 1e-12) and err > 1e-13:
@@ -1251,3 +1263,32 @@ def _guarded_quad(fn: Callable[[float], float], a: float, b: float, rel_tol: flo
             achieved_error=err,
         )
     return val
+
+
+def _gauss_legendre(
+    fn: Callable[[np.ndarray], np.ndarray], a: float, b: float, rel_tol: float
+) -> float:
+    """integral over (a, b) of fn, analytic on [a, b] and evaluated on an
+    array of nodes, by composite Gauss-Legendre: a panel keeps its 32-node
+    sum when its 16-node sum agrees to rel_tol, and is halved otherwise.
+    Past _QUAD_LIMIT panels, or on a panel too narrow to halve, the panels
+    left are kept, and the summed disagreements are checked as
+    `_guarded_quad` checks quad's error estimate."""
+    (y16, w16), (y32, w32) = _gauss_nodes(16), _gauss_nodes(32)
+    total = err = 0.0
+    panels, n = [(a, b)], 1
+    while panels:
+        lo, hi = panels.pop()
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        fine = half * float(fn(mid + half * y32) @ w32)
+        diff = abs(fine - half * float(fn(mid + half * y16) @ w16))
+        if not math.isfinite(diff):
+            raise DivergenceError("quadrature returned a non-finite value")
+        done = diff <= max(rel_tol * abs(fine), _QUAD_ABS_FLOOR) or half <= _NARROW_PANEL * abs(mid)
+        if done or n >= _QUAD_LIMIT:
+            total += fine
+            err += diff
+        else:
+            panels += [(mid, hi), (lo, mid)]  # the left half is taken first
+            n += 1
+    return _checked(total, err, rel_tol)

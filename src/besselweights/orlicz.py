@@ -10,16 +10,17 @@ That level crossing and the inverses phi^{-1} both go through
 measure.monotone_inverse, which searches in log s with a relative tolerance
 only, so gauges and inverses stay accurate down to exp(-700).  The
 complementary function phibar(s) = sup_t (s*t - phi(t)) is evaluated by
-ternary search in log t on the concave inner function.  No closed forms are
-assumed anywhere.
+ternary search in log t on the concave inner function.  The inner average
+is exact on constant cells and on the power cells whose tails phi declares
+(see `luxemburg_norm`); every other cell takes one guarded quadrature.
 
 The endpoint estimates are driven by the scalar constant
 
     c_phi  = int_1^inf phi^{-1}(t) / (t^2 * log(e+t)) dt,
 
 which admits a crisp finite/infinite dichotomy at desk scale: the integral
-is probed on doubling log-windows and declared divergent when the window
-increments stop decaying.
+is probed on doubling log-windows, each by composite Gauss-Legendre, and
+declared divergent when the window increments stop decaying.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from .errors import (
     UnboundedComplementaryError,
 )
 from .measure import (
-    DX,
     BesselMeasure,
     FuncExpr,
     Interval,
+    _gauss_legendre,
     dmu,
     integrate_callable,
     monotone_inverse,
@@ -75,13 +76,16 @@ class YoungFunction:
     """Convex increasing phi: [0,inf) -> [0,inf) with phi(0) = 0.
 
     gamma_doubling, when set, asserts phi(4t) <= gamma_doubling * phi(t); it is
-    validated on a log grid at construction, as is midpoint convexity.
+    validated on a log grid at construction, as is midpoint convexity.  _tails
+    declares closed forms for `luxemburg_norm`: pairs (gamma, R), gamma < -1,
+    R(t) = t^{-gamma-1} int_t^inf u^{gamma-1} phi(u) du.
     """
 
     fn: Callable[[float], float]
     name: str
     gamma_doubling: float | None = None
     _validate: bool = field(default=True, repr=False)
+    _tails: tuple[tuple[float, Callable[[float], float]], ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         if not self._validate:
@@ -139,13 +143,34 @@ def identity_young() -> YoungFunction:
     return YoungFunction(lambda t: t, "Id", gamma_doubling=4.0)
 
 
+def _llogl_tail_three_halves(t: float) -> float:
+    """R(t) = t^{1/2} int_t^inf u^{-3/2} log(e+u) du for t > 0: the antiderivative
+    -2 u^{-1/2} log(e+u) - 4 e^{-1/2} arctan(sqrt(e/u)) vanishes at infinity,
+    so R(t) = 2 log(e+t) + 4 arctan(v)/v, v = sqrt(e/t): two positive terms."""
+    v = math.sqrt(math.e / t)
+    return 2.0 * math.log(math.e + t) + 4.0 * math.atan(v) / v
+
+
+def _llogl_tail_three(t: float) -> float:
+    """R(t) = t^2 int_t^inf u^{-3} log(e+u) du for t > 0: the antiderivative
+    -log(e+u)/(2u^2) + (log1p(y) - y)/(2e^2), y = e/u, vanishes at infinity,
+    so R(t) = [log(e+t) + (y - log1p(y))/y^2] / 2, y = e/t: two positive terms.
+    Below y = 1/4, where y - log1p(y) cancels, the second is its series
+    sum_k (-y)^k / (k + 2), whose terms past k = 26 are below 2^-54 of it."""
+    y = math.e / t
+    q = (y - math.log1p(y)) / y / y if y >= 0.25 else sum((-y) ** k / (k + 2) for k in range(27))
+    return 0.5 * (math.log(math.e + t) + q)
+
+
 def llogl(eps: float = 1.0) -> YoungFunction:
-    """t * log(e+t)^eps for eps in (0, 1]; the L log L scale at eps = 1."""
+    """t * log(e+t)^eps for eps in (0, 1]; the L log L scale at eps = 1,
+    with the tails of gamma = -3/2 and -3 (x^-2 and x^-1 at lam = 1)."""
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
     gamma = 16.0 if eps == 1.0 else 4.0 * 4.0**eps
+    tails = ((-1.5, _llogl_tail_three_halves), (-3.0, _llogl_tail_three)) if eps == 1.0 else ()
     return YoungFunction(
-        lambda t: t * math.log(math.e + t) ** eps, f"LlogL^{eps:g}", gamma_doubling=gamma
+        lambda t: t * math.log(math.e + t) ** eps, f"LlogL^{eps:g}", gamma, _tails=tails
     )
 
 
@@ -232,16 +257,24 @@ def luxemburg_norm(f: FuncExpr, phi: YoungFunction, B: Interval, m: BesselMeasur
     decreasing mean of phi(|f|/s) falls to 1, by monotone_inverse.
 
     |f| is cut into its cells on B once.  The mean at each s sums
-    phi(v/s) mu(cell) exactly over the constant cells, then adds one
-    quadrature per other cell; an infinite phi value or an overflow makes it
-    +inf."""
+    phi(v/s) mu(cell) exactly over the constant cells, and over each cell
+    c x^beta on (a, b), beta < 0, whose gamma = (2 lam + 1)/beta has a tail R
+    declared by phi: with t = c x^beta / s it is (F(b) - F(a)) / |beta|,
+    F(x) = c x^{2 lam + 1 + beta} R(t) / s, F(0) = 0, losing about
+    log2(b / (b - a)) bits to the difference.  Every other cell takes one
+    quadrature.  An infinite phi value, an overflow or t = inf makes the
+    mean +inf."""
     g_abs = f.restrict(B).abs()  # its pieces are the cells of |f| on B
     if g_abs.is_zero():
         return 0.0
-    const, curved = [], []
+    k1, tails = 2.0 * m.lam + 1.0, dict(phi._tails)
+    const, powers, curved = [], [], []
     for p in g_abs.pieces:
+        (c, beta, j), *rest = p.atoms
         if all(alpha == 0.0 and k == 0 for _, alpha, k in p.atoms):
-            const.append((abs(p.atoms[0][0]), m.mu(Interval(p.lo, p.hi))))
+            const.append((abs(c), m.mu(Interval(p.lo, p.hi))))
+        elif not rest and j == 0 and beta < 0.0 and k1 / beta in tails:
+            powers.append((tails[k1 / beta], abs(c), beta, [x for x in (p.hi, p.lo) if x]))
         else:
             curved.append((Interval(p.lo, p.hi), p.eval))
     muB, kind = m.mu(B), dmu(m)
@@ -254,6 +287,12 @@ def luxemburg_norm(f: FuncExpr, phi: YoungFunction, B: Interval, m: BesselMeasur
                 return math.inf
             total += phival * mass
         try:
+            for R, c, beta, ends in powers:  # b, then a > 0
+                ts = [max(c * x**beta / s, 2.0**-1074) for x in ends]  # R(0) in floats there
+                if ts[-1] == math.inf:  # t is largest at the lower end
+                    return math.inf
+                F = [c * x ** (k1 + beta) * R(t) for x, t in zip(ends, ts)]
+                total += (F[0] - sum(F[1:])) / (-beta * s)
             for cell, g in curved:
                 total += integrate_callable(lambda x: phi(abs(g(x)) / s), cell, kind, rel_tol=1e-11)
         except OverflowError:
@@ -293,13 +332,12 @@ def c_phi(phi: YoungFunction) -> CPhiResult:
         t = math.exp(u)
         return phi.inverse(t) / (t * math.log(math.e + t))
 
-    increments = []
-    for lo, hi in zip(_CHECKPOINTS, _CHECKPOINTS[1:]):
-        increments.append(
-            integrate_callable(
-                log_integrand, Interval(math.log(lo), math.log(hi)), DX, rel_tol=1e-9
-            )
+    increments = [
+        _gauss_legendre(
+            lambda us: np.array([log_integrand(u) for u in us]), math.log(lo), math.log(hi), 1e-9
         )
+        for lo, hi in zip(_CHECKPOINTS, _CHECKPOINTS[1:])
+    ]
     partial = sum(increments)
     ratio = increments[-1] / increments[-2] if increments[-2] > 0 else 0.0
     if partial > _DIVERGENCE_CAP or ratio >= _DECAY_THRESHOLD:

@@ -63,8 +63,7 @@ from .measure import (
     BesselMeasure,
     FuncExpr,
     Interval,
-    dmu,
-    integrate_callable,
+    _gauss_legendre,
     monotone_inverse,
 )
 
@@ -149,17 +148,19 @@ class RieszKernelEvaluator:
     # -- off-support application ------------------------------------------------------
 
     def commutator_apply(self, b: FuncExpr, f: FuncExpr, x: float) -> float:
-        """int (b(x) - b(y)) K(x, y) f(y) dmu(y), piece by piece of f, with x
-        off every piece; an unbounded piece raises ValueError."""
+        """int (b(x) - b(y)) K(x, y) f(y) dmu(y), x off every piece of f: each
+        piece of g = (b(x) - b) f by `_gauss_legendre`, with g, K(x, .) and
+        y^{2 lam} evaluated on whole panels; an unbounded piece raises ValueError."""
         if any(p.lo <= x <= p.hi for p in f.pieces):
             raise SupportError(f"evaluation point x={x:g} touches the support")
-        bx = b(x)
-        m = BesselMeasure(self.lam)
+        g = (FuncExpr.constant(b(x)) - b) * f
+        e = 2.0 * self.lam
         total = 0.0
-        for p in f.pieces:
-            total += integrate_callable(
-                lambda y: (bx - b(y)) * self.kernel(x, y) * f(y),
-                Interval(p.lo, p.hi), dmu(m), rel_tol=_APPLY_REL_TOL,
+        for q in g.pieces:
+            cell = Interval(q.lo, q.hi)  # ValueError on an unbounded piece
+            total += _gauss_legendre(
+                lambda ys: FuncExpr._piece_eval_grid(q, ys) * _kernel(self.lam, x, ys) * ys**e,
+                cell.a, cell.b, _APPLY_REL_TOL,
             )
         return total
 

@@ -30,6 +30,7 @@ from besselweights.measure import (
 )
 from besselweights.measure import (
     _brentq,
+    _gauss_legendre,
     _limit_at_zero,
     _piece_ends,
     _power_log_integral_many,
@@ -589,6 +590,34 @@ class TestQuadratureFallback:
         exact = f.integrate(B, dmu(m))
         numeric = integrate_callable(lambda x: f(x), B, dmu(m))
         assert numeric == pytest.approx(exact, rel=1e-10)
+
+
+class TestGaussLegendre:
+    """`_gauss_legendre`: composite 16/32-node Gauss-Legendre for integrands
+    analytic on the closed cell, with `_guarded_quad`'s failure terms."""
+
+    def test_analytic_integrands_to_the_tolerance(self):
+        m = BesselMeasure(1.0)
+        for f, B in ((FuncExpr.log_power(1.0, -3.0, 1), Interval(2.0, 10.0)),
+                     (FuncExpr.log_power(-2.5, 0.7, 2), Interval(0.01, 3.0))):
+            exact = f.integrate(B, dmu(m))
+            got = _gauss_legendre(lambda x: FuncExpr._piece_eval_grid(f.pieces[0], x) * x**2,
+                                  B.a, B.b, 1e-12)
+            assert got == pytest.approx(exact, rel=1e-13)
+        # a pole at distance 1e-3 of the cell end takes halved panels
+        got = _gauss_legendre(lambda x: 1.0 / (x + 1e-3), 0.0, 1.0, 1e-12)
+        assert got == pytest.approx(math.log(1001.0), rel=1e-13)
+
+    @pytest.mark.parametrize("rel_tol", [1e-9, 1e-11])
+    @pytest.mark.parametrize("mid", [0.5, 1.0 / 3.0, 0.123456])
+    def test_interior_singularity_raises(self, mid, rel_tol):
+        with pytest.raises(QuadratureError) as info:
+            _gauss_legendre(lambda y: np.abs(y - mid) ** -0.5, 0.0, 1.0, rel_tol)
+        assert info.value.achieved_error > rel_tol
+
+    def test_non_finite_value_raises_divergence(self):
+        with pytest.raises(DivergenceError):
+            _gauss_legendre(lambda y: np.where(y < 0.5, 1.0, math.inf), 0.0, 1.0, 1e-9)
 
 
 def lp_oracle(lo, hi, c0, c1, a, p, cw, b):

@@ -2,10 +2,12 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from besselweights import orlicz
 from besselweights.errors import UnboundedComplementaryError
 from besselweights.measure import BesselMeasure, FuncExpr, Interval
 from besselweights.orlicz import (
@@ -193,9 +195,11 @@ class TestLuxemburgCells:
                     assert luxemburg_norm(f, phi, B, m) == reference_luxemburg_norm(f, phi, B, m)
 
     @pytest.mark.parametrize("f, B, phis", [
-        # C9's densities; phi(x^-k / s) x^2 must stay integrable at 0
-        (FuncExpr.power(1.0, -2.0), Interval(0.0, 0.5), PHIS[:1]),
-        (FuncExpr.power(1.0, -1.0), Interval(0.0, 0.125), PHIS[:2]),
+        # phi(x^-k / s) x^2 must stay integrable at 0.  llogl(1) on C9's
+        # densities x^-2 and x^-1 takes its declared tails (TestDeclaredTails);
+        # the Young functions here declare none
+        (FuncExpr.power(1.0, -2.0), Interval(0.0, 0.5), (llogl(0.5),)),
+        (FuncExpr.power(1.0, -1.0), Interval(0.0, 0.125), (llogl(0.5), power_young(2.0))),
         (FuncExpr.log_power(1.0, -0.5, 1), Interval(0.0, 0.5), PHIS[:2]),
         (FuncExpr.power(-2.5, 0.7), Interval(0.3, 4.0), PHIS),
         (FuncExpr.log_power(0.5, 0.3, 2), Interval(1.5, 6.0), PHIS),
@@ -221,6 +225,69 @@ class TestLuxemburgCells:
         monkeypatch.setattr(FuncExpr, "__call__", lambda f, x: calls.append(x) or call(f, x))
         val = luxemburg_norm(FuncExpr.power(1.0, -2.0), llogl(), Interval(0.0, 0.5), M0)
         assert val > 0.0 and calls == []
+
+
+def _mp_tail(gamma: float, t: float) -> mp.mpf:
+    """R(t) = t^{-gamma-1} int_t^inf u^gamma log(e+u) du = int_1^inf v^gamma
+    log(e + t v) dv, by 30-digit quadrature in w = log v, split where t v = e."""
+    with mp.workdps(30):
+        t, g = mp.mpf(t), mp.mpf(gamma)
+        knee = mp.log(mp.e / t)
+        pts = [0, knee, mp.inf] if knee > 0 else [0, mp.inf]
+        return mp.quad(lambda w: mp.exp((g + 1) * w) * mp.log(mp.e + t * mp.exp(w)), pts)
+
+
+def _mp_gauge(beta: float, b: float) -> mp.mpf:
+    """||x^beta||_{LlogL, (0, b)} under dmu = x^2 dx, to 30 digits: the s where
+    3/b^3 int_0^b phi(x^beta / s) x^2 dx = 1, phi(t) = t log(e + t)."""
+    with mp.workdps(30):
+        b, beta = mp.mpf(b), mp.mpf(beta)
+
+        def mean(s):
+            phi = lambda t: t * mp.log(mp.e + t)
+            return 3 / b**3 * mp.quad(lambda x: phi(x**beta / s) * x**2, [0, b / 64, b / 8, b])
+
+        s0 = luxemburg_norm(FuncExpr.power(1.0, float(beta)), llogl(), Interval(0.0, float(b)), M0)
+        return mp.findroot(lambda s: mean(s) - 1, (mp.mpf(s0) * (1 - 1e-6), mp.mpf(s0) * (1 + 1e-6)),
+                           solver="secant")
+
+
+class TestDeclaredTails:
+    """llogl(1) declares the scaled tails R of gamma = -3/2 and -3, and
+    `luxemburg_norm` answers the C9 densities x^-2 and x^-1 from them."""
+
+    TAILS = dict(llogl()._tails)
+
+    @pytest.mark.parametrize("gamma", [-1.5, -3.0])
+    def test_tail_matches_mpmath(self, gamma):
+        R = self.TAILS[gamma]
+        # t >> e is where the gamma = -3 form cancels if written naively
+        ts = list(10.0 ** np.arange(-300.0, 301.0, 25.0)) + [0.1, 1.0, math.e, 10.0, 10.873, 11.0, 1e4, 1e8]
+        for t in ts:
+            assert R(t) == pytest.approx(float(_mp_tail(gamma, t)), rel=1e-14, abs=0.0), t
+
+    def test_other_young_functions_declare_no_tails(self):
+        for phi in (llogl(0.5), power_young(2.0), exp_m1(), identity_young()):
+            assert phi._tails == ()
+
+    @pytest.mark.parametrize("beta, b", [(-2.0, 0.5), (-1.0, 0.125)])
+    def test_c9_density_gauge_matches_mpmath_and_quadrature(self, beta, b, reference_luxemburg_norm):
+        f, B = FuncExpr.power(1.0, beta), Interval(0.0, b)
+        val = luxemburg_norm(f, llogl(), B, M0)
+        assert val == pytest.approx(float(_mp_gauge(beta, b)), rel=1e-13, abs=0.0)
+        # reference_luxemburg_norm's own quadrature asks for 1e-11
+        assert val == pytest.approx(reference_luxemburg_norm(f, llogl(), B, M0), rel=1e-11, abs=0.0)
+
+    def test_c9_density_gauges_make_no_quadrature_call(self, monkeypatch):
+        calls = []
+        quad = orlicz.integrate_callable
+        monkeypatch.setattr(orlicz, "integrate_callable", lambda *a, **k: calls.append(a) or quad(*a, **k))
+        for beta in (0.0, -1.0, -2.0):
+            for B in (Interval(0.0, 2.0**-5), Interval(0.25, 0.5), Interval(0.75, 1.0)):
+                assert luxemburg_norm(FuncExpr.power(1.0, beta), llogl(), B, M0) > 0.0
+        assert calls == []
+        luxemburg_norm(FuncExpr.power(1.0, -1.0), llogl(0.5), Interval(0.25, 0.5), M0)
+        assert len(calls) > 0  # the counter sees the quadrature route
 
 
 class TestEndpointConstants:

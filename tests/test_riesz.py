@@ -142,6 +142,29 @@ class TestApply:
         )
         assert val == pytest.approx(oracle, rel=1e-7)
 
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_matches_the_pointwise_quadrature(self, seed):
+        """One Gauss-Legendre grid per panel of g = (b(x) - b) f against quad
+        over the pointwise integrand (b(x) - b(y)) K(x, y) f(y) y^{2 lam}."""
+        from besselweights.measure import dmu, integrate_callable
+
+        rng = np.random.default_rng(seed)
+        lam = float(rng.uniform(0.2, 2.5))
+        ev, m = RieszKernelEvaluator(lam), BesselMeasure(lam)
+        lo = float(10.0 ** rng.uniform(-4.0, 1.0))
+        hi = lo * float(rng.uniform(1.2, 3.0))
+        atom = Interval(lo, hi)
+        symbols = (FuncExpr.log_of_mu_density(lam), FuncExpr.constant(1.0) - FuncExpr.power(1.0, -1.0))
+        fs = (FuncExpr.indicator(atom, 1.0 / m.mu(atom)), FuncExpr.log_power(2.0, -0.5, 1).restrict(atom))
+        for b in symbols:
+            for f in fs:
+                for x in (1.01 * hi, 0.99 * lo, 4.0 * hi, 1e-3 * lo):
+                    bx = b(x)
+                    old = integrate_callable(
+                        lambda y: (bx - b(y)) * ev.kernel(x, y) * f(y), atom, dmu(m), rel_tol=1e-12
+                    )
+                    assert ev.commutator_apply(b, f, x) == pytest.approx(old, rel=1e-11, abs=0.0)
+
     def test_linearity(self):
         f = FuncExpr.indicator(Interval(1.0, 2.0))
         g = FuncExpr.indicator(Interval(2.5, 3.0))
