@@ -80,7 +80,7 @@ __all__ = [
 ]
 
 
-_APPLY_REL_TOL = 1e-9  # relative accuracy of each piece of f in commutator_apply
+_APPLY_REL_TOL = 1e-9  # relative accuracy of each piece of (b(x) - b) f in commutator_apply
 
 
 def kernel_lambda1_closed_form(x: float, y: float) -> float:
