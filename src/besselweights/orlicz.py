@@ -143,21 +143,24 @@ def identity_young() -> YoungFunction:
     return YoungFunction(lambda t: t, "Id", gamma_doubling=4.0)
 
 
+_T_FLAT = 2.0**-1000  # both tails R below equal R(0) in floats; t is raised to it
+
+
 def _llogl_tail_three_halves(t: float) -> float:
-    """R(t) = t^{1/2} int_t^inf u^{-3/2} log(e+u) du for t > 0: the antiderivative
+    """R(t) = t^{1/2} int_t^inf u^{-3/2} log(e+u) du for t >= 0: the antiderivative
     -2 u^{-1/2} log(e+u) - 4 e^{-1/2} arctan(sqrt(e/u)) vanishes at infinity,
     so R(t) = 2 log(e+t) + 4 arctan(v)/v, v = sqrt(e/t): two positive terms."""
-    v = math.sqrt(math.e / t)
+    v = math.sqrt(math.e / max(t, _T_FLAT))
     return 2.0 * math.log(math.e + t) + 4.0 * math.atan(v) / v
 
 
 def _llogl_tail_three(t: float) -> float:
-    """R(t) = t^2 int_t^inf u^{-3} log(e+u) du for t > 0: the antiderivative
+    """R(t) = t^2 int_t^inf u^{-3} log(e+u) du for t >= 0: the antiderivative
     -log(e+u)/(2u^2) + (log1p(y) - y)/(2e^2), y = e/u, vanishes at infinity,
     so R(t) = [log(e+t) + (y - log1p(y))/y^2] / 2, y = e/t: two positive terms.
     Below y = 1/4, where y - log1p(y) cancels, the second is its series
     sum_k (-y)^k / (k + 2), whose terms past k = 26 are below 2^-54 of it."""
-    y = math.e / t
+    y = math.e / max(t, _T_FLAT)  # finite, so y - log1p(y) is too
     q = (y - math.log1p(y)) / y / y if y >= 0.25 else sum((-y) ** k / (k + 2) for k in range(27))
     return 0.5 * (math.log(math.e + t) + q)
 
@@ -288,7 +291,7 @@ def luxemburg_norm(f: FuncExpr, phi: YoungFunction, B: Interval, m: BesselMeasur
             total += phival * mass
         try:
             for R, c, beta, ends in powers:  # b, then a > 0
-                ts = [max(c * x**beta / s, 2.0**-1074) for x in ends]  # R(0) in floats there
+                ts = [c * x**beta / s for x in ends]
                 if ts[-1] == math.inf:  # t is largest at the lower end
                     return math.inf
                 F = [c * x ** (k1 + beta) * R(t) for x, t in zip(ends, ts)]

@@ -28,8 +28,8 @@ pre = (2 lam / pi) B(lam, 1/2) M^{-(2 lam + 1)} / (1 - z):
 Both 2F1 factors have c - a - b = 1, so they stay finite at z = 1.  The
 evaluator computes 1 - z as ((M - m)/M) ((M + m)/M) from the arguments, so a
 near-diagonal pair keeps full relative accuracy, and writes x y^{-2 lam - 2}
-as r M^{-(2 lam + 1)}, which stays normal at large scales.  `kernel` and
-`kernel_grid` are this one formula on scalars and on broadcast arrays.
+as r M^{-(2 lam + 1)}, which stays normal at large scales.  `kernel` is this
+one formula, elementwise over broadcast arrays; `kernel_grid` is its grid name.
 
 Sign structure: K(x, y) < 0 for x > y and K(x, y) > 0 for x < y.  The
 series of 2F1(1/2, lam; lam + 3/2; z) has positive coefficients.  The series
@@ -128,22 +128,19 @@ class RieszKernelEvaluator:
         if self.lam <= 0.0:
             raise ValueError("Bessel parameter must be positive")
 
-    def kernel(self, x: float, y: float) -> float:
-        """K(x, y) at one pair; raises SupportError on the diagonal."""
-        if x <= 0.0 or y <= 0.0:
+    def kernel(self, x, y):
+        """K(x, y) on broadcast x, y > 0 (float at one pair); SupportError on the diagonal."""
+        X, Y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if np.any(X <= 0.0) or np.any(Y <= 0.0):
             raise ValueError("kernel arguments must be positive")
-        if x == y:
+        if np.any(X == Y):
             raise SupportError("kernel is singular on the diagonal")
-        return float(_kernel(self.lam, x, y))
+        K = _kernel(self.lam, X, Y)
+        return float(K) if K.ndim == 0 else K
 
     def kernel_grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """K on the broadcast grid of xs and ys; raises SupportError when a
-        pair lies on the diagonal."""
-        X = np.asarray(xs, dtype=float)
-        Y = np.asarray(ys, dtype=float)
-        if np.any(X == Y):
-            raise SupportError("grid touches the diagonal")
-        return _kernel(self.lam, X, Y)
+        """K on the broadcast grid of xs and ys: `kernel` on arrays."""
+        return self.kernel(xs, ys)
 
     # -- off-support application ------------------------------------------------------
 
@@ -159,7 +156,7 @@ class RieszKernelEvaluator:
         for q in g.pieces:
             cell = Interval(q.lo, q.hi)  # ValueError on an unbounded piece
             total += _gauss_legendre(
-                lambda ys: FuncExpr._piece_eval_grid(q, ys) * _kernel(self.lam, x, ys) * ys**e,
+                lambda ys: FuncExpr._piece_eval_grid(q, ys) * self.kernel(x, ys) * ys**e,
                 cell.a, cell.b, _APPLY_REL_TOL,
             )
         return total

@@ -263,6 +263,7 @@ class TestDeclaredTails:
         R = self.TAILS[gamma]
         # t >> e is where the gamma = -3 form cancels if written naively
         ts = list(10.0 ** np.arange(-300.0, 301.0, 25.0)) + [0.1, 1.0, math.e, 10.0, 10.873, 11.0, 1e4, 1e8]
+        ts += [1e-310, 2.0**-1074]  # e/t overflows: R(0) there
         for t in ts:
             assert R(t) == pytest.approx(float(_mp_tail(gamma, t)), rel=1e-14, abs=0.0), t
 
@@ -277,6 +278,14 @@ class TestDeclaredTails:
         assert val == pytest.approx(float(_mp_gauge(beta, b)), rel=1e-13, abs=0.0)
         # reference_luxemburg_norm's own quadrature asks for 1e-11
         assert val == pytest.approx(reference_luxemburg_norm(f, llogl(), B, M0), rel=1e-11, abs=0.0)
+
+    def test_gauge_beside_a_tail_cell_at_subnormal_t(self):
+        # at the gauge ~1e200, t = 1e-110 x^-1 / s is subnormal on the x^-1 cell
+        B = Interval(0.0, 2.0)
+        big = FuncExpr.indicator(Interval(1.0, 2.0), 1e200)
+        f = FuncExpr.power(1e-110, -1.0) * FuncExpr.indicator(Interval(0.0, 1.0)) + big
+        assert [p.atoms[0][1] for p in f.restrict(B).pieces] == [-1.0, 0.0]
+        assert luxemburg_norm(f, llogl(), B, M0) == luxemburg_norm(big, llogl(), B, M0)
 
     def test_c9_density_gauges_make_no_quadrature_call(self, monkeypatch):
         calls = []

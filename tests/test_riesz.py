@@ -110,6 +110,16 @@ class TestKernel:
                     want = ev.kernel(float(x), float(y))
                     assert G[i, j] == pytest.approx(want, rel=1e-15, abs=0.0)
 
+    def test_kernel_broadcasts_and_checks_every_pair(self):
+        ev = RieszKernelEvaluator(1.0)
+        ys = np.array([0.5, 3.0])
+        assert isinstance(ev.kernel(2.0, 1.0), float)
+        assert list(ev.kernel(2.0, ys)) == [ev.kernel(2.0, 0.5), ev.kernel(2.0, 3.0)]
+        with pytest.raises(SupportError):
+            ev.kernel(2.0, np.array([0.5, 2.0]))
+        with pytest.raises(ValueError):
+            ev.kernel(2.0, np.array([0.5, 0.0]))
+
     def test_off_diagonal_size_envelope(self):
         # |K(x,y)| <= C / mu(ball around the pair of radius |x-y|), the
         # standard kernel-size envelope; record finiteness of the constant
