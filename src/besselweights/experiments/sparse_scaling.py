@@ -10,7 +10,8 @@ delta to the boundary so the lower bound can follow the constant.
 
 The witnesses and their images T f depend only on the family, the witness and
 the measure, not on p: each family's operator is applied to each witness once,
-family by family, and the images serve every p.
+family by family, and the images serve every p.  Each witness and each image
+takes one L^p walk for all the ps (`operator_norm_lower_bound`).
 
 Pass criteria: the log-log slope of estimate vs [w] stays at most
 max(1, 1/(p-1)) + slack, and the per-point ratio estimate / [w]^exponent is
@@ -78,17 +79,18 @@ def _load_replay_family(path: str, m: BesselMeasure):
 def _family_rows(seed: int, ps: list[float], c: float, fam: IntervalFamily, delta: float, S, ops):
     """rows[k][i]: operator k's sweep row at ps[i] for one family.  The
     witnesses and their images do not depend on p, so each operator is
-    applied to each witness once; the images die with this call."""
+    applied to each witness once, and one norm estimate call serves every
+    p; the images die with this call."""
     alpha = -1.0 + delta
     w = Weight.power(alpha)
     depth = len(S.cubes)
     witnesses = witness_functions(alpha, depth, seed)
     images = [[T(f) for f in witnesses] for T in ops]
+    estimates = operator_norm_lower_bound(witnesses, images, ps, w, Interval(0.0, 2.0))
     rows: list[list[tuple]] = [[] for _ in ops]
-    for p in ps:
+    for p, row in zip(ps, estimates):
         wc = weight_constant(w, TildeAp(p, c), fam)
-        estimates = operator_norm_lower_bound(witnesses, images, p, w, Interval(0.0, 2.0))
-        for k, est in enumerate(estimates):
+        for k, est in enumerate(row):
             rows[k].append((p, alpha, delta, depth, S.eta, wc.value, est.value))
     return rows
 

@@ -27,7 +27,12 @@ them on an interval, clipped to it, with the gaps between them.
 
 `FuncExpr.sum` adds many functions in one pass over the union grid of their
 piece ends (binary `+` is its two-term case): each cell adds its terms' atoms
-in term order and is dropped when they cancel.  `FuncExpr.envelope` is the
+in term order and is dropped when they cancel.  When the terms' pieces cover
+the grid at most twice over, as in every binary `+`, each piece adds into
+each cell it covers; otherwise a left-to-right sweep keeps the running sums
+of the active terms on a stack and re-adds only the terms from the lowest
+one that changed (`_sweep_sum`), linear in the depth of a nested chain given
+ancestor first.  Both routes give the same bits.  `FuncExpr.envelope` is the
 max over covering intervals.  `FuncExpr.sign_regions` (whose per-cell split
 `abs` shares) is the one routine that answers sign questions; on the
 derivative it cuts f into monotone runs (`FuncExpr.monotone_runs`), whose
@@ -38,13 +43,17 @@ Integrals over many intervals at once run on an `IntervalEnds` batch
 (`FuncExpr.integrate_many`), in one array pass per atom that equals the
 interval-by-interval integrals bit for bit.
 
-`FuncExpr.lp_integral` is the one path for |f|^p w, cell by cell of f: a cell
-x^a (c1 log x + c0) against powers of x takes `_power_log_lp` whatever its
-sign (an incomplete gamma, or its series next to the root and Gauss-Legendre
-away from it, with a-priori error bounds); any other cell is cut at its sign
-changes.  What leaves the family takes composite Gauss-Legendre
-(`_gauss_legendre`) when it is analytic on the closed cell, and guarded
-adaptive quadrature (`integrate_callable`, `_lp_quad`) otherwise.
+`FuncExpr.lp_integrals` is the one path for |f|^p w, for several p in one walk
+over the cells of f (`lp_integral` is its one-p case): a constant or power
+cell against one power of x is one closed form; a cell x^a (c1 log x + c0)
+against powers of x takes `_power_log_lp` whatever its sign (an incomplete
+gamma, or its series next to the root and Gauss-Legendre away from it, with
+a-priori error bounds), and the Gauss-Legendre segments of one p over the
+whole walk are summed in one array pass (`_legendre_sum`); any other cell is
+cut at its sign changes, once for all p.  What leaves the family takes
+composite Gauss-Legendre (`_gauss_legendre`) when it is analytic on the
+closed cell, and guarded adaptive quadrature (`integrate_callable`,
+`_lp_quad`) otherwise.
 
 Every root and inverse takes one bracketed solver, `_brentq`, which computes
 scipy.optimize.brentq's iterates bit for bit: `_piece_roots` on each bracket
@@ -572,12 +581,20 @@ class FuncExpr:
     def sum(cls, terms: Iterable["FuncExpr"]) -> "FuncExpr":
         """t_1 + ... + t_n on the union grid of their piece ends, in one pass.
 
-        Each piece of each term adds its atoms to the cells of its range on
-        that grid (`_cell_ranges`), in term order; zero atoms and a cell whose
-        atoms cancel are dropped, so the sum of one term is that term cleaned.
+        Each cell adds the atoms of the terms' pieces that cover it (their
+        ranges on that grid, `_cell_ranges`) in term order; zero atoms and a
+        cell whose atoms cancel are dropped, so the sum of one term is that
+        term cleaned.  When the ranges cover the grid at most twice over, as
+        in every binary `+`, each piece adds into each cell of its range;
+        otherwise `_sweep_sum` folds each cell from the running sums it
+        shares with the cell before, linear in a nested family's size.
         """
         terms = list(terms)
         grid = _piece_ends(terms)
+        if len(terms) > 2:  # a term covers each cell at most once: two never pass twice over
+            ranges = [t._cell_ranges(grid) for t in terms]
+            if sum(j - i for rs in ranges for i, j, _ in rs) > 2 * (len(grid) - 1):
+                return cls._of_cells(_sweep_sum(grid, ranges))
         cells: list[dict | None] = [None] * (len(grid) - 1)  # the running sum per cell
         for t in terms:
             for i, j, atoms in t._cell_ranges(grid):
@@ -804,15 +821,28 @@ class FuncExpr:
         return total, divergent
 
     def lp_integral(self, p_exp: float, weight: "FuncExpr", B: Interval) -> float:
-        """integral of |f|^p * weight dx over B, cell by cell over the cells
-        of f cut at the weight's breakpoints (`_cell_lp`)."""
+        """integral of |f|^p * weight dx over B: `lp_integrals` at one p."""
+        return self.lp_integrals((p_exp,), weight, B)[0]
+
+    def lp_integrals(
+        self, ps: Sequence[float], weight: "FuncExpr", B: Interval
+    ) -> tuple[float, ...]:
+        """integral of |f|^p * weight dx over B for each p of ps, in one walk
+        over the cells of f cut at the weight's breakpoints (`_cell_lp`).
+        Each p gathers its Gauss-Legendre segments over the walk and sums
+        them at its end in one `_legendre_sum`; its value does not depend on
+        the other ps."""
         f = self.restrict(B)
         grid = _piece_ends((f, weight.restrict(B)))
-        total = 0.0
+        totals = [0.0] * len(ps)
+        rules: list[list[tuple[float, ...]]] = [[] for _ in ps]
         for lo, hi, fa, wa in zip(grid, grid[1:], f._cells_on(grid), weight._cells_on(grid)):
             if fa and wa:
-                total += _cell_lp(fa, wa, p_exp, lo, hi)
-        return total
+                _cell_lp(fa, wa, ps, lo, hi, totals, rules)
+        for i, rule in enumerate(rules):
+            if rule:
+                totals[i] += _legendre_sum(ps[i], *np.array(rule).T)
+        return tuple(totals)
 
 
 def _piece_ends(fs: Iterable[FuncExpr]) -> list[float]:
@@ -823,6 +853,42 @@ def _piece_ends(fs: Iterable[FuncExpr]) -> list[float]:
             pts.add(p.lo)
             pts.add(p.hi)
     return sorted(pts)
+
+
+def _sweep_sum(
+    grid: list[float], ranges: list[list[tuple[int, int, tuple[Atom, ...]]]]
+) -> list[Piece]:
+    """The nonzero cells of `FuncExpr.sum`, swept from left to right with a
+    stack of running sums (Lerner and Nazarov, "Intuitive dyadic calculus:
+    the basics", 2019): `active` holds the terms whose pieces cover the cell,
+    in term order, and stack[q] the atoms of active[0] + ... + active[q].
+    Where pieces start or end, the stack is cut back to the lowest term that
+    changed and the terms from there on are added again, so each cell is
+    still folded in term order, bit for bit; on a chain given ancestor first
+    that re-adds O(1) terms."""
+    changes: list[list[tuple[int, tuple[Atom, ...] | None]]] = [[] for _ in grid]
+    for t, rs in enumerate(ranges):
+        for i, j, atoms in rs:  # in order, so a piece ends before the next one starts
+            changes[i].append((t, atoms))
+            changes[j].append((t, None))
+    on: dict[int, tuple[Atom, ...]] = {}  # term -> the atoms of its piece on the cell
+    active: list[int] = []
+    stack: list[dict] = []
+    out = []
+    for lo, hi, events in zip(grid, grid[1:], changes):
+        for t, atoms in events:
+            if atoms is None:
+                del active[bisect.bisect_left(active, t)], on[t]
+            else:
+                bisect.insort(active, t)
+                on[t] = atoms
+        q = bisect.bisect_left(active, min((t for t, _ in events), default=len(ranges)))
+        del stack[q:]
+        for t in active[q:]:
+            stack.append(_add_atoms(dict(stack[-1]) if stack else {}, on[t]))
+        if stack and stack[-1]:
+            out.append(Piece(lo, hi, _atoms_of(stack[-1])))
+    return out
 
 
 def _limit_at_zero(p: Piece) -> float:
@@ -854,10 +920,15 @@ def _geometric_mid(lo: float, hi: float) -> float:
 
 
 def _cell_lp(
-    fa: tuple[Atom, ...], wa: tuple[Atom, ...], p_exp: float, lo: float, hi: float
-) -> float:
-    """int_lo^hi |f|^p w dx on one cell, f and w the atom sums fa and wa.
+    fa: tuple[Atom, ...], wa: tuple[Atom, ...], ps: Sequence[float], lo: float, hi: float,
+    totals: list[float], rules: list[list[tuple[float, ...]]],
+) -> None:
+    """Add int_lo^hi |f|^p w dx on one cell to totals[i] for each p = ps[i],
+    f and w the atom sums fa and wa; the Gauss-Legendre segments of ps[i] go
+    to rules[i] instead.
 
+    - f = c x^a, w = cw x^b: (|c|^p cw) int x^{a p + b} dx in closed form,
+      the operations the route below takes on such a cell, in its order.
     - f = x^a (c1 log x + c0), p > 0, w a sum of powers: `_power_log_lp` in
       u = log x, at either sign of f and at integer p too: multiplied out,
       (c1 u + c0)^p cancels near the root (2e-9 lost on a bmo-equivalence
@@ -865,26 +936,43 @@ def _cell_lp(
     - any other f: each part between its sign changes (`FuncExpr._split`) in
       closed form when |f|^p is in the family (`_atom_power`), else `_lp_quad`.
     """
+    if len(fa) == 1 == len(wa) and fa[0][0] and fa[0][2] == 0 == wa[0][2]:
+        (c, a, _), (cw, b, _) = fa[0], wa[0]
+        for i, p in enumerate(ps):
+            k = abs(c) ** p * cw
+            if k:
+                totals[i] += k * power_log_integral(a * p + b, 0, lo, hi)
+        return
     a = fa[0][1]
-    power_log = all(al == a and m <= 1 for _, al, m in fa) and fa[-1][2] == 1
-    if p_exp > 0.0 and power_log and all(m == 0 for *_, m in wa):
+    power_log = (
+        all(al == a and m <= 1 for _, al, m in fa) and fa[-1][2] == 1
+        and all(m == 0 for *_, m in wa)
+    )
+    if power_log:
         c0, c1 = (fa[0][0], fa[1][0]) if len(fa) == 2 else (0.0, fa[0][0])
-        u0 = math.log(lo) if lo > 0.0 else -math.inf
-        return sum(
-            cw * _power_log_lp(c0, c1, p_exp, p_exp * a + b + 1.0, u0, math.log(hi))
-            for cw, b, _ in wa
-        )
-    total = 0.0
-    for lo, hi, sgn in FuncExpr._split(Piece(lo, hi, fa)):
-        part = fa if sgn >= 0 else tuple((-c, al, m) for c, al, m in fa)
-        try:
-            powered = _atom_power(part, p_exp)
-        except RepresentationError:
-            total += _lp_quad(part, wa, p_exp, lo, hi)
-        else:
-            atoms = _atom_product(powered, wa)
-            total += sum(c * power_log_integral(al, m, lo, hi) for c, al, m in atoms)
-    return total
+        u0, u1 = math.log(lo) if lo > 0.0 else -math.inf, math.log(hi)
+    parts = None
+    for i, (p, rule) in enumerate(zip(ps, rules)):
+        if power_log and p > 0.0:
+            totals[i] += sum(
+                cw * _power_log_lp(c0, c1, p, p * a + b + 1.0, u0, u1, cw, rule) for cw, b, _ in wa
+            )
+            continue
+        if parts is None:
+            parts = [
+                (plo, phi, fa if sgn >= 0 else tuple((-c, al, m) for c, al, m in fa))
+                for plo, phi, sgn in FuncExpr._split(Piece(lo, hi, fa))
+            ]
+        total = 0.0
+        for plo, phi, part in parts:
+            try:
+                powered = _atom_power(part, p)
+            except RepresentationError:
+                total += _lp_quad(part, wa, p, plo, phi)
+            else:
+                atoms = _atom_product(powered, wa)
+                total += sum(c * power_log_integral(al, m, plo, phi) for c, al, m in atoms)
+        totals[i] += total
 
 
 def _lp_quad(
@@ -1010,9 +1098,14 @@ def _scaled_gamma_tail(a: float, z: float) -> float:
     return z ** (a - 1.0) * total
 
 
-def _power_log_lp(c0: float, c1: float, p: float, s: float, u0: float, u1: float) -> float:
+def _power_log_lp(
+    c0: float, c1: float, p: float, s: float, u0: float, u1: float,
+    cw: float, rule: list[tuple[float, ...]],
+) -> float:
     """int_{u0}^{u1} |c1 u + c0|^p e^{s u} du, p > 0, c1 != 0; u0 = -inf
-    allowed (a zero-based cell in u = log x).
+    allowed (a zero-based cell in u = log x).  The Gauss-Legendre segments
+    go to `rule` as rows (c0, c1, s, cw, ua, ub), to be summed with the
+    factor cw by `_legendre_sum`; the rest is returned.
 
     With r = -c0/c1 and t = |u - r| the integrand is |c1|^p t^p e^{s u}:
     - a zero-based cell below r is |c1|^p e^{s u1} s^{-p-1} e^z Gamma(p+1, z),
@@ -1036,13 +1129,14 @@ def _power_log_lp(c0: float, c1: float, p: float, s: float, u0: float, u1: float
             tail = _scaled_gamma_tail(p + 1.0, s * (r - u1))
             return c1p * math.exp(s * u1) * tail / s ** (p + 1.0)
         head = c1p * math.exp(s * r) * math.gamma(p + 1.0) / s ** (p + 1.0)
-        return head + _power_log_lp(c0, c1, p, s, max(r, u1 - _LP_TAIL / s), u1)
+        return head + _power_log_lp(c0, c1, p, s, max(r, u1 - _LP_TAIL / s), u1, cw, rule)
     h = 1.0 / abs(s) if s else math.inf  # the segment width in u
     width = u1 - u0
     if not u0 - width < r < u1 + width:  # r at least a cell width away
         n = math.ceil(width / h) if h < width else 1
-        ua = u0 + width / n * np.arange(n)
-        return _legendre_sum(c0, c1, p, s, ua, np.append(ua[1:], u1))
+        ua = [u0 + width / n * k for k in range(n)]
+        rule += [(c0, c1, s, cw, a, b) for a, b in zip(ua, ua[1:] + [u1])]
+        return 0.0
     if r <= u0:
         sides = [(u0 - r, u1 - r, 1.0)]
     elif r >= u1:
@@ -1053,7 +1147,7 @@ def _power_log_lp(c0: float, c1: float, p: float, s: float, u0: float, u1: float
     def root_segment(t: float, sign: float) -> float:  # int_0^t of t'^p e^{sign s t'} dt'
         return t ** (p + 1.0) * _root_series(p, sign * s * t)
 
-    total, lo_u, hi_u = 0.0, [], []
+    total = 0.0
     for t0, t1, sign in sides:
         if t0 < h:
             b = min(t1, h)
@@ -1062,28 +1156,27 @@ def _power_log_lp(c0: float, c1: float, p: float, s: float, u0: float, u1: float
                     root_segment(b, sign) - (root_segment(t0, sign) if t0 else 0.0)
                 )
             else:
-                lo_u.append(r + sign * t0)
-                hi_u.append(r + sign * b)
+                rule.append((c0, c1, s, cw, r + sign * t0, r + sign * b))
             t0 = b
         if t0 < t1:  # blocks [k h, (k+1) h], k >= 1: each at least its width from r
-            k = np.arange(math.floor(t0 / h) + 1, math.ceil(t1 / h))
-            ts = np.concatenate(([t0], k[(k * h > t0) & (k * h < t1)] * h, [t1]))
-            lo_u += list(r + sign * ts[:-1])
-            hi_u += list(r + sign * ts[1:])
-    if lo_u:
-        total += _legendre_sum(c0, c1, p, s, np.array(lo_u), np.array(hi_u))
+            ks = range(math.floor(t0 / h) + 1, math.ceil(t1 / h))
+            ts = [t0] + [k * h for k in ks if t0 < k * h < t1] + [t1]
+            rule += [(c0, c1, s, cw, r + sign * a, r + sign * b) for a, b in zip(ts, ts[1:])]
     return total
 
 
 def _legendre_sum(
-    c0: float, c1: float, p: float, s: float, ua: np.ndarray, ub: np.ndarray
+    p: float, c0: np.ndarray, c1: np.ndarray, s: np.ndarray, cw: np.ndarray,
+    ua: np.ndarray, ub: np.ndarray,
 ) -> float:
-    """sum over the segments (ua_i, ub_i) of int |c1 u + c0|^p e^{s u} du by
-    Gauss-Legendre, each segment at least its width from the root."""
+    """sum over the segments i of cw_i int_{ua_i}^{ub_i} |c1_i u + c0_i|^p
+    e^{s_i u} du by Gauss-Legendre, each segment at least its width from its
+    root, in one array pass."""
     y, w = _legendre(p)
     mid, half = (ua + ub) / 2.0, np.abs(ub - ua) / 2.0
     u = mid[:, None] + half[:, None] * y
-    return float(half @ (np.abs(c1 * u + c0) ** p * np.exp(s * u) @ w))
+    vals = np.abs(c1[:, None] * u + c0[:, None]) ** p * np.exp(s[:, None] * u)
+    return float((cw * half) @ (vals @ w))
 
 
 # ---------------------------------------------------------------------------

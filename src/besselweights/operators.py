@@ -97,12 +97,15 @@ def sparse_commutator_apply(
 # -- norms and norm estimates -------------------------------------------------------
 
 
-def lp_norm(f: FuncExpr, p: float, w: Weight, domain: Interval | None = None) -> float:
-    """||f||_{L^p(w dx)}; the domain defaults to the support of f."""
-    B = domain or f.support_bounds()
-    if B is None:
-        return 0.0
-    return f.lp_integral(p, w.expr, B) ** (1.0 / p)
+def lp_norm(f: FuncExpr, p: float, w: Weight, domain: Interval) -> float:
+    """||f||_{L^p(w dx)} over the domain."""
+    return _lp_norms(f, (p,), w, domain)[0]
+
+
+def _lp_norms(f: FuncExpr, ps: Sequence[float], w: Weight, domain: Interval) -> tuple[float, ...]:
+    """||f||_{L^p(w dx)} over the domain for each p of ps, from one
+    `FuncExpr.lp_integrals` walk."""
+    return tuple(v ** (1.0 / p) for p, v in zip(ps, f.lp_integrals(ps, w.expr, domain)))
 
 
 @dataclass(frozen=True)
@@ -118,29 +121,33 @@ class OperatorNormEstimate:
 def operator_norm_lower_bound(
     witnesses: Sequence[FuncExpr],
     images: Sequence[Sequence[FuncExpr]],
-    p: float,
+    ps: Sequence[float],
     w: Weight,
     domain: Interval,
-) -> tuple[OperatorNormEstimate, ...]:
-    """For each operator T, given by its images [T f for f in witnesses], the
-    max over witnesses of ||T f||_{L^p(w dx)} / ||f||_{L^p(w dx)}.
+) -> tuple[tuple[OperatorNormEstimate, ...], ...]:
+    """For each p of ps, one estimate per operator T, given by its images
+    [T f for f in witnesses]: the max over witnesses of
+    ||T f||_{L^p(w dx)} / ||f||_{L^p(w dx)}.
 
-    The caller applies each T once per witness, and the images serve every
-    p; the witness norms are computed once per call and serve every T.
+    The caller applies each T once per witness.  Each witness and each
+    image takes one `lp_integrals` walk for all the ps, and the witness
+    norms serve every T.
     """
-    norms = [lp_norm(f, p, w, domain) for f in witnesses]
-    out = []
-    for T_fs in images:
-        best, best_f = -math.inf, None
+    norms = [_lp_norms(f, ps, w, domain) for f in witnesses]
+    best = [[(-math.inf, None)] * len(ps) for _ in images]  # best[k][i]: (ratio, witness)
+    for k, T_fs in enumerate(images):
         for f, nf, Tf in zip(witnesses, norms, T_fs, strict=True):
-            if nf <= 0.0:
+            if not any(n > 0.0 for n in nf):
                 continue
-            ratio = lp_norm(Tf, p, w, domain) / nf
-            if ratio > best:
-                best, best_f = ratio, f
-        if best_f is None:
+            for i, (n, tn) in enumerate(zip(nf, _lp_norms(Tf, ps, w, domain))):
+                if n > 0.0 and tn / n > best[k][i][0]:
+                    best[k][i] = (tn / n, f)
+    out = []
+    for i, p in enumerate(ps):
+        row = [b[i] for b in best]
+        if any(f is None for _, f in row):
             raise PreconditionError("all witnesses have zero norm in L^p(w dx)")
-        out.append(OperatorNormEstimate(best, best_f, p, w))
+        out.append(tuple(OperatorNormEstimate(value, f, p, w) for value, f in row))
     return tuple(out)
 
 

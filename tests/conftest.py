@@ -1,11 +1,12 @@
 """Shared test helpers: `FuncExpr.sum` written out from its contract, the
 midpoint rule that `FuncExpr._cells_on` replaced and must reproduce, the
 per-pair root scan that the vectorised one in `FuncExpr._piece_roots`
-replaced and must reproduce, the two-route Orlicz mean and the two family
-nesting routines that `luxemburg_norm` and `dyadic._nesting` replaced, the
-region walk that `FuncExpr.value_range` replaced with its monotone runs, a
-comparable view of a function's cells, and a record of the cells the root
-scan is asked about."""
+replaced and must reproduce, the cell-by-cell L^p walk that
+`FuncExpr.lp_integrals` replaced with one walk for all p, the two-route
+Orlicz mean and the two family nesting routines that `luxemburg_norm` and
+`dyadic._nesting` replaced, the region walk that `FuncExpr.value_range`
+replaced with its monotone runs, a comparable view of a function's cells,
+and a record of the cells the root scan is asked about."""
 
 import bisect
 import math
@@ -17,16 +18,26 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
 from besselweights.dyadic import DyadicCube, SparseFamily, subtract_intervals, verify_sparse
+from besselweights.errors import DivergenceError, RepresentationError
 from besselweights.measure import (
+    _LP_TAIL,
     _QUAD_ABS_FLOOR,
     _ROOT_SCAN,
     FuncExpr,
     Interval,
     Piece,
+    _atom_power,
+    _atom_product,
+    _legendre,
     _limit_at_zero,
+    _lp_quad,
+    _piece_ends,
+    _root_series,
+    _scaled_gamma_tail,
     dmu,
     integrate_callable,
     monotone_inverse,
+    power_log_integral,
 )
 
 
@@ -92,6 +103,97 @@ def reference_piece_roots(p):
         if lo < r < hi and (not out or r > out[-1] * (1 + 1e-13)):
             out.append(r)
     return out
+
+
+def reference_lp_integral(f, p_exp, weight, B):
+    """FuncExpr.lp_integral as it walked the cells once per p and summed
+    each cell's Gauss-Legendre segments on their own."""
+    f = f.restrict(B)
+    grid = _piece_ends((f, weight.restrict(B)))
+    total = 0.0
+    for lo, hi, fa, wa in zip(grid, grid[1:], f._cells_on(grid), weight._cells_on(grid)):
+        if fa and wa:
+            total += _reference_cell_lp(fa, wa, p_exp, lo, hi)
+    return total
+
+
+def _reference_cell_lp(fa, wa, p_exp, lo, hi):
+    a = fa[0][1]
+    power_log = all(al == a and m <= 1 for _, al, m in fa) and fa[-1][2] == 1
+    if p_exp > 0.0 and power_log and all(m == 0 for *_, m in wa):
+        c0, c1 = (fa[0][0], fa[1][0]) if len(fa) == 2 else (0.0, fa[0][0])
+        u0 = math.log(lo) if lo > 0.0 else -math.inf
+        return sum(
+            cw * _reference_power_log_lp(c0, c1, p_exp, p_exp * a + b + 1.0, u0, math.log(hi))
+            for cw, b, _ in wa
+        )
+    total = 0.0
+    for lo, hi, sgn in FuncExpr._split(Piece(lo, hi, fa)):
+        part = fa if sgn >= 0 else tuple((-c, al, m) for c, al, m in fa)
+        try:
+            powered = _atom_power(part, p_exp)
+        except RepresentationError:
+            total += _lp_quad(part, wa, p_exp, lo, hi)
+        else:
+            atoms = _atom_product(powered, wa)
+            total += sum(c * power_log_integral(al, m, lo, hi) for c, al, m in atoms)
+    return total
+
+
+def _reference_power_log_lp(c0, c1, p, s, u0, u1):
+    r = -c0 / c1
+    c1p = abs(c1) ** p
+    if u0 == -math.inf:
+        if s <= 0.0:
+            raise DivergenceError("p-mass integral diverges at 0")
+        if r >= u1:
+            tail = _scaled_gamma_tail(p + 1.0, s * (r - u1))
+            return c1p * math.exp(s * u1) * tail / s ** (p + 1.0)
+        head = c1p * math.exp(s * r) * math.gamma(p + 1.0) / s ** (p + 1.0)
+        return head + _reference_power_log_lp(c0, c1, p, s, max(r, u1 - _LP_TAIL / s), u1)
+    h = 1.0 / abs(s) if s else math.inf
+    width = u1 - u0
+    if not u0 - width < r < u1 + width:
+        n = math.ceil(width / h) if h < width else 1
+        ua = u0 + width / n * np.arange(n)
+        return _reference_legendre_sum(c0, c1, p, s, ua, np.append(ua[1:], u1))
+    if r <= u0:
+        sides = [(u0 - r, u1 - r, 1.0)]
+    elif r >= u1:
+        sides = [(r - u1, r - u0, -1.0)]
+    else:
+        sides = [(0.0, u1 - r, 1.0), (0.0, r - u0, -1.0)]
+
+    def root_segment(t, sign):
+        return t ** (p + 1.0) * _root_series(p, sign * s * t)
+
+    total, lo_u, hi_u = 0.0, [], []
+    for t0, t1, sign in sides:
+        if t0 < h:
+            b = min(t1, h)
+            if t0 == 0.0 or 2.0 * t0 <= b:
+                total += c1p * math.exp(s * r) * (
+                    root_segment(b, sign) - (root_segment(t0, sign) if t0 else 0.0)
+                )
+            else:
+                lo_u.append(r + sign * t0)
+                hi_u.append(r + sign * b)
+            t0 = b
+        if t0 < t1:
+            k = np.arange(math.floor(t0 / h) + 1, math.ceil(t1 / h))
+            ts = np.concatenate(([t0], k[(k * h > t0) & (k * h < t1)] * h, [t1]))
+            lo_u += list(r + sign * ts[:-1])
+            hi_u += list(r + sign * ts[1:])
+    if lo_u:
+        total += _reference_legendre_sum(c0, c1, p, s, np.array(lo_u), np.array(hi_u))
+    return total
+
+
+def _reference_legendre_sum(c0, c1, p, s, ua, ub):
+    y, w = _legendre(p)
+    mid, half = (ua + ub) / 2.0, np.abs(ub - ua) / 2.0
+    u = mid[:, None] + half[:, None] * y
+    return float(half @ (np.abs(c1 * u + c0) ** p * np.exp(s * u) @ w))
 
 
 def reference_mean_of_phi(g_abs, phi, B, m, s):
@@ -206,6 +308,11 @@ def _reference_cells_on_fixture():
 @pytest.fixture(name="reference_piece_roots")
 def _reference_piece_roots_fixture():
     return reference_piece_roots
+
+
+@pytest.fixture(name="reference_lp_integral")
+def _reference_lp_integral_fixture():
+    return reference_lp_integral
 
 
 @pytest.fixture(name="reference_value_range")

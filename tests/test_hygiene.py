@@ -170,7 +170,6 @@ OPTIONS = [
     "measure.monotone_inverse(increasing)",
     "measure.integrate_callable(kind)",
     "measure.integrate_callable(rel_tol)",
-    "operators.lp_norm(domain)",
     "orlicz.llogl(eps)",
     "orlicz.exp_m1(rate)",
     "riesz.SeparatedBallPair.build(direction)",

@@ -35,6 +35,7 @@ from besselweights.measure import (
     _piece_ends,
     _power_log_integral_many,
     _scaled_gamma_tail,
+    _sweep_sum,
 )
 
 
@@ -399,21 +400,140 @@ def _random_term(rng, earlier):
     return FuncExpr(pieces)
 
 
+def _swept(terms):
+    """`FuncExpr.sum` by its sweep route, whatever route `sum` would take."""
+    grid = _piece_ends(terms)
+    return FuncExpr._of_cells(_sweep_sum(grid, [t._cell_ranges(grid) for t in terms]))
+
+
+def _chain_terms(rng, depth, pair_negations=False):
+    """Terms on the zero-based chain (0, 2^-j), j < depth, ancestor first,
+    like the commutator and sparse outputs: c |log x - log r| cut at its
+    root r = 2^-j e^{-1/3}, or the constant c.  With pair_negations each
+    term is followed by its negation, so every cell cancels exactly."""
+    terms = []
+    for j in range(depth):
+        h, c = 2.0**-j, rng.uniform(-2.0, 2.0)
+        if rng.random() < 0.5:
+            r = h * math.exp(-1.0 / 3.0)
+            up = ((-c * math.log(r), 0.0, 0), (c, 0.0, 1))
+            down = tuple((-a, al, m) for a, al, m in up)
+            terms.append(FuncExpr([Piece(0.0, r, down), Piece(r, h, up)]))
+        else:
+            terms.append(FuncExpr.indicator(Interval(0.0, h), c))
+        if pair_negations:
+            terms.append(-terms[-1])
+    return terms
+
+
 class TestFuncExprSum:
     @pytest.mark.parametrize("block", range(4))
     def test_sum_equals_left_fold(self, block, reference_sum, cells_of):
-        """The n-ary sum against `reference_sum`, and binary `+` against the
-        two-term sum, with cancellations and sliver overlaps."""
+        """The n-ary sum and its sweep route against `reference_sum`, and
+        binary `+` against the two-term sum, with cancellations and sliver
+        overlaps."""
         for seed in range(60 * block, 60 * block + 60):
             rng = random.Random(seed)
             terms = []
             for _ in range(rng.randint(0, 40)):
                 terms.append(_random_term(rng, terms))
-            assert cells_of(FuncExpr.sum(terms)) == cells_of(reference_sum(terms)), seed
+            expected = cells_of(reference_sum(terms))
+            assert cells_of(FuncExpr.sum(terms)) == expected, seed
+            assert cells_of(_swept(terms)) == expected, seed
             if len(terms) >= 2:
                 assert cells_of(terms[0] + terms[1]) == cells_of(
                     reference_sum(terms[:2])
                 ), seed
+
+    @pytest.mark.parametrize("order", ["ancestor-first", "deepest-first", "shuffled"])
+    def test_nested_chains_equal_the_fold(self, order, reference_sum, cells_of, monkeypatch):
+        """Bit for bit in any term order, through the sweep."""
+        from besselweights import measure
+
+        swept, sweep = [], measure._sweep_sum
+        monkeypatch.setattr(measure, "_sweep_sum", lambda *a: swept.append(1) or sweep(*a))
+        for seed in range(8):
+            rng = random.Random(seed)
+            terms = _chain_terms(rng, rng.randint(3, 40))
+            if order == "deepest-first":
+                terms.reverse()
+            elif order == "shuffled":
+                rng.shuffle(terms)
+            assert cells_of(FuncExpr.sum(terms)) == cells_of(reference_sum(terms)), seed
+        assert len(swept) == 8
+
+    def test_disjoint_cubes_equal_the_fold(self, reference_sum, cells_of):
+        """Dyadic cubes of one level, with and without a common ancestor."""
+        for seed in range(20):
+            rng = random.Random(seed)
+            level = rng.randint(1, 6)
+            ks = sorted(rng.sample(range(2**level), rng.randint(1, 2**level)))
+            h = 2.0**-level
+            terms = [FuncExpr.indicator(Interval(k * h, (k + 1) * h), rng.uniform(-2, 2)) for k in ks]
+            if seed % 2:
+                terms.insert(rng.randint(0, len(terms)), FuncExpr.log_power(1.5, 0.0, 1))
+            expected = cells_of(reference_sum(terms))
+            assert cells_of(FuncExpr.sum(terms)) == expected, seed
+            assert cells_of(_swept(terms)) == expected, seed
+
+    @pytest.mark.parametrize("order", ["ancestor-first", "deepest-first", "shuffled"])
+    def test_cells_that_cancel_are_dropped(self, order, reference_sum, cells_of):
+        for seed in range(6):
+            rng = random.Random(seed)
+            pairs = _chain_terms(rng, rng.randint(3, 30), pair_negations=True)
+            if order == "deepest-first":
+                pairs = [t for i in range(len(pairs) - 2, -1, -2) for t in pairs[i : i + 2]]
+            elif order == "shuffled":
+                blocks = [pairs[i : i + 2] for i in range(0, len(pairs), 2)]
+                rng.shuffle(blocks)
+                pairs = [t for block in blocks for t in block]
+            assert FuncExpr.sum(pairs).is_zero() and _swept(pairs).is_zero(), seed
+            # one surviving term among cancelling pairs: only its cells are left
+            rest = _chain_terms(rng, 5)[2]
+            terms = pairs + [rest]
+            out = FuncExpr.sum(terms)
+            assert cells_of(out) == cells_of(reference_sum(terms)), seed
+            assert {p.atoms for p in out.pieces} <= {p.atoms for p in rest.pieces}, seed
+
+    def test_route_threshold(self, reference_sum, cells_of, monkeypatch):
+        """Ranges covering the grid at most twice over take the per-cell
+        loop, as every two-term sum does; one cell more takes the sweep.
+        Both give the fold."""
+        from besselweights import measure
+
+        swept, sweep = [], measure._sweep_sum
+        monkeypatch.setattr(measure, "_sweep_sum", lambda *a: swept.append(1) or sweep(*a))
+        up = ((0.3, 0.0, 0), (-1.25, 0.0, 1))
+        f = FuncExpr([Piece(0.5, 1.0, up), Piece(1.0, 2.0, ((0.7, 0.5, 0),))])
+        disjoint = FuncExpr.indicator(Interval(2.0, 3.0), 0.1)
+        overlap = FuncExpr.indicator(Interval(0.5, 2.0), 0.3)  # covers both cells of f
+        for terms in ([f, disjoint], [f, overlap], [disjoint, f], [overlap, f]):
+            assert cells_of(terms[0] + terms[1]) == cells_of(reference_sum(terms))
+            assert cells_of(_swept(terms)) == cells_of(reference_sum(terms))
+        assert swept == []  # `_swept` calls the sweep by its own import
+        past = [f, overlap, FuncExpr.indicator(Interval(0.5, 1.0), -1.5)]  # 5 > 2 * 2 cells
+        assert cells_of(FuncExpr.sum(past)) == cells_of(reference_sum(past))
+        assert swept == [1]
+
+    def test_chain_sum_is_linear_in_depth(self, monkeypatch):
+        """The left commutator's sum on a zero-based chain adds each piece
+        O(1) times: the per-cell fold made 6,480 and 25,760 `_add_atoms`
+        calls at depths 80 and 160."""
+        from besselweights import measure
+        from besselweights.dyadic import canonical_major_subsets, zero_chain
+        from besselweights.operators import oscillation_factors, sparse_commutator_apply
+
+        m, f = BesselMeasure(1.0), FuncExpr.indicator(Interval(0.0, 1.0))
+        counts, add = [], measure._add_atoms
+        for depth in (80, 160):
+            S = canonical_major_subsets(zero_chain(list(range(depth))), m)
+            factors = oscillation_factors(S, FuncExpr.log_of_mu_density(1.0), m)
+            calls = []
+            monkeypatch.setattr(measure, "_add_atoms", lambda *a: calls.append(1) or add(*a))
+            sparse_commutator_apply(factors, f, m, "left")
+            monkeypatch.setattr(measure, "_add_atoms", add)
+            counts.append(len(calls))
+        assert counts[1] < 2.5 * counts[0]
 
     def test_cancelled_cells_keep_the_union_grid(self, cells_of):
         # t1's cell cancels; t3 spans 0.5 and 1, which stay cell ends
@@ -758,6 +878,90 @@ class TestLpIntegral:
             for w in (Weight.power(-0.95), Weight.power(0.5)):
                 assert lp_norm(out, p, w, Interval(0.0, 1.0)) > 0.0
         assert calls == [] and root_scans == []
+
+
+def _lp_case(rng):
+    """A seeded function of constant, power-log (zero-based too), single
+    power and two-power cells with gaps, and a power weight: one atom, a sum
+    of two, or one with a breakpoint at 1."""
+    ends = sorted(rng.sample([0.0, 1e-6, 0.01, 0.3, 0.5, 1.0, 2.0, 7.0], rng.randint(2, 6)))
+    pieces = []
+    for lo, hi in zip(ends, ends[1:]):
+        kind = rng.random()
+        if kind < 0.15:
+            continue
+        if kind < 0.45:
+            atoms = ((rng.uniform(-3.0, 3.0), 0.0, 0),)
+        elif kind < 0.8:  # x^a (c1 log x + c0), its root anywhere from 1e-7 to 10
+            a = 0.0 if lo == 0.0 else rng.choice([0.0, 0.5, -0.5])
+            c1, root = rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-7.0, 1.0)
+            atoms = ((-c1 * math.log(root), a, 0), (c1, a, 1))
+        elif kind < 0.9:
+            atoms = ((rng.uniform(0.5, 2.0), rng.choice([0.5, 1.0]), 0),)
+        elif lo > 0.0:  # split at its root, multiplied out or by quadrature
+            atoms = ((1.0, 0.0, 0), (rng.uniform(-1.0, 1.0), 1.0, 0))
+        else:
+            continue
+        pieces.append(Piece(lo, hi, atoms))
+    b, kind = rng.choice([-0.95, -0.5, 0.0, 0.5, 1.0]), rng.random()
+    if kind < 0.5:
+        w = FuncExpr.power(rng.uniform(0.5, 2.0), b)
+    elif kind < 0.75:
+        w = FuncExpr([Piece(0.0, math.inf, ((rng.uniform(0.5, 2.0), b, 0), (1.0, 1.5, 0)))])
+    else:
+        w = FuncExpr([Piece(0.0, 1.0, ((1.0, b, 0),)), Piece(1.0, math.inf, ((2.0, 0.5, 0),))])
+    return FuncExpr(pieces), w
+
+
+class TestLpIntegrals:
+    """One walk for all p, with one Gauss-Legendre sum per p, against the
+    walk per p that summed each cell's segments on its own."""
+
+    PS = (1.0, 1.5, 2.0, 3.0)
+
+    @pytest.mark.parametrize("block", range(2))
+    def test_matches_the_walk_per_p(self, block, reference_lp_integral):
+        for seed in range(100 * block, 100 * block + 100):
+            rng = random.Random(seed)
+            f, w = _lp_case(rng)
+            B = rng.choice([Interval(0.0, 7.0), Interval(0.0, 1.5), Interval(0.3, 2.0)])
+            got = f.lp_integrals(self.PS, w, B)
+            for p, v in zip(self.PS, got):
+                expected = reference_lp_integral(f, p, w, B)
+                assert v == pytest.approx(expected, rel=1e-15, abs=0.0), (seed, p)
+                assert v == f.lp_integral(p, w, B), (seed, p)  # the other ps change nothing
+
+    def test_constant_cells_against_one_power(self, reference_lp_integral):
+        """The direct route of a constant cell is the split-power-product
+        route bit for bit, zero-based cells too."""
+        f = FuncExpr.piecewise_constant([0.0, 1e-3, 0.5, 2.0, 9.0], [3.0, -1.5, 0.25, -7.0])
+        for b in (-0.95, -0.5, 0.0, 2.0):
+            w = FuncExpr.power(1.75, b)
+            got = f.lp_integrals(self.PS, w, Interval(0.0, 9.0))
+            assert got == tuple(reference_lp_integral(f, p, w, Interval(0.0, 9.0)) for p in self.PS)
+
+    def test_power_log_chain_cells(self, reference_lp_integral):
+        """The commutator's cells: zero-based, across and next to the root."""
+        from besselweights.dyadic import canonical_major_subsets, zero_chain
+        from besselweights.operators import oscillation_factors, sparse_commutator_apply
+
+        m = BesselMeasure(1.0)
+        S = canonical_major_subsets(zero_chain(list(range(20))), m)
+        factors = oscillation_factors(S, FuncExpr.log_of_mu_density(1.0), m)
+        f = FuncExpr.piecewise_constant([0.0, 1e-4, 0.3, 1.0], [2.0, 0.5, 1.0])
+        B = Interval(0.0, 2.0)
+        for variant in ("left", "adjoint"):
+            out = sparse_commutator_apply(factors, f, m, variant)
+            for b in (-0.95, -0.5, 0.5):
+                w = FuncExpr.power(1.0, b)
+                for p, v in zip(self.PS, out.lp_integrals(self.PS, w, B)):
+                    expected = reference_lp_integral(out, p, w, B)
+                    assert v == pytest.approx(expected, rel=1e-15, abs=0.0), (variant, b, p)
+
+    def test_no_cells_and_no_ps(self):
+        w = FuncExpr.power(1.0, 0.5)
+        assert FuncExpr.zero().lp_integrals(self.PS, w, Interval(0.0, 1.0)) == (0.0,) * 4
+        assert FuncExpr.constant(2.0).lp_integrals((), w, Interval(0.0, 1.0)) == ()
 
 
 class TestPowf:

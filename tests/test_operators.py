@@ -227,7 +227,9 @@ class TestNormEstimate:
     def test_identity_operator(self):
         w = Weight.one()
         witnesses = [FuncExpr.indicator(Interval(0, 1)), FuncExpr.power(1.0, 0.5).restrict(Interval(0, 1))]
-        (est,) = operator_norm_lower_bound(witnesses, [witnesses], 2.0, w, Interval(1e-12, 1.0))
+        ((est,),) = operator_norm_lower_bound(
+            witnesses, [witnesses], (2.0,), w, Interval(1e-12, 1.0)
+        )
         assert est.value == pytest.approx(1.0, rel=1e-10)
 
     def test_single_cube_projection(self):
@@ -235,10 +237,10 @@ class TestNormEstimate:
         S = family_of([Q], M1)
         w = Weight.one()
         witnesses = [FuncExpr.indicator(Q.interval)]
-        (est,) = operator_norm_lower_bound(
+        ((est,),) = operator_norm_lower_bound(
             witnesses,
             [[sparse_apply(S, f, M1) for f in witnesses]],
-            2.0,
+            (2.0,),
             w,
             Interval(1e-12, 1.0),
         )
@@ -250,8 +252,8 @@ class TestNormEstimate:
         w = Weight.power(0.5)
         T = lambda f: sparse_apply(S, f, M1)
         witnesses = [FuncExpr.indicator(Interval(0.0, 0.5)), FuncExpr.indicator(Q.interval)]
-        (est,) = operator_norm_lower_bound(
-            witnesses, [[T(f) for f in witnesses]], 2.0, w, Interval(0.0, 1.0)
+        ((est,),) = operator_norm_lower_bound(
+            witnesses, [[T(f) for f in witnesses]], (2.0,), w, Interval(0.0, 1.0)
         )
         f, D = est.test_function, Interval(0.0, 1.0)
         assert lp_norm(T(f), 2.0, w, D) / lp_norm(f, 2.0, w, D) == est.value
@@ -264,18 +266,43 @@ class TestNormEstimate:
         w, D = Weight.power(0.5), Interval(0.0, 1.0)
         witnesses = [FuncExpr.indicator(Interval(0.0, 0.5)), FuncExpr.indicator(Q.interval)]
         images = [witnesses, [sparse_apply(S, f, M1) for f in witnesses]]
-        norm, calls = operators.lp_norm, []
-        monkeypatch.setattr(operators, "lp_norm", lambda f, *a: calls.append(f) or norm(f, *a))
-        identity, projection = operator_norm_lower_bound(witnesses, images, 2.0, w, D)
+        norm, norms, calls = operators.lp_norm, operators._lp_norms, []
+        monkeypatch.setattr(operators, "_lp_norms", lambda f, *a: calls.append(f) or norms(f, *a))
+        ((identity, projection),) = operator_norm_lower_bound(witnesses, images, (2.0,), w, D)
         assert len(calls) == 2 + 2 * 2  # each witness once, then each image
         assert identity.value == pytest.approx(1.0, rel=1e-12)
         f = projection.test_function
         assert projection.value == norm(sparse_apply(S, f, M1), 2.0, w, D) / norm(f, 2.0, w, D)
 
+    def test_all_ps_equal_the_calls_per_p(self):
+        S = family_of(zero_chain(list(range(30))), M1)
+        factors = oscillation_factors(S, FuncExpr.log_of_mu_density(1.0), M1)
+        witnesses = _test_functions(len(S.cubes))
+        ops = [lambda f: sparse_apply(S, f, M1)] + [
+            lambda f, v=v: sparse_commutator_apply(factors, f, M1, v) for v in ("left", "adjoint")
+        ]
+        images = [[T(f) for f in witnesses] for T in ops]
+        ps, D = (1.25, 1.5, 2.0), Interval(0.0, 2.0)  # |x^-0.6|^p w stays integrable at 0
+        for w in (Weight.power(0.5), Weight.power(1.5)):
+            together = operator_norm_lower_bound(witnesses, images, ps, w, D)
+            assert len(together) == len(ps)
+            for p, row in zip(ps, together):
+                (alone,) = operator_norm_lower_bound(witnesses, images, (p,), w, D)
+                assert [(e.value, e.test_function, e.p) for e in row] == [
+                    (e.value, e.test_function, e.p) for e in alone
+                ]
+
+    def test_lp_norm_needs_a_domain(self):
+        """A constant has no bounded support, which read as the zero function."""
+        f, w = FuncExpr.constant(1.0), Weight.one()
+        with pytest.raises(TypeError):
+            lp_norm(f, 2.0, w)
+        assert lp_norm(f, 2.0, w, Interval(0.0, 2.0)) == 2.0**0.5
+
     def test_zero_witnesses_raise(self):
         with pytest.raises(PreconditionError):
             operator_norm_lower_bound(
-                [FuncExpr.zero()], [[FuncExpr.zero()]], 2.0, Weight.one(), Interval(1e-12, 1.0)
+                [FuncExpr.zero()], [[FuncExpr.zero()]], (2.0,), Weight.one(), Interval(1e-12, 1.0)
             )
 
     def test_holder_split_of_major_subsets(self):
