@@ -27,13 +27,13 @@ them on an interval, clipped to it, with the gaps between them.
 
 `FuncExpr.sum` adds many functions in one pass over the union grid of their
 piece ends (binary `+` is its two-term case): each cell adds its terms' atoms
-in term order and is dropped when they cancel.  When the terms' pieces cover
-the grid at most twice over, as in every binary `+`, each piece adds into
-each cell it covers; otherwise a left-to-right sweep keeps the running sums
-of the active terms on a stack and re-adds only the terms from the lowest
-one that changed (`_sweep_sum`), linear in the depth of a nested chain given
-ancestor first.  Both routes give the same bits.  `FuncExpr.envelope` is the
-max over covering intervals.  `FuncExpr.sign_regions` (whose per-cell split
+in term order and is dropped when they cancel.  One or two terms, as in
+every binary `+`, add each piece into each cell it covers; more terms go
+through a left-to-right sweep that keeps the running sums of the active
+terms on a stack and re-adds only the terms from the lowest one that changed
+(`_sweep_sum`), linear in the depth of a nested chain given ancestor first.
+Both routes give the same bits.  `FuncExpr.envelope` is the max over
+covering intervals.  `FuncExpr.sign_regions` (whose per-cell split
 `abs` shares) is the one routine that answers sign questions; on the
 derivative it cuts f into monotone runs (`FuncExpr.monotone_runs`), whose
 ends hold the extremes of `value_range` and which bmo cuts at a level.  The
@@ -584,17 +584,15 @@ class FuncExpr:
         Each cell adds the atoms of the terms' pieces that cover it (their
         ranges on that grid, `_cell_ranges`) in term order; zero atoms and a
         cell whose atoms cancel are dropped, so the sum of one term is that
-        term cleaned.  When the ranges cover the grid at most twice over, as
-        in every binary `+`, each piece adds into each cell of its range;
-        otherwise `_sweep_sum` folds each cell from the running sums it
-        shares with the cell before, linear in a nested family's size.
+        term cleaned.  One or two terms, as in every binary `+`, add each
+        piece into each cell of its range; more terms go to `_sweep_sum`,
+        which folds each cell from the running sums it shares with the cell
+        before, linear in a nested family's size.
         """
         terms = list(terms)
         grid = _piece_ends(terms)
-        if len(terms) > 2:  # a term covers each cell at most once: two never pass twice over
-            ranges = [t._cell_ranges(grid) for t in terms]
-            if sum(j - i for rs in ranges for i, j, _ in rs) > 2 * (len(grid) - 1):
-                return cls._of_cells(_sweep_sum(grid, ranges))
+        if len(terms) > 2:
+            return cls._of_cells(_sweep_sum(grid, [t._cell_ranges(grid) for t in terms]))
         cells: list[dict | None] = [None] * (len(grid) - 1)  # the running sum per cell
         for t in terms:
             for i, j, atoms in t._cell_ranges(grid):

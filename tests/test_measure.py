@@ -496,9 +496,9 @@ class TestFuncExprSum:
             assert {p.atoms for p in out.pieces} <= {p.atoms for p in rest.pieces}, seed
 
     def test_route_threshold(self, reference_sum, cells_of, monkeypatch):
-        """Ranges covering the grid at most twice over take the per-cell
-        loop, as every two-term sum does; one cell more takes the sweep.
-        Both give the fold."""
+        """One or two terms take the per-cell loop, however their pieces
+        overlap; three terms take the sweep, even on disjoint pieces.  Both
+        give the fold."""
         from besselweights import measure
 
         swept, sweep = [], measure._sweep_sum
@@ -507,12 +507,13 @@ class TestFuncExprSum:
         f = FuncExpr([Piece(0.5, 1.0, up), Piece(1.0, 2.0, ((0.7, 0.5, 0),))])
         disjoint = FuncExpr.indicator(Interval(2.0, 3.0), 0.1)
         overlap = FuncExpr.indicator(Interval(0.5, 2.0), 0.3)  # covers both cells of f
-        for terms in ([f, disjoint], [f, overlap], [disjoint, f], [overlap, f]):
-            assert cells_of(terms[0] + terms[1]) == cells_of(reference_sum(terms))
+        for terms in ([f], [f, disjoint], [f, overlap], [disjoint, f], [overlap, f]):
+            assert cells_of(FuncExpr.sum(terms)) == cells_of(reference_sum(terms))
             assert cells_of(_swept(terms)) == cells_of(reference_sum(terms))
+        assert cells_of(f + overlap) == cells_of(reference_sum([f, overlap]))
         assert swept == []  # `_swept` calls the sweep by its own import
-        past = [f, overlap, FuncExpr.indicator(Interval(0.5, 1.0), -1.5)]  # 5 > 2 * 2 cells
-        assert cells_of(FuncExpr.sum(past)) == cells_of(reference_sum(past))
+        apart = [f, disjoint, FuncExpr.indicator(Interval(3.0, 4.0), -1.5)]
+        assert cells_of(FuncExpr.sum(apart)) == cells_of(reference_sum(apart))
         assert swept == [1]
 
     def test_chain_sum_is_linear_in_depth(self, monkeypatch):
