@@ -8,9 +8,10 @@ Young function phi and an interval B is the Luxemburg gauge
 computed here as the s where the inner average, decreasing in s, falls to 1.
 That level crossing and the inverses phi^{-1} both go through
 measure.monotone_inverse, which searches in log s with a relative tolerance
-only, so gauges and inverses stay accurate down to exp(-700).  The
-complementary function phibar(s) = sup_t (s*t - phi(t)) is evaluated by
-ternary search in log t on the concave inner function.  The inner average
+only, so gauges and inverses stay accurate down to exp(-700).  So does the
+complementary function phibar(s) = sup_t (s*t - phi(t)): by Young's
+equality it is s t - phi(t) at the t where the declared derivative phi'
+reaches s, one more monotone_inverse.  The inner average
 is exact on constant cells and on the power cells whose tails phi declares
 (see `luxemburg_norm`); every other cell takes one guarded quadrature.
 
@@ -60,9 +61,6 @@ __all__ = [
     "orlicz_maximal_profile",
 ]
 
-_LOG_T_LO, _LOG_T_HI = -700.0, 690.0  # log t searched by `complementary`; e^690 ~ 1e300
-
-
 def _guarded(fn: Callable[[float], float], t: float) -> float:
     try:
         v = fn(t)
@@ -78,7 +76,8 @@ class YoungFunction:
     gamma_doubling, when set, asserts phi(4t) <= gamma_doubling * phi(t); it is
     validated on a log grid at construction, as is midpoint convexity.  _tails
     declares closed forms for `luxemburg_norm`: pairs (gamma, R), gamma < -1,
-    R(t) = t^{-gamma-1} int_t^inf u^{gamma-1} phi(u) du.
+    R(t) = t^{-gamma-1} int_t^inf u^{gamma-1} phi(u) du.  _slope declares the
+    derivative phi', which `complementary` needs.
     """
 
     fn: Callable[[float], float]
@@ -86,6 +85,7 @@ class YoungFunction:
     gamma_doubling: float | None = None
     _validate: bool = field(default=True, repr=False)
     _tails: tuple[tuple[float, Callable[[float], float]], ...] = field(default=(), repr=False)
+    _slope: Callable[[float], float] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self._validate:
@@ -140,7 +140,7 @@ class YoungFunction:
 
 
 def identity_young() -> YoungFunction:
-    return YoungFunction(lambda t: t, "Id", gamma_doubling=4.0)
+    return YoungFunction(lambda t: t, "Id", gamma_doubling=4.0, _slope=lambda t: 1.0)
 
 
 _T_FLAT = 2.0**-1000  # both tails R below equal R(0) in floats; t is raised to it
@@ -172,8 +172,14 @@ def llogl(eps: float = 1.0) -> YoungFunction:
         raise ValueError("eps must lie in (0, 1]")
     gamma = 16.0 if eps == 1.0 else 4.0 * 4.0**eps
     tails = ((-1.5, _llogl_tail_three_halves), (-3.0, _llogl_tail_three)) if eps == 1.0 else ()
+
+    def slope(t: float) -> float:
+        L = math.log(math.e + t)
+        return L ** (eps - 1.0) * (L + eps * t / (math.e + t))
+
     return YoungFunction(
-        lambda t: t * math.log(math.e + t) ** eps, f"LlogL^{eps:g}", gamma, _tails=tails
+        lambda t: t * math.log(math.e + t) ** eps, f"LlogL^{eps:g}", gamma, _tails=tails,
+        _slope=slope,
     )
 
 
@@ -181,20 +187,30 @@ def power_young(p: float) -> YoungFunction:
     """t^p / p for p > 1."""
     if p <= 1.0:
         raise ValueError("power exponent must exceed 1")
-    return YoungFunction(lambda t: t**p / p, f"Power({p:g})", gamma_doubling=4.0**p)
+    return YoungFunction(
+        lambda t: t**p / p, f"Power({p:g})", gamma_doubling=4.0**p, _slope=lambda t: t ** (p - 1.0)
+    )
 
 
 def exp_m1(rate: float = 1.0) -> YoungFunction:
     """exp(rate * t) - 1; exponential integrability scale."""
-    return YoungFunction(lambda t: math.expm1(rate * t), f"ExpM1({rate:g})")
+    return YoungFunction(
+        lambda t: math.expm1(rate * t), f"ExpM1({rate:g})", _slope=lambda t: rate * math.exp(rate * t)
+    )
 
 
 def compose_young(outer: YoungFunction, inner: YoungFunction) -> YoungFunction:
-    """outer(inner(t)), composed literally with no renormalisation."""
+    """outer(inner(t)), composed literally with no renormalisation; its
+    slope is the chain rule's when both parts declare one."""
+
+    def slope(t: float) -> float:
+        return outer._slope(inner(t)) * inner._slope(t)
+
     return YoungFunction(
         lambda t: outer(inner(t)),
         f"{outer.name}*{inner.name}",
         _validate=False,
+        _slope=slope if outer._slope and inner._slope else None,
     )
 
 
@@ -202,54 +218,35 @@ def compose_young(outer: YoungFunction, inner: YoungFunction) -> YoungFunction:
 
 
 def complementary(phi: YoungFunction) -> YoungFunction:
-    """phibar(s) = sup_{t>=0} (s*t - phi(t)), by ternary search in u = log t.
+    """phibar(s) = sup_{t>=0} (s*t - phi(t)) = s t* - phi(t*), where the
+    declared slope phi' reaches s at t* (Young's equality; Krasnosel'skii and
+    Rutickii, Convex Functions and Orlicz Spaces, 1961, ch. I).
 
-    s*t - phi(t) is concave with value 0 at t = 0, so it is unimodal in u as
-    well.  The maximiser is bracketed by doubling steps of u out from t = 1,
-    downward or upward, within [exp(-700), exp(690)], and the search stops
-    on a width of 1e-15 in u, which is relative in t.  When the search stays
-    pinned at t = exp(690), s*t - phi(t) is still rising there and phibar(s)
-    is +inf, as for any overflow.
+    t* is one `monotone_inverse` of phi': 0 when phi'(0+) >= s, +inf when
+    phi' stays below s up to exp(700).  Any overflow reads +inf.  The result
+    declares phibar'(s) = t*, so it can be complemented again.
 
-    Raises UnboundedComplementaryError when phi is not superlinear (then
-    phibar jumps to +inf at finite s and callers must branch).
+    Raises PreconditionError when phi declares no slope, and
+    UnboundedComplementaryError when phi is not superlinear (then phibar
+    jumps to +inf at finite s and callers must branch).
     """
+    slope = phi._slope
+    if slope is None:
+        raise PreconditionError(f"{phi.name} declares no derivative; complementary needs it")
     if not phi.is_superlinear():
         raise UnboundedComplementaryError(
             f"{phi.name} is not superlinear; complementary function is degenerate"
         )
 
+    def argmax(s: float) -> float:
+        return monotone_inverse(lambda t: _guarded(slope, t), s, 0.0, math.inf) if s > 0.0 else 0.0
+
     def bar(s: float) -> float:
-        if s <= 0.0:
-            return 0.0
+        t = argmax(s)
+        st, pt = s * t, phi(t)  # pt <= st, but either may overflow alone
+        return math.inf if math.isinf(st) or math.isinf(pt) else max(st - pt, 0.0)
 
-        def h(u: float) -> float:
-            t = math.exp(u)
-            return s * t - phi(t)
-
-        back, mid, d = (0.0, 1.0, 1.0) if h(1.0) >= h(0.0) else (1.0, 0.0, -1.0)
-        step = 1.0
-        while True:  # h(mid) >= h(back); walk on until h falls
-            step *= 2.0
-            ahead = min(max(mid + d * step, _LOG_T_LO), _LOG_T_HI)
-            if ahead == mid or h(ahead) < h(mid):
-                break
-            back, mid = mid, ahead
-        lo, hi = min(back, ahead), max(back, ahead)
-        for _ in range(300):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            if h(m1) < h(m2):
-                lo = m1
-            else:
-                hi = m2
-            if hi - lo <= 1e-15 * max(1.0, abs(lo)):
-                break
-        if hi == _LOG_T_HI:  # still rising at exp(690): phibar(s) overflows
-            return math.inf
-        return max(h(0.5 * (lo + hi)), 0.0)
-
-    return YoungFunction(bar, f"conj({phi.name})", _validate=False)
+    return YoungFunction(bar, f"conj({phi.name})", _validate=False, _slope=argmax)
 
 
 # -- Luxemburg norm ------------------------------------------------------------

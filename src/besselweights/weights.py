@@ -394,9 +394,9 @@ def power_dichotomy(
     alpha: float,
     tag: ClassTag,
     depth: int,
-    seed: int = 0,
-    n_random: int = 50,
-    stabilization_band: float = 1.05,
+    seed: int,
+    n_random: int,
+    stabilization_band: float,
 ) -> DichotomyResult:
     """Decide membership of t^alpha by comparing constants at depth and 2*depth.
 

@@ -75,7 +75,8 @@ def test_c1_power_weight_dichotomy(tmp_path):
                 (rng.upper + 0.5, False),
             ]
             for alpha, interior in samples:
-                res = power_dichotomy(alpha, tag, depth=20, seed=1)
+                res = power_dichotomy(alpha, tag, depth=20, seed=1, n_random=50,
+                                      stabilization_band=1.05)
                 if interior:
                     ok = (not res.divergent) and res.ratio < 1.05
                 else:

@@ -1,9 +1,10 @@
 """Source hygiene: every import in the package is used in its module, every
 module-level private name has a reader in the package, no module relies on
 an `assert` statement, no condition in the package or the tests is a
-constant, the defaulted parameters of public functions are an audited
-list, a scenario parameter's default lives in its shipped config alone, and
-every check states a relation that `Verdict.add` knows."""
+constant, the defaulted parameters of public functions and the defaulted
+fields of public dataclasses are an audited list, a scenario parameter's
+default lives in its shipped config alone, and every check states a
+relation that `Verdict.add` knows."""
 
 import ast
 import configparser
@@ -166,33 +167,56 @@ OPTIONS = [
     "experiments.config.parse_config_text(seed_override)",
     "experiments.config.load_config(seed_override)",
     "experiments.config.load_default_config(seed_override)",
+    "experiments.config.ScenarioConfig(params)",
+    "experiments.verdict.Verdict(checks)",
+    "experiments.verdict.Verdict(artifacts)",
     "measure.FuncExpr.indicator(value)",
     "measure.monotone_inverse(increasing)",
     "measure.integrate_callable(kind)",
     "measure.integrate_callable(rel_tol)",
     "orlicz.llogl(eps)",
     "orlicz.exp_m1(rate)",
+    "orlicz.YoungFunction(gamma_doubling)",
+    "orlicz.YoungFunction(_validate)",
+    "orlicz.YoungFunction(_tails)",
+    "orlicz.YoungFunction(_slope)",
+    "riesz.RieszKernelEvaluator(nodes)",
     "riesz.SeparatedBallPair.build(direction)",
     "riesz.lower_bound_check(samples)",
+    "weights.Weight(description)",
     "weights.Weight.power(coef)",
+    "weights.PowerRange(upper_inclusive)",
     "weights.IntervalFamily.random(lo_exp)",
     "weights.IntervalFamily.random(hi_exp)",
     "weights.IntervalFamily.standard(seed)",
     "weights.IntervalFamily.standard(n_random)",
-    "weights.power_dichotomy(seed)",
-    "weights.power_dichotomy(n_random)",
-    "weights.power_dichotomy(stabilization_band)",
 ]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in node.decorator_list
+    )
 
 
 def defaulted_parameters(source: str, module: str) -> list[str]:
     """"module.function(param)" for each defaulted parameter of a public
-    function, or of a public method of a public class, at module level."""
+    function, or of a public method of a public class, at module level, and
+    "module.Class(field)" for each defaulted field of a public dataclass: a
+    constructor parameter as well."""
     out = []
 
     def visit(body, prefix):
         for node in body:
             if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                if _is_dataclass(node):
+                    out.extend(
+                        f"{module}.{prefix}{node.name}({f.target.id})"
+                        for f in node.body
+                        if isinstance(f, ast.AnnAssign) and f.value is not None
+                    )
                 visit(node.body, f"{prefix}{node.name}.")
             elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                 a = node.args
@@ -209,10 +233,14 @@ def test_scan_lists_defaulted_parameters():
     src = (
         "def f(a, b=1, *, c=2, d):\n    def inner(e=3): pass\n"
         "def _g(h=4): pass\n"
-        "class K:\n    def m(self, i=5): pass\n    def _n(self, j=6): pass\n"
+        "class K:\n    def m(self, i=5): pass\n    def _n(self, j=6): pass\n    x: int = 0\n"
         "class _L:\n    def m(self, k=7): pass\n"
+        "@dataclass(frozen=True)\nclass D:\n    a: int\n    b: int = 1\n    _c: int = field(default=2)\n"
+        "@dataclass\nclass _E:\n    d: int = 3\n"
     )
-    assert defaulted_parameters(src, "mod") == ["mod.f(b)", "mod.f(c)", "mod.K.m(i)"]
+    assert defaulted_parameters(src, "mod") == [
+        "mod.f(b)", "mod.f(c)", "mod.K.m(i)", "mod.D(b)", "mod.D(_c)"
+    ]
 
 
 def test_options_audit():

@@ -8,11 +8,13 @@ import pytest
 from scipy.optimize import brentq
 
 from besselweights import orlicz
-from besselweights.errors import UnboundedComplementaryError
+from besselweights.errors import PreconditionError, UnboundedComplementaryError
 from besselweights.measure import BesselMeasure, FuncExpr, Interval
 from besselweights.orlicz import (
+    YoungFunction,
     c_phi,
     complementary,
+    compose_young,
     exp_m1,
     identity_young,
     llogl,
@@ -114,6 +116,100 @@ class TestComplementary:
         for s in np.logspace(-2, 2, 10):
             for t in np.logspace(-2, 2, 10):
                 assert s * t <= phi(float(t)) + bar(float(s)) + 1e-12
+
+
+def _mp_llogl(eps):
+    return lambda t: t * mp.log(mp.e + t) ** eps
+
+
+# each catalogue member with its fn written in mpmath arithmetic
+CATALOGUE = [
+    (identity_young(), lambda t: t),
+    (power_young(1.5), lambda t: t**1.5 / 1.5),
+    (power_young(2.0), lambda t: t**2 / 2),
+    (power_young(3.0), lambda t: t**3 / 3),
+    (exp_m1(), mp.expm1),
+    (exp_m1(2.5), lambda t: mp.expm1(2.5 * t)),
+    (llogl(), _mp_llogl(1)),
+    (llogl(0.5), _mp_llogl(0.5)),
+    (compose_young(power_young(2.0), llogl()), lambda t: _mp_llogl(1)(t) ** 2 / 2),
+]
+
+
+def _mp_llogl_bar(eps: float, s: float) -> tuple[mp.mpf, mp.mpf]:
+    """phibar(s) of t log(e+t)^eps to 40 digits, s t - phi(t) at the root of
+    phi'(t) = s found in u = log t, and the cancellation factor s t / phibar(s)."""
+    with mp.workdps(40):
+        e, s = mp.mpf(eps), mp.mpf(s)
+
+        def slope(u):
+            t = mp.exp(u)
+            L = mp.log(mp.e + t)
+            return L ** (e - 1) * (L + e * t / (mp.e + t)) - s
+
+        t = mp.exp(mp.findroot(slope, (-50, 2000), solver="illinois", maxsteps=500))
+        bar = s * t - _mp_llogl(e)(t)
+        return bar, s * t / bar
+
+
+class TestYoungEquality:
+    """`complementary` is s t* - phi(t*) at the root t* of the declared slope."""
+
+    @pytest.mark.parametrize("phi, mp_fn", CATALOGUE, ids=[phi.name for phi, _ in CATALOGUE])
+    def test_declared_slope_is_the_derivative(self, phi, mp_fn):
+        with mp.workdps(30):
+            for t in np.logspace(-8, 8, 33):
+                if phi.name.startswith("ExpM1") and t > 100.0:
+                    continue
+                d = mp.diff(mp_fn, mp.mpf(float(t)))
+                assert phi._slope(float(t)) == pytest.approx(float(d), rel=1e-12, abs=0.0), t
+
+    def test_power_and_exponential_to_the_last_bits(self):
+        with mp.workdps(40):
+            for p in (1.5, 2.0, 3.0):
+                bar, q = complementary(power_young(p)), p / (p - 1.0)
+                for s in np.logspace(-100, 100, 41):
+                    ref = mp.mpf(float(s)) ** q / q
+                    assert bar(float(s)) == pytest.approx(float(ref), rel=1e-15, abs=0.0), (p, s)
+            for rate in (1.0, 2.5):
+                bar = complementary(exp_m1(rate))
+                for s in rate * np.geomspace(1.5, 1e300, 41):
+                    x = mp.mpf(float(s)) / rate  # phibar(s) = x log x - x + 1
+                    ref = x * mp.log(x) - x + 1
+                    assert bar(float(s)) == pytest.approx(float(ref), rel=1e-15, abs=0.0), (rate, s)
+
+    @pytest.mark.parametrize("eps", [1.0, 0.5])
+    def test_llogl_against_mpmath(self, eps):
+        # s t - phi(t) cancels: it loses the bits of s t / phibar(s), about s
+        # for llogl(1) and 2 s^2 for llogl(0.5); allow 4 ulp times that (about
+        # 2e-13 at s = 690.5 for llogl(1))
+        bar = complementary(llogl(eps))
+        for s in np.geomspace(1.01, 690.5, 30):
+            val = bar(float(s))
+            if math.isinf(val):  # llogl(0.5): t* ~ exp(s^2) lies past exp(700)
+                assert eps == 0.5 and s * s > 690.0
+                continue
+            ref, cancel = _mp_llogl_bar(eps, float(s))
+            assert val == pytest.approx(float(ref), rel=4 * 2.0**-53 * float(cancel), abs=0.0), s
+
+    def test_large_argument_is_finite(self):
+        assert complementary(power_young(2.0))(1e154) == 5e307
+
+    def test_never_nan(self):
+        for phi in (phi for phi, _ in CATALOGUE if phi.is_superlinear()):
+            bar = complementary(phi)
+            for s in np.logspace(-300, 300, 121):
+                assert not math.isnan(bar(float(s))), (phi.name, s)
+
+    def test_undeclared_slope_raises(self):
+        with pytest.raises(PreconditionError):
+            complementary(YoungFunction(lambda t: t * t, "square"))
+
+    def test_twice_complemented_is_phi(self):
+        for p in (1.5, 2.0, 3.0):
+            twice = complementary(complementary(power_young(p)))
+            for t in (1e-3, 0.5, 1.0, 7.0, 1e4):
+                assert twice(t) == pytest.approx(t**p / p, rel=1e-13, abs=0.0), (p, t)
 
 
 class TestLuxemburg:

@@ -352,9 +352,11 @@ class TestPowerRange:
 
 
 class TestDichotomy:
+    SETTINGS = {"seed": 0, "n_random": 50, "stabilization_band": 1.05}
+
     @pytest.mark.parametrize("alpha,member", [(0.0, True), (3.0, True), (5.0, False), (-1.0, False)])
     def test_tilde_class(self, alpha, member):
-        res = power_dichotomy(alpha, TildeAp(2.0, 0.5), depth=8)
+        res = power_dichotomy(alpha, TildeAp(2.0, 0.5), depth=8, **self.SETTINGS)
         assert res.member == member
         if member:
             assert res.ratio < 1.05
@@ -364,17 +366,17 @@ class TestDichotomy:
     def test_limiting_class_above_density_exponent(self):
         # t^alpha with alpha > 2c+1 is outside (-1, 2c+1]: w / x^{2c+1} -> 0 at 0
         for c in (0.5, 1.0):
-            res = power_dichotomy(2 * c + 1.5, TildeA1(c), 6)
+            res = power_dichotomy(2 * c + 1.5, TildeA1(c), 6, **self.SETTINGS)
             assert res.divergent and not res.member
 
     def test_cross_membership_asymmetry(self):
         # p=2, lam=1: alpha=5 outside classical (-3,3), inside modified (-1,7);
         # alpha=-2 inside classical, outside modified
-        res_c = power_dichotomy(5.0, ApMu(2.0, 1.0), depth=8)
-        res_m = power_dichotomy(5.0, TildeAp(2.0, 1.0), depth=8)
+        res_c = power_dichotomy(5.0, ApMu(2.0, 1.0), depth=8, **self.SETTINGS)
+        res_m = power_dichotomy(5.0, TildeAp(2.0, 1.0), depth=8, **self.SETTINGS)
         assert not res_c.member and res_m.member
-        res_c = power_dichotomy(-2.0, ApMu(2.0, 1.0), depth=8)
-        res_m = power_dichotomy(-2.0, TildeAp(2.0, 1.0), depth=8)
+        res_c = power_dichotomy(-2.0, ApMu(2.0, 1.0), depth=8, **self.SETTINGS)
+        res_m = power_dichotomy(-2.0, TildeAp(2.0, 1.0), depth=8, **self.SETTINGS)
         assert res_c.member and not res_m.member
 
 
