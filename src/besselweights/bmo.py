@@ -38,7 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, PostconditionError, ZeroMassError
-from .measure import BesselMeasure, FuncExpr, Interval, Piece, _run_range, _value_at, monotone_inverse
+from .measure import (
+    BesselMeasure, FuncExpr, Interval, Piece, _bounded_minimum, _run_range, _value_at, monotone_inverse,
+)
 from .weights import IntervalFamily, Weight
 
 __all__ = [
@@ -351,23 +353,20 @@ def _scan_minimum(f, lo: float, hi: float, samples: int) -> float:
     """Smallest value of f found on [lo, hi].
 
     Unimodality is not assumed: a scan of `samples` points including both
-    ends, then a bounded minimiser on the bracket around the best of them,
-    and the minimum over all of these.  The minimiser works in the offset
-    from the best point, because its built-in tolerance sqrt(eps) |x| would
-    stop it 1e-8 short of a kinked minimum.
+    ends, then the bounded minimiser `_bounded_minimum` on the bracket around
+    the best of them, and the minimum over all of these.  The minimiser works
+    in the offset from the best point, because its built-in tolerance
+    sqrt(eps) |x| would stop it 1e-8 short of a kinked minimum.
     """
-    from scipy.optimize import minimize_scalar
-
     xs = np.linspace(lo, hi, samples)
     coarse = [f(float(x)) for x in xs]
     i = int(np.argmin(coarse))
     x0 = float(xs[i])
-    bracket = (float(xs[max(0, i - 1)]) - x0, float(xs[min(samples - 1, i + 1)]) - x0)
-    refined = minimize_scalar(
-        lambda v: f(x0 + v), bounds=bracket, method="bounded",
-        options={"xatol": 1e-12 * max(abs(lo), abs(hi))},
+    refined = _bounded_minimum(
+        lambda v: f(x0 + v), float(xs[max(0, i - 1)]) - x0, float(xs[min(samples - 1, i + 1)]) - x0,
+        1e-12 * max(abs(lo), abs(hi)),
     )
-    return min(min(coarse), float(refined.fun))
+    return min(min(coarse), float(refined))
 
 
 def bmo_median_norm(

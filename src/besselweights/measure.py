@@ -57,15 +57,17 @@ closed cell, and guarded adaptive quadrature (`integrate_callable`,
 
 Every root and inverse takes one bracketed solver, `_brentq`, which computes
 scipy.optimize.brentq's iterates bit for bit: `_piece_roots` on each bracket
-its scan finds, and `monotone_inverse`.  With it and the incomplete gamma of
-`_scaled_gamma_tail` summed here, the family's paths load no scipy; guarded
-adaptive quadrature imports it on its first call.
+its scan finds, and `monotone_inverse`.  `_bounded_minimum` is the bounded
+scalar minimiser of the same book, bit for bit scipy's as well.  With them and
+the incomplete gamma of `_scaled_gamma_tail` summed here, the family's paths
+load no scipy; guarded adaptive quadrature imports it on its first call.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -1182,6 +1184,7 @@ def _legendre_sum(
 # ---------------------------------------------------------------------------
 
 _LOG_X_RANGE = 700.0  # exp(+-700) stays inside the double range
+_LOG_X_MAX = math.log(sys.float_info.max)  # exp of it is the largest float
 
 
 def _brentq(
@@ -1247,6 +1250,75 @@ def _brentq(
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
+_BOUNDED_MAXFUN = 500  # evaluations of `_bounded_minimum`, the first included
+
+
+def _bounded_minimum(f: Callable[[float], float], x1: float, x2: float, xatol: float) -> float:
+    """f at a local minimiser in [x1, x2], located to within
+    xatol + sqrt(2.2e-16) |x|, by Brent's method (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 5): a parabola through the
+    three best points when its vertex falls inside the bracket and the step
+    shrinks, a golden-section step otherwise.
+
+    A line-for-line port of scipy.optimize.minimize_scalar(method="bounded")
+    with scipy's maxiter: it returns that call's `fun` bit for bit, the value
+    at the last accepted point, after at most 500 evaluations.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # a parabola through xf, nfc and fulc
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:  # too near an end: step tol1 toward the middle
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _BOUNDED_MAXFUN:
+            break
+    return fx
+
+
 def monotone_inverse(
     f: Callable[[float], float],
     level: float,
@@ -1262,8 +1334,9 @@ def monotone_inverse(
     error of up to 4 eps |u| in x, so one last secant step in x across the
     bracket around the u-root finishes to a few eps.  lo = 0 and hi = inf are
     allowed: an open end is walked out from the other end (or from x = 1) in
-    doubling steps of u, no further than exp(+-700).  f is called at x > 0
-    only, and never outside [lo, hi].
+    doubling steps of u, no further than exp(-700) downward and, after exp(700),
+    one last step to the largest float upward.  f is called at x > 0 only, and
+    never outside [lo, hi].
     """
     sign = 1.0 if increasing else -1.0
     if lo > 0.0 and sign * (f(lo) - level) >= 0.0:
@@ -1286,14 +1359,15 @@ def monotone_inverse(
         else:
             anchor, up = (a, True) if math.isinf(b) else (b, False)
         reach = _LOG_X_RANGE - anchor if up else _LOG_X_RANGE + anchor
+        last = _LOG_X_MAX - anchor if up else reach
         near, step = anchor, 1.0
         while True:
             u = anchor + step if up else anchor - step
             if (g(u) >= 0.0) == up:
                 break
-            if step >= reach:
+            if step >= last:
                 return hi if up else lo
-            near, step = u, min(2.0 * step, reach)
+            near, step = u, min(2.0 * step, reach) if step < reach else last
         a, b = (near, u) if up else (u, near)
     u = _brentq(g, a, b, xtol=1e-15)
     d = 2e-15 * (1.0 + abs(u))  # twice `_brentq`'s bound on the distance to the root

@@ -123,7 +123,7 @@ class YoungFunction:
             return 0.0
         t = monotone_inverse(self, y, 0.0, math.inf)
         if math.isinf(t):
-            raise ValueError(f"{self.name}: phi stays below y={y:g} up to exp(700)")
+            raise ValueError(f"{self.name}: phi stays below y={y:g} up to the largest float")
         return t
 
     def is_superlinear(self) -> bool:
@@ -223,8 +223,12 @@ def complementary(phi: YoungFunction) -> YoungFunction:
     Rutickii, Convex Functions and Orlicz Spaces, 1961, ch. I).
 
     t* is one `monotone_inverse` of phi': 0 when phi'(0+) >= s, +inf when
-    phi' stays below s up to exp(700).  Any overflow reads +inf.  The result
-    declares phibar'(s) = t*, so it can be complemented again.
+    phi' stays below s up to the largest float.  When s t* overflows, s t*
+    and phi(t*) are taken in numpy's longdouble, whose exponent reaches past
+    the double's where the platform has an extended type (x86-64), so a
+    phibar below the largest float stays finite there.  Any other overflow
+    reads +inf.  The result declares phibar'(s) = t*, so it can be
+    complemented again.
 
     Raises PreconditionError when phi declares no slope, and
     UnboundedComplementaryError when phi is not superlinear (then phibar
@@ -243,8 +247,12 @@ def complementary(phi: YoungFunction) -> YoungFunction:
 
     def bar(s: float) -> float:
         t = argmax(s)
-        st, pt = s * t, phi(t)  # pt <= st, but either may overflow alone
-        return math.inf if math.isinf(st) or math.isinf(pt) else max(st - pt, 0.0)
+        st = s * t
+        if math.isinf(st) and not math.isinf(t):
+            t = np.longdouble(t)
+            st = s * t
+        pt = phi(t)  # pt <= st, but either may overflow alone
+        return math.inf if np.isinf(st) or np.isinf(pt) else float(max(st - pt, 0.0))
 
     return YoungFunction(bar, f"conj({phi.name})", _validate=False, _slope=argmax)
 
@@ -301,7 +309,7 @@ def luxemburg_norm(f: FuncExpr, phi: YoungFunction, B: Interval, m: BesselMeasur
 
     s = monotone_inverse(mean, 1.0, 0.0, math.inf, increasing=False)
     if math.isinf(s):
-        raise PreconditionError("Luxemburg gauge: the mean stays above 1 up to s = exp(700)")
+        raise PreconditionError("Luxemburg gauge: the mean stays above 1 up to the largest float s")
     return s
 
 

@@ -5,8 +5,9 @@ replaced and must reproduce, the cell-by-cell L^p walk that
 `FuncExpr.lp_integrals` replaced with one walk for all p, the two-route
 Orlicz mean and the two family nesting routines that `luxemburg_norm` and
 `dyadic._nesting` replaced, the region walk that `FuncExpr.value_range`
-replaced with its monotone runs, a comparable view of a function's cells,
-and a record of the cells the root scan is asked about."""
+replaced with its monotone runs, the scipy route that `bmo._scan_minimum`
+took before `measure._bounded_minimum` ported it, a comparable view of a
+function's cells, and a record of the cells the root scan is asked about."""
 
 import bisect
 import math
@@ -15,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from besselweights.dyadic import DyadicCube, SparseFamily, subtract_intervals, verify_sparse
 from besselweights.errors import DivergenceError, RepresentationError
@@ -291,6 +292,21 @@ def reference_value_range(f, B):
     return min(vals), max(vals)
 
 
+def reference_scan_minimum(f, lo, hi, samples):
+    """bmo._scan_minimum as it refined the best scan point with
+    scipy.optimize.minimize_scalar(method="bounded")."""
+    xs = np.linspace(lo, hi, samples)
+    coarse = [f(float(x)) for x in xs]
+    i = int(np.argmin(coarse))
+    x0 = float(xs[i])
+    bracket = (float(xs[max(0, i - 1)]) - x0, float(xs[min(samples - 1, i + 1)]) - x0)
+    refined = minimize_scalar(
+        lambda v: f(x0 + v), bounds=bracket, method="bounded",
+        options={"xatol": 1e-12 * max(abs(lo), abs(hi))},
+    )
+    return min(min(coarse), float(refined.fun))
+
+
 def cells_of(f):
     return [(p.lo, p.hi, p.atoms) for p in f.pieces]
 
@@ -318,6 +334,11 @@ def _reference_lp_integral_fixture():
 @pytest.fixture(name="reference_value_range")
 def _reference_value_range_fixture():
     return reference_value_range
+
+
+@pytest.fixture(name="reference_scan_minimum")
+def _reference_scan_minimum_fixture():
+    return reference_scan_minimum
 
 
 @pytest.fixture(name="cells_of")

@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -29,7 +30,9 @@ from besselweights.bmo import (
     weighted_bmo_norm,
 )
 from besselweights.errors import ConstructionError, PostconditionError
-from besselweights.measure import BesselMeasure, FuncExpr, Interval, dmu, monotone_inverse
+from besselweights.experiments.bmo_equivalence import run_bmo_equivalence
+from besselweights.experiments.config import load_default_config
+from besselweights.measure import BesselMeasure, FuncExpr, Interval, _bounded_minimum, dmu, monotone_inverse
 from besselweights.weights import IntervalFamily, TildeAp, Weight, weight_constant
 
 M1 = BesselMeasure(1.0)
@@ -344,6 +347,93 @@ class TestWindowScan:
                 exact = (1 / _window_closed_form_x1max(B, alpha, 0.25) - 1 / mp.mpf(B.b)) / 2
                 val = median_oscillation(b, w, 0.25, B)
                 assert val == pytest.approx(float(exact), rel=1e-12)
+
+
+def _minimise_both(f, a, b, xatol):
+    """(value, evaluated points) of `_bounded_minimum` and of scipy's bounded
+    minimiser on f over [a, b]."""
+    from scipy.optimize import minimize_scalar
+
+    ours, theirs = [], []
+    val = _bounded_minimum(lambda x: ours.append(x) or f(x), a, b, xatol)
+    res = minimize_scalar(
+        lambda x: theirs.append(x) or f(x), bounds=(a, b), method="bounded", options={"xatol": xatol}
+    )
+    return (val, ours), (res.fun, theirs)
+
+
+class TestBoundedMinimum:
+    """`_bounded_minimum` against scipy.optimize.minimize_scalar(method=
+    "bounded"), bit for bit: the same value and the same evaluated points."""
+
+    @staticmethod
+    def _cases(n, seed):
+        """Seeded quadratics (vertex inside or outside the bounds), kinks at an
+        offset, multimodal sums of sines, and monotone functions whose
+        minimum sits at either bound, each with one of three tolerances."""
+        rng = random.Random(seed)
+        for i in range(n):
+            a = rng.uniform(-10.0, 10.0)
+            b = a + 10.0 ** rng.uniform(-6.0, 1.5)
+            c = rng.uniform(a - 0.2 * (b - a), b + 0.2 * (b - a))
+            k = 10.0 ** rng.uniform(-2.0, 2.0)
+            kind = i % 4
+            if kind == 0:
+                f = lambda x, c=c, k=k: k * (x - c) ** 2 - 1.0
+            elif kind == 1:
+                slope = rng.uniform(-0.9, 0.9)
+                f = lambda x, c=c, k=k, slope=slope: k * (abs(x - c) + slope * (x - c))
+            elif kind == 2:
+                w = 10.0 ** rng.uniform(0.0, 1.0) / (b - a)
+                f = lambda x, w=w, c=c: math.sin(w * (x - c)) + 0.3 * math.cos(3.0 * w * x) + 0.05 * w * x
+            else:
+                f = (lambda x, k=k: k * x) if rng.random() < 0.5 else (lambda x, k=k: -math.exp(k * x / 100.0))
+            xatol = rng.choice([1e-5, 1e-8, 1e-12 * max(abs(a), abs(b))])
+            yield f, a, b, xatol
+
+    def test_matches_scipy_bit_for_bit(self):
+        for f, a, b, xatol in self._cases(400, seed=28):
+            ours, theirs = _minimise_both(f, a, b, xatol)
+            assert ours == theirs, (a, b, xatol)
+
+    def test_edge_cases_match_scipy(self):
+        cases = [
+            (lambda x: 1.5, -1.0, 2.0, 1e-5),  # constant
+            (lambda x: x, 0.25, 3.0, 1e-5),  # minimum at the lower bound
+            (lambda x: -x, 0.25, 3.0, 1e-5),  # and at the upper
+            (lambda x: (x - 0.3) ** 2, 0.0, 1.0, 1e-300),  # tiny xatol
+            (lambda x: abs(x - 1e-3), -1.0, 1.0, 0.0),  # no tolerance floor
+            (lambda x: (x - 2.0) ** 2, 2.0, 2.0, 1e-5),  # one point
+            (lambda x: max(abs(x - 0.4), 0.1), 0.0, 1.0, 1e-8),  # a flat bottom: ties
+            (lambda x: abs(x - 0.435805233111606) // 0.05 * 0.05, 0.0, 1.0, 1e-5),  # steps: ties off the best
+        ]
+        for f, a, b, xatol in cases:
+            ours, theirs = _minimise_both(f, a, b, xatol)
+            assert ours == theirs, (a, b, xatol)
+
+    def test_stops_at_the_evaluation_cap(self):
+        # |x| with no tolerance: tol1 = sqrt(2.2e-16) |xf| shrinks with the
+        # bracket around 0, so only the 500-evaluation cap ends the search
+        ours, theirs = _minimise_both(abs, -1.0, 0.7, 0.0)
+        assert ours == theirs
+        assert len(ours[1]) == 500
+
+    def test_scan_minimum_matches_the_scipy_route_on_bmo_equivalence(
+        self, monkeypatch, tmp_path, reference_scan_minimum
+    ):
+        # every call of `bmo-equivalence --seed 1..10`, captured as it is made
+        calls, scan = [], bmo._scan_minimum
+
+        def record(f, lo, hi, samples):
+            calls.append((f, lo, hi, samples, scan(f, lo, hi, samples)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(bmo, "_scan_minimum", record)
+        for seed in range(1, 11):
+            run_bmo_equivalence(load_default_config("bmo-equivalence", str(tmp_path), seed))
+        assert len(calls) == 42 * 10
+        for f, lo, hi, samples, value in calls:
+            assert value == reference_scan_minimum(f, lo, hi, samples), (lo, hi)
 
 
 class TestMassNearZero:

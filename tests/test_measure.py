@@ -700,7 +700,13 @@ class TestMonotoneInverse:
         assert monotone_inverse(f, 0.5, 1.0, 2.0) == 1.0
         assert monotone_inverse(f, 5.0, 1.0, 2.0) == 2.0
         assert monotone_inverse(f, 1e-320, 0.0, 1.0) == 0.0
-        assert monotone_inverse(f, 1e306, 1.0, math.inf) == math.inf
+        assert monotone_inverse(lambda x: 0.5 * x, 1e308, 1.0, math.inf) == math.inf  # past the largest float
+
+    def test_upward_walk_reaches_the_largest_float(self):
+        # one last step past exp(700) brackets every crossing below the largest float
+        assert monotone_inverse(lambda x: x, 1e306, 1.0, math.inf) == pytest.approx(1e306, rel=1e-15, abs=0.0)
+        x = monotone_inverse(math.log, 709.5, 0.0, math.inf)
+        assert x == pytest.approx(math.exp(709.5), rel=1e-15, abs=0.0)
 
 
 class TestQuadratureFallback:

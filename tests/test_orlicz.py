@@ -136,6 +136,12 @@ CATALOGUE = [
 ]
 
 
+# complementary's s t* past the double range needs a wider longdouble exponent
+EXTENDED = pytest.mark.skipif(
+    np.finfo(np.longdouble).maxexp <= np.finfo(float).maxexp, reason="longdouble is the double here"
+)
+
+
 def _mp_llogl_bar(eps: float, s: float) -> tuple[mp.mpf, mp.mpf]:
     """phibar(s) of t log(e+t)^eps to 40 digits, s t - phi(t) at the root of
     phi'(t) = s found in u = log t, and the cancellation factor s t / phibar(s)."""
@@ -191,6 +197,19 @@ class TestYoungEquality:
                 continue
             ref, cancel = _mp_llogl_bar(eps, float(s))
             assert val == pytest.approx(float(ref), rel=4 * 2.0**-53 * float(cancel), abs=0.0), s
+
+    @pytest.mark.parametrize("s", [
+        702.0,  # t* ~ e^701 lies past exp(700)
+        pytest.param(705.0, marks=EXTENDED), pytest.param(709.0, marks=EXTENDED),
+        pytest.param(710.0, marks=EXTENDED),  # s t* overflows the double
+    ])
+    def test_llogl_finite_up_to_the_largest_float(self, s):
+        # phibar(s) ~ e^(s-1) is a finite float up to s ~ 710.8; same bound as above
+        ref, cancel = _mp_llogl_bar(1.0, s)
+        assert complementary(llogl())(s) == pytest.approx(float(ref), rel=4 * 2.0**-53 * float(cancel), abs=0.0)
+
+    def test_llogl_past_the_largest_float_is_inf(self):
+        assert complementary(llogl())(711.0) == math.inf  # phibar(711) ~ 2.2e308
 
     def test_large_argument_is_finite(self):
         assert complementary(power_young(2.0))(1e154) == 5e307

@@ -1,9 +1,10 @@
 """The scenarios that need no scipy never load it: importing the CLI leaves
-scipy out of sys.modules, and power-sweep, sparse-scaling and
-commutator-bound print the same verdict lines with scipy blocked.  The
-kernel scenarios, endpoint and counterexample, and the C9 layered mass bound
-need scipy.special only: they run the same with scipy.integrate blocked.
-Each run is a fresh interpreter, since this one has scipy loaded."""
+scipy out of sys.modules, a bmo-equivalence run leaves it out too, and
+power-sweep, sparse-scaling, commutator-bound and bmo-equivalence print the
+same verdict lines with scipy blocked.  The kernel scenarios, endpoint and
+counterexample, and the C9 layered mass bound need scipy.special only: they
+run the same with scipy.integrate blocked.  Each run is a fresh interpreter,
+since this one has scipy loaded."""
 
 import os
 import subprocess
@@ -18,6 +19,7 @@ SRC = Path(besselweights.__file__).resolve().parent.parent
 BLOCK = "import sys; sys.modules['scipy'] = None; "  # any scipy import then raises ImportError
 BLOCK_INTEGRATE = "import sys; sys.modules['scipy.integrate'] = None; "
 CLI = "from besselweights.cli import main; main()"
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
 def _python(code: str, *args: str) -> subprocess.CompletedProcess:
@@ -29,12 +31,20 @@ def _python(code: str, *args: str) -> subprocess.CompletedProcess:
 
 
 def test_cli_import_loads_no_scipy():
-    run = _python("import sys, besselweights.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    run = _python(f"import sys, besselweights.cli; print({SCIPY_MODULES})")
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("scenario", ["power-sweep", "sparse-scaling", "commutator-bound"])
+def test_bmo_equivalence_run_loads_no_scipy(tmp_path):
+    # printed at exit, after the CLI's sys.exit
+    run = _python(f"import atexit, sys; atexit.register(lambda: print({SCIPY_MODULES})); " + CLI,
+                  "bmo-equivalence", "--seed", "1", "--out", str(tmp_path))
+    assert run.returncode == 0, run.stderr
+    assert "[PASS]" in run.stdout and run.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("scenario", ["power-sweep", "sparse-scaling", "commutator-bound", "bmo-equivalence"])
 def test_scenario_runs_with_scipy_blocked(scenario, tmp_path):
     args = (scenario, "--seed", "1", "--out", str(tmp_path))  # one directory: same artifact lines
     blocked, plain = _python(BLOCK + CLI, *args), _python(CLI, *args)
