@@ -36,7 +36,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, PostconditionError
 from .measure import DX, BesselMeasure, FuncExpr, Interval, IntervalEnds, _each, dmu, dnu
 
 __all__ = [
@@ -390,6 +390,24 @@ class DichotomyResult:
     member: bool
 
 
+@lru_cache(maxsize=2)
+def _beyond_depth(depth: int, seed: int, n_random: int) -> IntervalFamily:
+    """The distinct intervals of `standard(2 depth)` that `standard(depth)`
+    lacks, in `standard(2 depth)` order.  With `standard(depth)` they make up
+    `standard(2 depth)`, so its constant is the larger of the two maxima.
+
+    Raises PostconditionError when `standard(depth)` is not contained in
+    `standard(2 depth)`.
+    """
+    inner = IntervalFamily.standard(depth, seed, n_random)
+    outer = IntervalFamily.standard(2 * depth, seed, n_random)
+    seen = set(inner.intervals)
+    if not seen <= set(outer.intervals):
+        raise PostconditionError(f"{inner.rule} is not contained in {outer.rule}")
+    extra = dict.fromkeys(B for B in outer.intervals if B not in seen)
+    return IntervalFamily(f"{outer.rule}-{inner.rule}", tuple(extra))
+
+
 def power_dichotomy(
     alpha: float,
     tag: ClassTag,
@@ -400,14 +418,18 @@ def power_dichotomy(
 ) -> DichotomyResult:
     """Decide membership of t^alpha by comparing constants at depth and 2*depth.
 
-    Families are monotone in depth, so the ratio is >= 1.  Members stabilise
-    (ratio under the band); non-members either trip the symbolic divergence
-    flag on a zero-based interval or grow without bound.
+    The depth-2J constant is the larger of the depth-J constant and the
+    maximum over the intervals that only `standard(2J)` holds, so no
+    interval of `standard(J)` is scanned twice, and the ratio is >= 1.
+    Members stabilise (ratio under the band); non-members either trip the
+    symbolic divergence flag on a zero-based interval or grow without bound.
     """
     w = Weight.power(alpha)
+    extra = _beyond_depth(depth, seed, n_random)
     r1 = weight_constant(w, tag, IntervalFamily.standard(depth, seed, n_random))
-    r2 = weight_constant(w, tag, IntervalFamily.standard(2 * depth, seed, n_random))
-    divergent = r1.divergent or r2.divergent
-    ratio = math.inf if divergent else r2.value / r1.value
+    rn = weight_constant(w, tag, extra) if extra.intervals else r1
+    value_at_double = max(r1.value, rn.value)
+    divergent = r1.divergent or rn.divergent
+    ratio = math.inf if divergent else value_at_double / r1.value
     member = (not divergent) and ratio < stabilization_band
-    return DichotomyResult(r1.value, r2.value, ratio, divergent, member)
+    return DichotomyResult(r1.value, value_at_double, ratio, divergent, member)

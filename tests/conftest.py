@@ -6,7 +6,9 @@ replaced and must reproduce, the cell-by-cell L^p walk that
 Orlicz mean and the two family nesting routines that `luxemburg_norm` and
 `dyadic._nesting` replaced, the region walk that `FuncExpr.value_range`
 replaced with its monotone runs, the scipy route that `bmo._scan_minimum`
-took before `measure._bounded_minimum` ported it, a comparable view of a
+took before `measure._bounded_minimum` ported it, the two full family scans
+that `weights.power_dichotomy` made before it reused the first, the closed
+form of a power weight's two-factor product on (0, 1), a comparable view of a
 function's cells, and a record of the cells the root scan is asked about."""
 
 import bisect
@@ -39,6 +41,13 @@ from besselweights.measure import (
     integrate_callable,
     monotone_inverse,
     power_log_integral,
+)
+from besselweights.weights import (
+    ApMu,
+    DichotomyResult,
+    IntervalFamily,
+    Weight,
+    weight_constant,
 )
 
 
@@ -307,6 +316,36 @@ def reference_scan_minimum(f, lo, hi, samples):
     return min(min(coarse), float(refined.fun))
 
 
+def reference_power_dichotomy(alpha, tag, depth, seed, n_random, stabilization_band):
+    """weights.power_dichotomy as it scanned all of standard(depth) and then
+    all of standard(2 depth)."""
+    w = Weight.power(alpha)
+    r1 = weight_constant(w, tag, IntervalFamily.standard(depth, seed, n_random))
+    r2 = weight_constant(w, tag, IntervalFamily.standard(2 * depth, seed, n_random))
+    divergent = r1.divergent or r2.divergent
+    ratio = math.inf if divergent else r2.value / r1.value
+    member = (not divergent) and ratio < stabilization_band
+    return DichotomyResult(r1.value, r2.value, ratio, divergent, member)
+
+
+def power_product_on_unit(alpha, tag):
+    """The two-factor product of t^alpha on (0, 1) in closed form, for an
+    alpha inside the class range.  With k = 2 lam + 1 the classical one is
+
+        k/(alpha + k) * (k/(k - alpha/(p-1)))^(p-1),
+
+    and with c the class parameter the modified one is
+
+        (2c+2)/(alpha+1) * ((2c+2)/((2c+1)p' - alpha/(p-1) + 1))^(p-1)."""
+    p = tag.p
+    if isinstance(tag, ApMu):
+        k = 2.0 * tag.lam + 1.0
+        return k / (alpha + k) * (k / (k - alpha / (p - 1.0))) ** (p - 1.0)
+    c, pprime = tag.class_lambda, p / (p - 1.0)
+    m = 2.0 * c + 2.0
+    return m / (alpha + 1.0) * (m / ((2.0 * c + 1.0) * pprime - alpha / (p - 1.0) + 1.0)) ** (p - 1.0)
+
+
 def cells_of(f):
     return [(p.lo, p.hi, p.atoms) for p in f.pieces]
 
@@ -339,6 +378,16 @@ def _reference_value_range_fixture():
 @pytest.fixture(name="reference_scan_minimum")
 def _reference_scan_minimum_fixture():
     return reference_scan_minimum
+
+
+@pytest.fixture(name="reference_power_dichotomy")
+def _reference_power_dichotomy_fixture():
+    return reference_power_dichotomy
+
+
+@pytest.fixture(name="power_product_on_unit")
+def _power_product_on_unit_fixture():
+    return power_product_on_unit
 
 
 @pytest.fixture(name="cells_of")

@@ -185,6 +185,36 @@ class TestRunners:
         # delta x witness: the images serve both p
         assert sorted(set(applied)) == [10, 20] and len(applied) == 3 * 7
 
+    def test_power_sweep_scans_each_interval_once(self, tmp_path, monkeypatch):
+        """At the shipped config (seed 7), each of the 50 distinct (alpha,
+        tag) dichotomies scans standard(20) and the 1,300 intervals only
+        standard(40) holds; the 16 rows of each CSV all stay."""
+        from besselweights import weights
+        from besselweights.experiments import power_sweep
+
+        scanned, runs = [], []
+        products, dichotomy = weights._products, power_sweep.power_dichotomy
+
+        def count_products(w, tag, ends):
+            scanned.append(len(ends))
+            return products(w, tag, ends)
+
+        def count_dichotomy(alpha, tag, *args, **kwargs):
+            runs.append((alpha, tag))
+            return dichotomy(alpha, tag, *args, **kwargs)
+
+        monkeypatch.setattr(weights, "_products", count_products)
+        monkeypatch.setattr(power_sweep, "power_dichotomy", count_dichotomy)
+        v = run_power_weight_sweep(shipped("power-sweep", 7, tmp_path))
+        assert v.passed
+        assert len(runs) == len(set(runs)) == 50
+        assert sum(scanned) == 128_200 == 50 * (1_264 + 1_300)
+        assert len(v.artifacts) == 3
+        for path in v.artifacts:
+            with open(path, encoding="utf-8") as fh:
+                rows = [line for line in fh if not line.startswith("#")]
+            assert len(rows) == 1 + 16, path
+
     def test_commutator_bound_shares_each_familys_factors(self, tmp_path, monkeypatch):
         """One `oscillation_factors` build per family serves both variants, and
         each variant applies it once per witness."""

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from besselweights.errors import DivergenceError
+from besselweights import weights
+from besselweights.errors import DivergenceError, PostconditionError
+from besselweights.experiments import load_default_config
+from besselweights.experiments.power_sweep import sample_exponents
 from besselweights.measure import DX, BesselMeasure, FuncExpr, Interval, dmu, dnu
 from besselweights.weights import (
     ApMu,
@@ -23,7 +26,7 @@ from besselweights.weights import (
     tilde_ap_quantity,
     weight_constant,
 )
-from besselweights.weights import _products
+from besselweights.weights import _beyond_depth, _products
 
 
 class TestWeightNonnegativity:
@@ -378,6 +381,87 @@ class TestDichotomy:
         res_c = power_dichotomy(-2.0, ApMu(2.0, 1.0), depth=8, **self.SETTINGS)
         res_m = power_dichotomy(-2.0, TildeAp(2.0, 1.0), depth=8, **self.SETTINGS)
         assert res_c.member and not res_m.member
+
+
+def _shipped_sweep():
+    """Every (alpha, tag) the shipped power-sweep config runs, with its
+    depth, n_random and band."""
+    cfg = load_default_config("power-sweep", "unused")
+    cases = []
+    for token in cfg.get("pairs").split():
+        p, lam = map(float, token.split(":"))
+        for tag in (ApMu(p, lam), TildeAp(p, lam)):
+            r = power_weight_range(tag)
+            cases += [(a, kind, tag) for a, kind in sample_exponents(r.lower, r.upper, cfg.get_float("exterior_margin"))]
+    cases += [(a, "cross", tag) for a in (5.0, -2.0) for tag in (ApMu(2.0, 1.0), TildeAp(2.0, 1.0))]
+    settings = {"seed": cfg.seed, "n_random": cfg.get_int("n_random"),
+                "stabilization_band": cfg.get_float("stabilization_band")}
+    return cases, cfg.get_count("depth"), settings
+
+
+class TestDepthReuse:
+    """power_dichotomy scans standard(J) once and, for depth 2J, only the
+    intervals standard(2J) adds."""
+
+    @pytest.mark.parametrize("seed,n_random", [(0, 40), (0, 50), (7, 40), (7, 50)])
+    def test_standard_families_are_nested(self, seed, n_random):
+        for depth in range(1, 26):
+            inner = IntervalFamily.standard(depth, seed, n_random).intervals
+            outer = IntervalFamily.standard(2 * depth, seed, n_random).intervals
+            assert set(inner) <= set(outer), depth
+            extra = _beyond_depth(depth, seed, n_random).intervals
+            assert set(extra) == set(outer) - set(inner) and len(set(extra)) == len(extra)
+            first = {}
+            for i, B in enumerate(outer):
+                first.setdefault(B, i)
+            assert [first[B] for B in extra] == sorted(first[B] for B in extra)
+
+    def test_families_that_are_not_nested_raise_before_any_scan(self, monkeypatch):
+        fams = {
+            3: IntervalFamily("inner", (Interval(0.0, 1.0), Interval(1.0, 2.0))),
+            6: IntervalFamily("outer", (Interval(0.0, 1.0), Interval(0.0, 0.5))),
+        }
+        monkeypatch.setattr(
+            IntervalFamily, "standard",
+            classmethod(lambda cls, depth, seed=0, n_random=50: fams[depth]),
+        )
+        scans = []
+        monkeypatch.setattr(weights, "_products", lambda *args: scans.append(args))
+        with pytest.raises(PostconditionError, match="inner is not contained in outer"):
+            power_dichotomy(1.0, ApMu(2.0, 1.0), 3, seed=11, n_random=3, stabilization_band=1.05)
+        assert not scans
+
+    def test_matches_two_full_scans_on_the_shipped_sweep(self, reference_power_dichotomy):
+        cases, depth, settings = _shipped_sweep()
+        for alpha, _, tag in cases:
+            got = power_dichotomy(alpha, tag, depth, **settings)
+            want = reference_power_dichotomy(alpha, tag, depth, **settings)
+            for field in ("value_at_depth", "value_at_double", "ratio", "divergent", "member"):
+                assert getattr(got, field) == getattr(want, field), (alpha, tag, field)
+
+    @pytest.mark.parametrize("tag,depth,alphas", [
+        (TildeA1(0.5), 6, (-1.5, -1.0, 0.0, 1.5, 2.0, 2.5)),
+        (TildeA1(1.0), 6, (-0.5, 3.0, 3.5)),
+        (ApMu(2.0, 1.0), 1, (-3.5, -3.0, 0.0, 2.0, 3.0)),
+        (TildeAp(1.5, 0.5), 1, (-1.0, 0.0, 2.0, 3.5, 4.5)),
+        (TildeA1(0.5), 1, (0.0, 2.0, 2.5)),
+        (ApMu(2.0, 1.0), 0, (0.0, 3.0)),  # standard(0) is standard(2 * 0): nothing left to scan
+    ])
+    def test_matches_two_full_scans(self, reference_power_dichotomy, tag, depth, alphas):
+        settings = {"seed": 0, "n_random": 50, "stabilization_band": 1.05}
+        for alpha in alphas:
+            got = power_dichotomy(alpha, tag, depth, **settings)
+            assert got == reference_power_dichotomy(alpha, tag, depth, **settings), alpha
+
+    def test_interior_constants_are_the_closed_form_on_unit(self, power_product_on_unit):
+        cases, depth, settings = _shipped_sweep()
+        interior = [(a, tag) for a, kind, tag in cases if kind == "interior"]
+        assert len(interior) == 24
+        for alpha, tag in interior:
+            want = power_product_on_unit(alpha, tag)
+            res = power_dichotomy(alpha, tag, depth, **settings)
+            for got in (res.value_at_depth, res.value_at_double):
+                assert abs(got - want) <= 1e-14 * want, (alpha, tag, got, want)
 
 
 class TestPiecewiseConstantWeights:
